@@ -16,7 +16,7 @@ from .catalog import catalog_entries, catalog_entry
 from .localize import localize
 from .orbits import emit_graph, orbit_poset
 from .rigidity import critical_roots, critical_roots_oracle, distinguished_elements
-from .rootlat import RootSystemError
+from .rootlat import RootSystemError, _label_key
 from .serialize import DocumentError, document_to_system, system_to_document
 from .sphsys import SphericalSystem, ValidationReport, validate_system
 
@@ -133,7 +133,7 @@ def _cmd_critical(args) -> tuple:
         elif e.critical:
             verdict = "critical"
         else:
-            failing = ",".join(sorted(e.failing_subset, key=lambda s: (len(s), s)))
+            failing = ",".join(sorted(e.failing_subset, key=_label_key))
             verdict = f"not critical (not distinguished at {{{failing}}})"
         lines.append(f"s{i + 1} = {e.root}: {verdict}")
         payload["entries"].append(
@@ -143,7 +143,9 @@ def _cmd_critical(args) -> tuple:
                 "distinguished": e.distinguished,
                 "critical": e.critical,
                 "vacuous": e.vacuous,
-                "failing_subset": sorted(e.failing_subset) if e.failing_subset else None,
+                "failing_subset": (
+                    sorted(e.failing_subset, key=_label_key) if e.failing_subset else None
+                ),
             }
         )
     if not report.entries:

@@ -6,7 +6,6 @@ component have squared length 2.  All arithmetic is exact; no floats.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
@@ -22,14 +21,18 @@ class LatticeVector:
     """Integer vector over simple-root labels, finitely supported.
 
     Zero coefficients are dropped on construction; equality and hashing
-    are coefficient-wise.
+    are coefficient-wise.  Every coefficient must be an `int` (not a bool):
+    anything else raises ValueError rather than being rounded.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs: Mapping[str, int] | Iterable[Tuple[str, int]] = ()):
-        items = coeffs.items() if isinstance(coeffs, Mapping) else coeffs
-        self._coeffs = {k: int(v) for k, v in items if int(v) != 0}
+        coeffs = dict(coeffs)
+        for k, v in coeffs.items():
+            if type(v) is not int:
+                raise ValueError(f"coefficient of {k!r} is not an int: {v!r}")
+        self._coeffs = {k: v for k, v in coeffs.items() if v}
 
     def coeff(self, label: str) -> int:
         return self._coeffs.get(label, 0)
@@ -314,86 +317,151 @@ def restricted_coroot(rs: RootSystem, alpha: str, psi: Sequence[LatticeVector]) 
     return Functional(cartan_integer(rs, alpha, sigma) for sigma in psi)
 
 
-def _candidate_series(size: int) -> Iterator[str]:
-    yield "A"
-    if size >= 2:
-        yield "B"
-        yield "C"
-    if size >= 3:
-        yield "D"
-    if size in (6, 7, 8):
-        yield "E"
-    if size == 4:
-        yield "F"
-    if size == 2:
-        yield "G"
-
-
 def detect_subdiagram_type(rs: RootSystem, sigma: Iterable[str]) -> list:
     """Decompose the induced sub-diagram on a label set into typed components.
 
-    Returns a list of Component, each with its labels in the canonical
-    ordering of its series (short root last for B, second for G).
-    Orderings and tie-breaks depend only on the labels and their Cartan
-    entries, never on the ambient indexing, so repeated localization is
-    stable.  Brute-force permutation matching; inputs are tiny.
+    Returns a list of Component, one per connected component in the order of
+    their smallest labels, each with its labels in the canonical ordering of
+    its series (short root last for B, second for G).  The canonical ordering
+    is the first one, comparing labels by `_label_key`, whose Cartan block is
+    the standard matrix of the first matching series in A, B, C, D, E, F, G;
+    it depends only on the labels and their Cartan entries, never on the
+    ambient indexing, so repeated localization is stable.  Each component is
+    recognized in O(n^2) from its node degrees, branch arms and multiple bond.
     """
     labels = sorted(set(sigma), key=_label_key)
-    for lab in labels:
-        rs.index(lab)
-    # Connected components under Cartan adjacency.
-    remaining = set(labels)
-    groups = []
-    while remaining:
-        seed = min(remaining, key=_label_key)
-        stack, comp = [seed], {seed}
-        remaining.discard(seed)
-        while stack:
-            cur = stack.pop()
-            for other in list(remaining):
-                if rs.cartan_entry(cur, other) != 0:
-                    comp.add(other)
-                    remaining.discard(other)
-                    stack.append(other)
-        groups.append(sorted(comp, key=_label_key))
+    idx = [rs.index(lab) for lab in labels]
+    cartan = rs._cartan
+    n = len(labels)
+    seen = [False] * n
     out = []
-    for members in groups:
-        out.append(_identify_component(rs, members))
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        members, stack = [start], [start]
+        while stack:
+            row = cartan[idx[stack.pop()]]
+            for q in range(n):
+                if not seen[q] and row[idx[q]]:
+                    seen[q] = True
+                    members.append(q)
+                    stack.append(q)
+        members.sort()
+        ids = [idx[p] for p in members]
+        block = [[cartan[i][j] for j in ids] for i in ids]
+        out.append(_recognize(block, [labels[p] for p in members]))
     return out
 
 
-def _identify_component(rs: RootSystem, members: Sequence[str]) -> Component:
-    n = len(members)
-    for series in _candidate_series(n):
-        target, _ = component_cartan(series, n)
-        for perm in itertools.permutations(members):
-            if all(
-                rs.cartan_entry(perm[i], perm[j]) == target[i][j]
-                for i in range(n)
-                for j in range(n)
-            ):
-                return Component(series, n, tuple(perm))
-    raise RootSystemError(f"unclassifiable sub-diagram on {members}")
+def _walk(nbrs: list, prev: Optional[int], cur: int) -> list:
+    """Nodes of the simple path from cur away from prev, up to an end or branch."""
+    path = [cur]
+    while True:
+        ahead = [q for q in nbrs[cur] if q != prev]
+        if len(ahead) != 1:
+            return path
+        prev, cur = cur, ahead[0]
+        path.append(cur)
+
+
+def _recognize(block: list, labels: list) -> Component:
+    """Type and canonical order of a connected Dynkin diagram.
+
+    `block` is its Cartan matrix with rows in `_label_key` order of `labels`.
+    Row i holding -2 or -3 at column j marks i short and j long.
+    """
+    k = len(labels)
+    if k == 1:
+        return Component("A", 1, (labels[0],))
+    nbrs = [[j for j in range(k) if j != i and block[i][j]] for i in range(k)]
+    bond = None
+    for i in range(k):
+        for j in nbrs[i]:
+            if block[i][j] < -1:
+                bond = (i, j, -block[i][j])
+    branches = [i for i in range(k) if len(nbrs[i]) == 3]
+    order = None
+    if branches:
+        b = branches[0]
+        arms = sorted((_walk(nbrs, b, j) for j in nbrs[b]), key=lambda a: (len(a), a[-1]))
+        lengths = [len(a) for a in arms]
+        if lengths == [1, 1, 1]:
+            series, order = "D", arms[0] + [b] + arms[1] + arms[2]
+        elif lengths[:2] == [1, 1]:
+            series, order = "D", arms[2][::-1] + [b] + arms[0] + arms[1]
+        elif lengths[:2] == [1, 2] and lengths[2] <= 4:
+            series, order = "E", [arms[1][1], arms[0][0], arms[1][0], b] + arms[2]
+    else:
+        order = _walk(nbrs, None, min(i for i in range(k) if len(nbrs[i]) == 1))
+        if bond is None:
+            series = "A"
+        else:
+            short, long_, mult = bond
+            # B_2, B_n and G_2 end at the short root, F_4 runs long to short,
+            # C_n ends at its long end root.
+            if mult == 3:
+                series = "G"
+            elif short in (order[0], order[-1]):
+                series = "B"
+            elif long_ in (order[0], order[-1]):
+                series = "C"
+            else:
+                series = "F"
+            if (order.index(long_) < order.index(short)) != (series != "C"):
+                order.reverse()
+    if order is None:
+        raise RootSystemError(f"unclassifiable sub-diagram on {labels}")
+    return Component(series, k, tuple(labels[i] for i in order))
+
+
+def _component_positive_roots(block: Sequence[Sequence[int]]) -> set:
+    """Positive roots of one simple component as coefficient tuples.
+
+    Root-string closure, one height at a time: beta + alpha_i is a root
+    exactly when q > <beta, alpha_i^vee>, where q counts how far the
+    alpha_i-string through beta reaches down; the string is followed only
+    as far as that comparison needs.
+    """
+    k = len(block)
+    layer = {tuple(int(i == j) for j in range(k)) for i in range(k)}
+    roots = set(layer)
+    while layer:
+        above = set()
+        for beta in layer:
+            for i, row in enumerate(block):
+                pairing = sum(c * x for c, x in zip(row, beta))
+                q = 0
+                down = list(beta)
+                while q <= pairing:
+                    down[i] -= 1
+                    if tuple(down) not in roots:
+                        break
+                    q += 1
+                if q > pairing:
+                    up = list(beta)
+                    up[i] += 1
+                    above.add(tuple(up))
+        roots |= above
+        layer = above
+    return roots
 
 
 def positive_roots(rs: RootSystem) -> frozenset:
-    """All positive roots, generated by root-string closure from the simple ones."""
-    roots = {rs.simple_root(lab) for lab in rs.simple_roots}
-    frontier = set(roots)
-    while frontier:
-        new = set()
-        for beta in frontier:
-            for lab in rs.simple_roots:
-                alpha = rs.simple_root(lab)
-                q = 0
-                down = beta - alpha
-                while down in roots:
-                    q += 1
-                    down = down - alpha
-                if q - cartan_integer(rs, lab, beta) > 0:
-                    cand = beta + alpha
-                    if cand not in roots:
-                        new.add(cand)
-        roots |= new
-        frontier = new
-    return frozenset(roots)
+    """All positive roots, generated by root-string closure from the simple ones.
+
+    Every root lies in one simple component, so the closure runs per
+    component on integer tuples over its Cartan block; the tuples become
+    LatticeVector only at the end.
+    """
+    out = []
+    offset = 0
+    for comp in rs.components:
+        end = offset + comp.rank
+        block = [row[offset:end] for row in rs._cartan[offset:end]]
+        out.extend(
+            LatticeVector(zip(comp.labels, beta))
+            for beta in _component_positive_roots(block)
+        )
+        offset = end
+    return frozenset(out)

@@ -88,7 +88,7 @@ def document_to_system(doc: Any) -> SphericalSystem:
         if not isinstance(comp, dict) or "series" not in comp or "rank" not in comp:
             raise DocumentError(f"root_system.components[{k}]: need series and rank")
         series, rank = comp["series"], comp["rank"]
-        if series not in SERIES_SET or not isinstance(rank, int):
+        if series not in SERIES_SET or not isinstance(rank, int) or isinstance(rank, bool):
             raise DocumentError(
                 f"root_system.components[{k}]: invalid series/rank {series!r}/{rank!r}"
             )

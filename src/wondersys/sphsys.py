@@ -129,8 +129,26 @@ def assign_types(system: SphericalSystem) -> Dict[str, str]:
 
 
 def spherical_lattice_rank(system: SphericalSystem) -> int:
-    """Rank of the lattice generated by the spherical roots."""
-    return len(system.psi)
+    """Rank of the lattice generated by the spherical roots.
+
+    Exact Gaussian elimination over their coefficient vectors, so dependent
+    spherical roots are counted once.
+    """
+    labels = system.rs.simple_roots
+    rows = [[Fraction(sigma.coeff(lab)) for lab in labels] for sigma in system.psi]
+    rank = 0
+    for col in range(len(labels)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / top[col]
+            if factor:
+                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
 
 
 def _check_base(system: SphericalSystem, out: List[Violation]) -> None:

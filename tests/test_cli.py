@@ -8,6 +8,8 @@ from wondersys import dumps, loads
 from wondersys.catalog import catalog_entries, catalog_entry
 from wondersys.cli import main
 
+from randsys import colored_flag, direct_sum
+
 
 @pytest.fixture
 def p1_path(tmp_path):
@@ -99,6 +101,19 @@ class TestCritical:
     def test_vacuous_marker(self, capsys):
         assert main(["critical", "a2-full-support"]) == 0
         assert "vacuous" in capsys.readouterr().out
+
+    def test_failing_subset_order_agrees_at_rank_ten(self, tmp_path, capsys):
+        flags = [colored_flag("A", 1, [1])] * 8
+        system = direct_sum(flags + [catalog_entry("group-a1a1").system])
+        path = tmp_path / "rank10.json"
+        path.write_text(dumps(system))
+        expected = ["a1", "a2", "a3", "a4", "a5", "a6", "a7", "a9", "a10"]
+        assert main(["critical", str(path)]) == 0
+        text = capsys.readouterr().out
+        assert f"s1 = a9: not critical (not distinguished at {{{','.join(expected)}}})" in text
+        assert main(["--format", "json", "critical", str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert [e["failing_subset"] for e in payload["entries"]] == [expected, expected]
 
 
 class TestOrbits:

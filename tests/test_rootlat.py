@@ -1,12 +1,15 @@
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wondersys import (
+    Component,
     LatticeVector,
+    RootSystem,
     RootSystemError,
     build_root_system,
     cartan_integer,
@@ -16,6 +19,7 @@ from wondersys import (
     support,
 )
 
+from dynkinoracle import oracle_subdiagram_type
 from rootoracle import formula_count, reflection_positive_roots
 
 
@@ -105,6 +109,23 @@ class TestCartanInteger:
             assert cartan_integer(rs, a, v + w) == cartan_integer(rs, a, v) + cartan_integer(rs, a, w)
 
 
+class TestLatticeVector:
+    def test_zero_coefficients_dropped(self):
+        assert lv(a1=0, a2=3) == lv(a2=3)
+        assert lv(a1=0).is_zero()
+
+    @pytest.mark.parametrize("value", [Fraction(1, 2), Fraction(2), 1.7, 2.0, True, "1", None])
+    def test_non_int_coefficient_rejected(self, value):
+        with pytest.raises(ValueError, match="a1"):
+            LatticeVector({"a1": value})
+        with pytest.raises(ValueError):
+            LatticeVector([("a2", 1), ("a1", value)])
+
+    def test_scaling_by_a_fraction_rejected(self):
+        with pytest.raises(ValueError):
+            lv(a1=2) * Fraction(1, 2)
+
+
 class TestSupport:
     def test_single(self):
         assert support(lv(a2=1)) == {"a2"}
@@ -171,6 +192,42 @@ class TestDetectSubdiagram:
         assert both == left + right
 
 
+def _assert_recognizer_matches_oracle(rs):
+    for size in range(1, rs.rank + 1):
+        for subset in itertools.combinations(rs.simple_roots, size):
+            ours = [(c.series, c.rank, c.labels) for c in detect_subdiagram_type(rs, subset)]
+            oracle = [(c.series, c.rank, c.labels) for c in oracle_subdiagram_type(rs, subset)]
+            assert ours == oracle, subset
+
+
+class TestRecognizerAgainstPermutationSearch:
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [("E", 6)], [("E", 7)], [("E", 8)], [("F", 4)],
+            [("D", 4)], [("D", 5)], [("D", 8)], [("B", 5)], [("C", 5)],
+            [("G", 2)], [("A", 6)],
+            [("B", 2), ("C", 3), ("G", 2)],
+        ],
+    )
+    def test_every_label_subset(self, spec):
+        _assert_recognizer_matches_oracle(build_root_system(spec))
+
+    @pytest.mark.parametrize(
+        "series,labels",
+        [
+            ("E", ("a12", "a9", "a3", "a2", "a10", "a1")),
+            ("D", ("a9", "a2", "a11", "a1", "a3")),
+            ("F", ("a7", "a1", "a12", "a2")),
+            ("C", ("a4", "a10", "a1", "a3")),
+        ],
+    )
+    def test_labels_out_of_index_order(self, series, labels):
+        # Localized systems list labels in canonical order, so _label_key
+        # order and the ambient index order differ.
+        _assert_recognizer_matches_oracle(RootSystem([Component(series, len(labels), labels)]))
+
+
 class TestPositiveRoots:
     def test_a1(self):
         rs = build_root_system([("A", 1)])
@@ -189,6 +246,9 @@ class TestPositiveRoots:
             [("B", 2)], [("B", 3)], [("B", 4)],
             [("C", 3)], [("D", 4)], [("F", 4)], [("G", 2)],
             [("B", 2), ("A", 1)],
+            [("E", 6)], [("E", 7)], [("E", 8)], [("D", 5)], [("D", 8)], [("C", 5)],
+            [("A", 3), ("B", 2), ("G", 2)], [("F", 4), ("A", 1)],
+            [("G", 2), ("C", 3), ("D", 4)],
         ],
     )
     def test_against_reflection_oracle(self, spec):
@@ -196,4 +256,16 @@ class TestPositiveRoots:
         ours = positive_roots(rs)
         oracle = reflection_positive_roots(rs)
         assert ours == oracle
+        assert len(ours) == formula_count(rs)
+
+    def test_components_with_interleaved_labels(self):
+        rs = RootSystem(
+            [
+                Component("B", 3, ("a5", "a1", "a3")),
+                Component("G", 2, ("a4", "a2")),
+                Component("A", 2, ("a7", "a6")),
+            ]
+        )
+        ours = positive_roots(rs)
+        assert ours == reflection_positive_roots(rs)
         assert len(ours) == formula_count(rs)

@@ -69,6 +69,12 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="invalid component"):
             document_to_system({"root_system": {"components": [{"series": "G", "rank": 5}]}})
 
+    @pytest.mark.parametrize("rank", [True, False])
+    def test_boolean_rank(self, rank):
+        doc = {"root_system": {"components": [{"series": "A", "rank": 1}, {"series": "A", "rank": rank}]}}
+        with pytest.raises(DocumentError, match=r"root_system\.components\[1\]"):
+            document_to_system(doc)
+
     def test_unknown_label_in_root(self):
         doc = {
             "root_system": {"components": [{"series": "A", "rank": 1}]},

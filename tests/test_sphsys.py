@@ -159,6 +159,19 @@ class TestLatticeRank:
         s = SphericalSystem(rs, [lv(a1=1), lv(a2=1)], colors)
         assert spherical_lattice_rank(s) == 2
 
+    @pytest.mark.parametrize(
+        "spec,psi,rank",
+        [
+            ([("A", 2)], [{"a1": 1}, {"a2": 1}, {"a1": 1, "a2": 1}], 2),
+            ([("A", 1)], [{"a1": 2}, {"a1": 1}], 1),
+            ([("A", 3)], [{"a1": 1, "a2": 1}, {"a2": 1, "a3": 1}, {"a1": 1, "a3": -1}], 2),
+            ([("B", 2), ("A", 1)], [{"a3": 1}, {"a1": 1, "a2": 2}, {"a2": 1}], 3),
+        ],
+    )
+    def test_dependent_roots_counted_once(self, spec, psi, rank):
+        s = SphericalSystem(build_root_system(spec), [LatticeVector(c) for c in psi], [])
+        assert spherical_lattice_rank(s) == rank
+
 
 class TestPropOneOnValidatedSystems:
     def test_exactly_one_raw_case_matches(self):
