@@ -3,6 +3,7 @@
 Semisimple Dynkin data with integer Cartan matrices and a rational
 Weyl-invariant form, normalized so that the short roots of every simple
 component have squared length 2.  All arithmetic is exact; no floats.
+A root system has total rank at most MAX_RANK.
 """
 from __future__ import annotations
 
@@ -11,6 +12,11 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 SERIES = ("A", "B", "C", "D", "E", "F", "G")
+
+# Largest total rank a root system may have.  Construction allocates an
+# n x n Cartan matrix, so the limit is checked before anything of size n is
+# built; it bounds what one input document can make the program allocate.
+MAX_RANK = 64
 
 
 class RootSystemError(ValueError):
@@ -208,40 +214,37 @@ class Component:
 class RootSystem:
     """Semisimple root system with exact Cartan and form data.
 
-    Immutable after construction; safe for concurrent use.
+    The Cartan matrix a_ij = <alpha_i^vee, alpha_j> is kept as integer rows,
+    and with it d_i = |alpha_i|^2 / 2, which is 1, 2 or 3.  The invariant form
+    on simple roots is (alpha_i, alpha_j) = d_i a_ij, so no Gram matrix is
+    stored.  The total rank may not exceed MAX_RANK.  Immutable after
+    construction; safe for concurrent use.
     """
 
     def __init__(self, components: Sequence[Component]):
         self.components: Tuple[Component, ...] = tuple(components)
+        n = sum(len(comp.labels) for comp in self.components)
+        if n > MAX_RANK:
+            raise RootSystemError(f"total rank {n} exceeds the limit {MAX_RANK}")
         self.simple_roots: Tuple[str, ...] = tuple(
             lab for comp in self.components for lab in comp.labels
         )
-        if len(set(self.simple_roots)) != len(self.simple_roots):
+        if len(set(self.simple_roots)) != n:
             raise RootSystemError("duplicate simple-root labels")
         self._index = {lab: i for i, lab in enumerate(self.simple_roots)}
-        n = len(self.simple_roots)
-        cartan = [[0] * n for _ in range(n)]
-        lengths: list = [Fraction(0)] * n
+        rows: list = []
+        half_lengths: list = []
         offset = 0
         for comp in self.components:
-            cmat, lens = component_cartan(comp.series, comp.rank)
             if len(comp.labels) != comp.rank:
                 raise RootSystemError("component label count mismatch")
-            for i in range(comp.rank):
-                lengths[offset + i] = Fraction(lens[i])
-                for j in range(comp.rank):
-                    cartan[offset + i][offset + j] = cmat[i][j]
+            cmat, lens = component_cartan(comp.series, comp.rank)
+            left, right = (0,) * offset, (0,) * (n - offset - comp.rank)
+            rows.extend(left + tuple(row) + right for row in cmat)
+            half_lengths.extend(length // 2 for length in lens)
             offset += comp.rank
-        self._cartan = tuple(tuple(row) for row in cartan)
-        self._lengths = tuple(lengths)
-        # Gram matrix of the invariant form on simple roots.
-        gram = [
-            [cartan[i][j] * lengths[i] / 2 for j in range(n)] for i in range(n)
-        ]
-        for i in range(n):
-            for j in range(n):
-                assert gram[i][j] == gram[j][i]
-        self._gram = tuple(tuple(row) for row in gram)
+        self._cartan = tuple(rows)
+        self._d: Tuple[int, ...] = tuple(half_lengths)
 
     @property
     def rank(self) -> int:
@@ -271,12 +274,20 @@ class RootSystem:
         return None
 
     def form(self, v: LatticeVector, w: LatticeVector) -> Fraction:
-        total = Fraction(0)
-        for a, x in v.items():
+        """The invariant form (v, w) = sum_i x_i d_i sum_j a_ij y_j, exactly.
+
+        Integer arithmetic over the two supports; the result is returned as
+        a Fraction so that quotients of forms stay exact.
+        """
+        if not v._coeffs:
+            return Fraction(0)
+        w_terms = [(self.index(b), y) for b, y in w._coeffs.items()]
+        total = 0
+        for a, x in v._coeffs.items():
             i = self.index(a)
-            for b, y in w.items():
-                total += x * y * self._gram[i][self.index(b)]
-        return total
+            row = self._cartan[i]
+            total += x * self._d[i] * sum(y * row[j] for j, y in w_terms)
+        return Fraction(total)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.components == other.components
@@ -294,6 +305,8 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
     comps = []
     next_i = 1
     for series, rank in spec:
+        if next_i - 1 + rank > MAX_RANK:
+            raise RootSystemError(f"total rank exceeds the limit {MAX_RANK}")
         component_cartan(series, rank)  # raises on invalid data
         labels = tuple(f"a{next_i + k}" for k in range(rank))
         comps.append(Component(series, rank, labels))
@@ -303,8 +316,8 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
 
 def cartan_integer(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
     """The pairing of the coroot of alpha with lam, an exact integer."""
-    i = rs.index(alpha)
-    return sum(v * rs._cartan[i][rs.index(b)] for b, v in lam.items())
+    row = rs._cartan[rs.index(alpha)]
+    return sum(v * row[rs.index(b)] for b, v in lam._coeffs.items())
 
 
 def support(lam: LatticeVector) -> frozenset:

@@ -4,7 +4,8 @@ A document is a single object with `root_system`, `spherical_roots` and
 `colors` fields.  Simple roots are labelled a1, a2, ... in the canonical
 order of the components; functionals are listed in spherical-root order,
 with halves written as "p/2" strings.  Parsing errors name the offending
-field and label.
+field and label; a root system of total rank above MAX_RANK and a color id
+used twice are parsing errors too.
 """
 from __future__ import annotations
 
@@ -115,6 +116,7 @@ def document_to_system(doc: Any) -> SphericalSystem:
         psi.append(LatticeVector(coeffs))
 
     colors: List[Color] = []
+    ids = set()
     raw_colors = doc.get("colors", [])
     if not isinstance(raw_colors, list):
         raise DocumentError("colors must be a list")
@@ -124,6 +126,9 @@ def document_to_system(doc: Any) -> SphericalSystem:
         cid = raw.get("id")
         if not isinstance(cid, str) or not cid:
             raise DocumentError(f"colors[{k}]: missing id")
+        if cid in ids:
+            raise DocumentError(f"colors[{k}] ({cid}): duplicate id")
+        ids.add(cid)
         moved = raw.get("moved_by")
         if not isinstance(moved, list) or not moved:
             raise DocumentError(f"colors[{k}] ({cid}): moved_by must be a nonempty list")

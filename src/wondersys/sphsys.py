@@ -6,6 +6,12 @@ system in their span) and a list of colors, each carrying the set of
 simple roots moving it and a rational functional on the spherical roots.
 Validation checks the base property and the three color axioms; every
 violation is collected with a witness, nothing is thrown.
+
+Each system indexes its colors by the simple roots moving them once, on
+construction.  `validate_system` computes the restricted coroot of every
+simple root once and hands that table to the checks; the pairwise P3 check
+compares color ids.  Localization builds systems that are never
+validated, so only validation pays for the coroot table.
 """
 from __future__ import annotations
 
@@ -18,7 +24,6 @@ from .rootlat import (
     LatticeVector,
     RootSystem,
     cartan_integer,
-    restricted_coroot,
 )
 
 TYPE_A, TYPE_B, TYPE_C, TYPE_D = "a", "b", "c", "d"
@@ -71,22 +76,25 @@ class SphericalSystem:
         self.psi: Tuple[LatticeVector, ...] = tuple(psi)
         self.colors: Tuple[Color, ...] = tuple(colors)
         self._psi_index = {sigma: i for i, sigma in enumerate(self.psi)}
+        moved: Dict[str, List[Color]] = {}
+        for d in self.colors:
+            for lab in d.moved_by:
+                moved.setdefault(lab, []).append(d)
+        self._moved = {lab: tuple(ds) for lab, ds in moved.items()}
         self._type_map: Optional[Dict[str, str]] = None
 
     def psi_index(self, sigma: LatticeVector) -> Optional[int]:
         return self._psi_index.get(sigma)
 
     def colors_moved_by(self, alpha: str) -> Tuple[Color, ...]:
-        return tuple(d for d in self.colors if alpha in d.moved_by)
+        """The colors moved by alpha, in the order of `colors`."""
+        return self._moved.get(alpha, ())
 
     @property
     def type_map(self) -> Dict[str, str]:
         if self._type_map is None:
             self._type_map = assign_types(self)
         return self._type_map
-
-    def coroot_on_psi(self, alpha: str) -> Functional:
-        return restricted_coroot(self.rs, alpha, self.psi)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -151,6 +159,15 @@ def spherical_lattice_rank(system: SphericalSystem) -> int:
     return rank
 
 
+def coroot_table(system: SphericalSystem) -> Dict[str, Tuple[int, ...]]:
+    """The values of every simple root's restricted coroot on the spherical
+    roots, as integers, keyed in simple-root order."""
+    return {
+        lab: tuple(cartan_integer(system.rs, lab, sigma) for sigma in system.psi)
+        for lab in system.rs.simple_roots
+    }
+
+
 def _check_base(system: SphericalSystem, out: List[Violation]) -> None:
     seen = set()
     for sigma in system.psi:
@@ -165,28 +182,35 @@ def _check_base(system: SphericalSystem, out: List[Violation]) -> None:
                 out.append(
                     Violation("BASE", f"negative coefficient of {lab} in {sigma}")
                 )
+    # The form is integral on the root lattice, so the Cartan number
+    # 2(sigma, tau)/(sigma, sigma) is checked on numerators.
     for i, sigma in enumerate(system.psi):
-        if sigma.is_zero() or system.rs.form(sigma, sigma) == 0:
+        if sigma.is_zero():
+            continue
+        norm = system.rs.form(sigma, sigma).numerator
+        if norm == 0:
             continue
         for j, tau in enumerate(system.psi):
             if i == j or tau == sigma:
                 continue
-            num = 2 * system.rs.form(sigma, tau) / system.rs.form(sigma, sigma)
-            if num.denominator != 1 or num > 0:
+            twice = 2 * system.rs.form(sigma, tau).numerator
+            if twice % norm or twice > 0:
                 out.append(
                     Violation(
                         "BASE",
-                        f"Cartan number of ({sigma}, {tau}) is {num}, "
+                        f"Cartan number of ({sigma}, {tau}) is {Fraction(twice, norm)}, "
                         "not a nonpositive integer",
                     )
                 )
 
 
-def _check_p1(system: SphericalSystem, out: List[Violation]) -> None:
+def _check_p1(
+    system: SphericalSystem, coroots: Dict[str, Tuple[int, ...]], out: List[Violation]
+) -> None:
     for lab in system.rs.simple_roots:
         kind = system.type_map[lab]
         moved = system.colors_moved_by(lab)
-        coroot = system.coroot_on_psi(lab)
+        coroot = Functional(coroots[lab])
         if kind == TYPE_A:
             if moved:
                 out.append(
@@ -251,6 +275,7 @@ def _check_p1(system: SphericalSystem, out: List[Violation]) -> None:
 
 
 def _check_p2(system: SphericalSystem, out: List[Violation]) -> None:
+    psi_labels = [system.rs.as_simple_label(sigma) for sigma in system.psi]
     for lab in system.rs.simple_roots:
         beta = system.rs.simple_root(lab)
         if system.psi_index(beta) is None:
@@ -258,7 +283,7 @@ def _check_p2(system: SphericalSystem, out: List[Violation]) -> None:
         for d in system.colors_moved_by(lab):
             for j, sigma in enumerate(system.psi):
                 value = d.phi[j]
-                sigma_label = system.rs.as_simple_label(sigma)
+                sigma_label = psi_labels[j]
                 simple_and_moved = sigma_label is not None and sigma_label in d.moved_by
                 if value > 1:
                     out.append(
@@ -293,14 +318,21 @@ def _sum_in_psi(system: SphericalSystem, alpha: LatticeVector, beta: LatticeVect
     return half is not None and system.psi_index(half) is not None
 
 
-def _check_p3(system: SphericalSystem, out: List[Violation]) -> None:
-    labels = system.rs.simple_roots
+def _check_p3(
+    system: SphericalSystem, coroots: Dict[str, Tuple[int, ...]], out: List[Violation]
+) -> None:
+    rs = system.rs
+    labels = rs.simple_roots
+    types = system.type_map
+    ids = {
+        lab: frozenset(d.id for d in system.colors_moved_by(lab)) for lab in labels
+    }
     for i, la in enumerate(labels):
+        da, ta = ids[la], types[la]
         for lb in labels[i + 1 :]:
-            da = set(system.colors_moved_by(la))
-            db = set(system.colors_moved_by(lb))
+            db, tb = ids[lb], types[lb]
             shared = da & db
-            ta, tb = system.type_map[la], system.type_map[lb]
+            both_d = ta == TYPE_D and tb == TYPE_D
             if shared:
                 if ta == TYPE_B and tb == TYPE_B:
                     if len(shared) != 1:
@@ -311,12 +343,12 @@ def _check_p3(system: SphericalSystem, out: List[Violation]) -> None:
                                 "expected exactly 1",
                             )
                         )
-                elif ta == TYPE_D and tb == TYPE_D:
-                    if cartan_integer(system.rs, la, system.rs.simple_root(lb)) != 0:
+                elif both_d:
+                    if rs.cartan_entry(la, lb) != 0:
                         out.append(
                             Violation("P3", f"shared-color roots {la}, {lb} not orthogonal")
                         )
-                    if system.coroot_on_psi(la) != system.coroot_on_psi(lb):
+                    if coroots[la] != coroots[lb]:
                         out.append(
                             Violation(
                                 "P3",
@@ -324,9 +356,7 @@ def _check_p3(system: SphericalSystem, out: List[Violation]) -> None:
                                 "restricted coroots",
                             )
                         )
-                    if not _sum_in_psi(
-                        system, system.rs.simple_root(la), system.rs.simple_root(lb)
-                    ):
+                    if not _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb)):
                         out.append(
                             Violation(
                                 "P3",
@@ -340,29 +370,31 @@ def _check_p3(system: SphericalSystem, out: List[Violation]) -> None:
                             f"roots {la} (type {ta}) and {lb} (type {tb}) share a color",
                         )
                     )
-            if ta == TYPE_D and tb == TYPE_D:
-                cond = (
-                    cartan_integer(system.rs, la, system.rs.simple_root(lb)) == 0
-                    and system.coroot_on_psi(la) == system.coroot_on_psi(lb)
-                    and _sum_in_psi(
-                        system, system.rs.simple_root(la), system.rs.simple_root(lb)
+            if (
+                both_d
+                and da != db
+                and rs.cartan_entry(la, lb) == 0
+                and coroots[la] == coroots[lb]
+                and _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb))
+            ):
+                out.append(
+                    Violation(
+                        "P3",
+                        f"type-d roots {la}, {lb} satisfy the sharing conditions "
+                        "but have different color sets",
                     )
                 )
-                if cond and da != db:
-                    out.append(
-                        Violation(
-                            "P3",
-                            f"type-d roots {la}, {lb} satisfy the sharing conditions "
-                            "but have different color sets",
-                        )
-                    )
 
 
 def validate_system(system: SphericalSystem) -> ValidationReport:
     """Check the base property and the three color axioms, exhaustively."""
     out: List[Violation] = []
     _check_base(system, out)
+    seen_ids = set()
     for d in system.colors:
+        if d.id in seen_ids:
+            out.append(Violation("P1", f"color id {d.id} is used by more than one color"))
+        seen_ids.add(d.id)
         if len(d.phi) != len(system.psi):
             out.append(
                 Violation(
@@ -373,9 +405,19 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
             )
         if not d.moved_by:
             out.append(Violation("P1", f"color {d.id} is moved by no simple root"))
+        for j, value in enumerate(d.phi.values):
+            if value.denominator not in (1, 2):
+                out.append(
+                    Violation(
+                        "P1",
+                        f"color {d.id}: phi[{j}] = {value} has a denominator "
+                        "that does not divide 2",
+                    )
+                )
     if any(len(d.phi) != len(system.psi) for d in system.colors):
         return ValidationReport(tuple(out))
-    _check_p1(system, out)
+    coroots = coroot_table(system)
+    _check_p1(system, coroots, out)
     _check_p2(system, out)
-    _check_p3(system, out)
+    _check_p3(system, coroots, out)
     return ValidationReport(tuple(out))

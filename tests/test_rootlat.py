@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,8 @@ from wondersys import (
     restricted_coroot,
     support,
 )
+
+from wondersys.rootlat import MAX_RANK, component_cartan
 
 from dynkinoracle import oracle_subdiagram_type
 from rootoracle import formula_count, reflection_positive_roots
@@ -76,6 +79,98 @@ class TestBuildRootSystem:
                 vb = rs.simple_root(b)
                 expected = 2 * rs.form(va, vb) / rs.form(va, va)
                 assert Fraction(rs.cartan_entry(a, b)) == expected
+
+
+ALL_SMALL_COMPONENTS = (
+    [("A", n) for n in range(1, 9)]
+    + [(series, n) for series in "BC" for n in range(2, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def gram_form(rs, v, w):
+    """(v, w) = sum_ij x_i y_j a_ij |alpha_i|^2 / 2, from each component's lengths."""
+    lengths = {}
+    for comp in rs.components:
+        _, lens = component_cartan(comp.series, comp.rank)
+        lengths.update(zip(comp.labels, lens))
+    return sum(
+        (
+            Fraction(x * y * rs.cartan_entry(a, b) * lengths[a], 2)
+            for a, x in v.items()
+            for b, y in w.items()
+        ),
+        Fraction(0),
+    )
+
+
+class TestInvariantForm:
+    @pytest.mark.parametrize("series,rank", ALL_SMALL_COMPONENTS)
+    def test_symmetrized_cartan_is_symmetric(self, series, rank):
+        cartan, lengths = component_cartan(series, rank)
+        d = [length // 2 for length in lengths]
+        assert all(length in (2, 4, 6) for length in lengths)
+        for i in range(rank):
+            for j in range(rank):
+                assert d[i] * cartan[i][j] == d[j] * cartan[j][i], (i, j)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            [("A", 3), ("B", 2), ("G", 2)],
+            [("F", 4), ("C", 3)],
+            [("D", 4), ("E", 6), ("A", 1)],
+        ],
+    )
+    def test_form_matches_gram_formula(self, spec):
+        rs = build_root_system(spec)
+        rng = random.Random(7)
+        for _ in range(200):
+            v, w = (
+                LatticeVector(
+                    {lab: rng.randint(-4, 4) for lab in rng.sample(rs.simple_roots, rng.randint(0, 6))}
+                )
+                for _ in range(2)
+            )
+            value = rs.form(v, w)
+            assert type(value) is Fraction
+            assert value == gram_form(rs, v, w) == rs.form(w, v)
+
+    def test_form_on_interleaved_labels(self):
+        rs = RootSystem([Component("B", 2, ("a3", "a1")), Component("G", 2, ("a2", "a4"))])
+        rng = random.Random(3)
+        for _ in range(50):
+            v = LatticeVector({lab: rng.randint(-3, 3) for lab in rs.simple_roots})
+            w = LatticeVector({lab: rng.randint(-3, 3) for lab in rs.simple_roots})
+            assert rs.form(v, w) == gram_form(rs, v, w)
+
+    def test_unknown_label(self):
+        rs = build_root_system([("A", 1)])
+        with pytest.raises(RootSystemError):
+            rs.form(lv(a1=1), lv(a2=1))
+
+
+class TestRankLimit:
+    def test_limit_is_documented_size(self):
+        assert MAX_RANK >= 64
+
+    def test_at_limit(self):
+        assert build_root_system([("A", MAX_RANK)]).rank == MAX_RANK
+        assert build_root_system([("A", MAX_RANK - 3), ("B", 3)]).rank == MAX_RANK
+
+    @pytest.mark.parametrize(
+        "spec", [[("A", MAX_RANK + 1)], [("A", MAX_RANK - 2), ("A", 3)]]
+    )
+    def test_above_limit(self, spec):
+        with pytest.raises(RootSystemError, match="exceeds the limit"):
+            build_root_system(spec)
+
+    def test_constructor_checks_limit(self):
+        labels = tuple(f"x{i}" for i in range(MAX_RANK + 1))
+        assert RootSystem([Component("A", MAX_RANK, labels[:-1])]).rank == MAX_RANK
+        with pytest.raises(RootSystemError, match=f"total rank {MAX_RANK + 1} exceeds"):
+            RootSystem([Component("A", MAX_RANK, labels[:-1]), Component("A", 1, labels[-1:])])
 
 
 class TestCartanInteger:

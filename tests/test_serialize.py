@@ -12,6 +12,7 @@ from wondersys import (
     localize,
     system_to_document,
 )
+from wondersys.rootlat import MAX_RANK
 from wondersys.catalog import catalog_entries, catalog_entry
 
 from randsys import doubled_root_a1
@@ -73,6 +74,31 @@ class TestParseErrors:
     def test_boolean_rank(self, rank):
         doc = {"root_system": {"components": [{"series": "A", "rank": 1}, {"series": "A", "rank": rank}]}}
         with pytest.raises(DocumentError, match=r"root_system\.components\[1\]"):
+            document_to_system(doc)
+
+    @pytest.mark.parametrize(
+        "ranks", [[MAX_RANK], [MAX_RANK - 2, 2], [MAX_RANK + 1], [MAX_RANK - 2, 3]]
+    )
+    def test_total_rank_limit(self, ranks):
+        doc = {
+            "root_system": {"components": [{"series": "A", "rank": r} for r in ranks]}
+        }
+        if sum(ranks) <= MAX_RANK:
+            assert document_to_system(doc).rs.rank == sum(ranks)
+        else:
+            with pytest.raises(DocumentError, match=r"^root_system: total rank"):
+                document_to_system(doc)
+
+    def test_duplicate_color_id(self):
+        doc = {
+            "root_system": {"components": [{"series": "A", "rank": 1}]},
+            "spherical_roots": [{"coeffs": {"a1": 1}}],
+            "colors": [
+                {"id": "D", "moved_by": ["a1"], "phi": [1]},
+                {"id": "D", "moved_by": ["a1"], "phi": [1]},
+            ],
+        }
+        with pytest.raises(DocumentError, match=r"colors\[1\] \(D\)"):
             document_to_system(doc)
 
     def test_unknown_label_in_root(self):

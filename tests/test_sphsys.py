@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
 
 from wondersys import (
@@ -9,13 +11,16 @@ from wondersys import (
     SphericalSystem,
     assign_types,
     build_root_system,
+    localize,
     restricted_coroot,
     spherical_lattice_rank,
     validate_system,
 )
 from wondersys.catalog import catalog_entries
+from wondersys.sphsys import coroot_table
 
 from mutations import mutation_cases
+from randsys import random_systems
 
 
 def lv(**coeffs):
@@ -134,6 +139,27 @@ class TestValidateSystem:
         report = validate_system(s)
         assert "P3" in report.axiom_ids()
 
+    def test_duplicate_color_id(self):
+        rs = build_root_system([("A", 1)])
+        colors = [
+            Color("D", frozenset({"a1"}), Functional([1])),
+            Color("D", frozenset({"a1"}), Functional([1])),
+        ]
+        report = validate_system(SphericalSystem(rs, [lv(a1=1)], colors))
+        assert not report.ok
+        assert "P1: color id D is used by more than one color" in map(str, report.violations)
+
+    def test_denominator_not_dividing_two(self):
+        rs = build_root_system([("A", 1)])
+        colors = [
+            Color("Dp", frozenset({"a1"}), Functional([Fraction(4, 3)])),
+            Color("Dm", frozenset({"a1"}), Functional([Fraction(2, 3)])),
+        ]
+        report = validate_system(SphericalSystem(rs, [lv(a1=1)], colors))
+        messages = [str(v) for v in report.violations]
+        assert "P1: color Dp: phi[0] = 4/3 has a denominator that does not divide 2" in messages
+        assert "P1: color Dm: phi[0] = 2/3 has a denominator that does not divide 2" in messages
+
     def test_violations_are_collected_not_thrown(self):
         rs = build_root_system([("A", 2)])
         s = SphericalSystem(rs, [lv(a1=1, a2=-1), lv(a1=1)], [])
@@ -210,6 +236,31 @@ class TestPropOneOnValidatedSystems:
                     continue
                 for d in s.colors_moved_by(lab):
                     assert max(d.phi.values, default=0) <= 1
+
+
+def _systems_and_coatom_localizations():
+    systems = [entry.system for entry in catalog_entries()]
+    systems += random_systems(seed=11, count=60, max_rank=8)
+    for s in list(systems):
+        labels = frozenset(s.rs.simple_roots)
+        systems += [localize(s, labels - {lab}) for lab in s.rs.simple_roots]
+    return systems
+
+
+class TestSystemIndex:
+    def test_colors_moved_by_equals_scan(self):
+        for s in _systems_and_coatom_localizations():
+            for lab in s.rs.simple_roots:
+                scan = tuple(d for d in s.colors if lab in d.moved_by)
+                assert s.colors_moved_by(lab) == scan, (s, lab)
+            assert s.colors_moved_by("not-a-label") == ()
+
+    def test_coroot_table_equals_restricted_coroot(self):
+        for s in _systems_and_coatom_localizations():
+            table = coroot_table(s)
+            assert list(table) == list(s.rs.simple_roots)
+            for lab, values in table.items():
+                assert Functional(values) == restricted_coroot(s.rs, lab, s.psi), (s, lab)
 
 
 class TestMutations:
