@@ -26,7 +26,6 @@ from .rootlat import (
     detect_subdiagram_type,
     positive_roots,
     restricted_coroot,
-    support,
 )
 from .serialize import (
     DocumentError,
@@ -82,7 +81,6 @@ __all__ = [
     "positive_roots",
     "restricted_coroot",
     "spherical_lattice_rank",
-    "support",
     "system_to_document",
     "type_a_roots",
     "validate_system",

@@ -156,7 +156,10 @@ def _cmd_critical(args) -> tuple:
 def _cmd_orbits(args) -> tuple:
     system = _load_system(args.input)
     _require_valid(system)
-    poset = orbit_poset(system)
+    try:
+        poset = orbit_poset(system)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
     lines = [
         f"rank: {poset.rank}",
         f"nodes: {len(poset.nodes)}",

@@ -1,5 +1,8 @@
 """Orbit poset of a rank-r system: the Boolean lattice of spherical-root
-subsets, with covering edges and a deterministic DOT emitter."""
+subsets, with covering edges and a deterministic DOT emitter.
+
+The poset has 2^r nodes, so r may not exceed MAX_ORBIT_RANK.
+"""
 from __future__ import annotations
 
 import itertools
@@ -7,6 +10,9 @@ from dataclasses import dataclass
 from typing import Dict, Tuple
 
 from .sphsys import SphericalSystem
+
+# Largest rank whose poset is built: 2^16 nodes and 16 * 2^15 edges.
+MAX_ORBIT_RANK = 16
 
 
 @dataclass(frozen=True)
@@ -25,6 +31,9 @@ class OrbitPoset:
 
 
 def poset_of_rank(rank: int, root_names: Tuple[str, ...] | None = None) -> OrbitPoset:
+    """Raises ValueError above MAX_ORBIT_RANK, before anything is built."""
+    if rank > MAX_ORBIT_RANK:
+        raise ValueError(f"orbit poset rank {rank} exceeds the limit {MAX_ORBIT_RANK}")
     if root_names is None:
         root_names = tuple(f"s{i + 1}" for i in range(rank))
     nodes = []

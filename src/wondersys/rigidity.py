@@ -6,6 +6,10 @@ type a, or the pattern long + twice-short inside a G_2 pair.  A system is
 rigid when nothing is distinguished.  A non-distinguished root is critical
 when it becomes distinguished in every proper localization containing the
 type-a roots and its support.
+
+Both criticality functions run one loop over the spherical roots and differ
+only in the subsets they try.  A subset is localized at most once per call;
+the roots distinguished there are shared by every root that tries it.
 """
 from __future__ import annotations
 
@@ -49,15 +53,6 @@ class CriticalityEntry:
 @dataclass(frozen=True)
 class CriticalityReport:
     entries: Tuple[CriticalityEntry, ...]
-
-    def entry(self, sigma: LatticeVector) -> CriticalityEntry:
-        for e in self.entries:
-            if e.root == sigma:
-                return e
-        raise KeyError(str(sigma))
-
-    def critical_roots(self) -> frozenset:
-        return frozenset(e.root for e in self.entries if e.critical)
 
 
 def _distinguished_witness(
@@ -112,51 +107,67 @@ def is_rigid(system: SphericalSystem) -> bool:
     return distinguished_elements(system).rigid
 
 
-def _admissible_subsets(system: SphericalSystem, base: frozenset, coatoms_only: bool):
-    """Proper subsets of the simple roots containing `base`, largest first."""
-    all_labels = tuple(system.rs.simple_roots)
-    free = [lab for lab in all_labels if lab not in base]
-    max_extra = len(free) - 1  # proper subsets only
-    if coatoms_only:
-        sizes = [max_extra] if max_extra >= 0 else []
-    else:
-        sizes = range(max_extra, -1, -1)
-    for size in sizes:
+def _coatoms(labels: Tuple[str, ...], base: frozenset) -> List[frozenset]:
+    """All labels but one x outside `base`, in the order `_proper_supersets`
+    yields them, so both report the same `failing_subset`."""
+    full = frozenset(labels)
+    return [full - {x} for x in reversed(labels) if x not in base]
+
+
+def _proper_supersets(labels: Tuple[str, ...], base: frozenset):
+    """Proper subsets of the labels containing `base`, largest first."""
+    free = [lab for lab in labels if lab not in base]
+    for size in range(len(free) - 1, -1, -1):
         for extra in itertools.combinations(free, size):
             yield base | frozenset(extra)
 
 
-def _criticality_entry(
-    system: SphericalSystem, sigma: LatticeVector, coatoms_only: bool
-) -> CriticalityEntry:
-    if _distinguished_witness(system, sigma) is not None:
-        return CriticalityEntry(sigma, distinguished=True, critical=False)
-    base = type_a_roots(system) | sigma.support
-    if base >= frozenset(system.rs.simple_roots):
-        return CriticalityEntry(sigma, distinguished=False, critical=True, vacuous=True)
-    for subset in _admissible_subsets(system, base, coatoms_only):
-        sub = localize(system, subset)
-        if sigma not in distinguished_elements(sub).roots():
-            return CriticalityEntry(
-                sigma, distinguished=False, critical=False, failing_subset=subset
+def _criticality(system: SphericalSystem, subsets) -> CriticalityReport:
+    """A root is critical when it is distinguished at every subset that
+    `subsets(labels, base)` yields for its base (vacuously when the base is
+    every label and nothing is yielded); each subset is localized once."""
+    labels = tuple(system.rs.simple_roots)
+    type_a = type_a_roots(system)
+    localized = {}  # subset -> roots distinguished in the localization
+
+    def distinguished_at(subset: frozenset) -> frozenset:
+        if subset not in localized:
+            localized[subset] = distinguished_elements(localize(system, subset)).roots()
+        return localized[subset]
+
+    entries = []
+    for sigma in system.psi:
+        if _distinguished_witness(system, sigma) is not None:
+            entries.append(CriticalityEntry(sigma, distinguished=True, critical=False))
+            continue
+        base = type_a | sigma.support
+        failing = next(
+            (sub for sub in subsets(labels, base) if sigma not in distinguished_at(sub)),
+            None,
+        )
+        entries.append(
+            CriticalityEntry(
+                sigma,
+                distinguished=False,
+                critical=failing is None,
+                vacuous=base >= frozenset(labels),
+                failing_subset=failing,
             )
-    return CriticalityEntry(sigma, distinguished=False, critical=True)
+        )
+    return CriticalityReport(tuple(entries))
 
 
 def critical_roots_oracle(system: SphericalSystem) -> CriticalityReport:
     """Brute-force criticality: quantify over every admissible proper subset."""
-    return CriticalityReport(
-        tuple(_criticality_entry(system, sigma, coatoms_only=False) for sigma in system.psi)
-    )
+    return _criticality(system, _proper_supersets)
 
 
 def critical_roots(system: SphericalSystem) -> CriticalityReport:
     """Criticality via the co-atom reduction.
 
     By monotonicity of distinguishedness under localization it suffices to
-    test the maximal proper subsets; agreement with the oracle is enforced
-    by the test suite.
+    test the maximal proper subsets containing the base: all simple roots
+    but one.  Roots share these coatoms, and each is localized once per
+    call; agreement with the oracle is enforced by the test suite.
     """
-    return CriticalityReport(
-        tuple(_criticality_entry(system, sigma, coatoms_only=True) for sigma in system.psi)
-    )
+    return _criticality(system, _coatoms)

@@ -320,11 +320,6 @@ def cartan_integer(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
     return sum(v * row[rs.index(b)] for b, v in lam._coeffs.items())
 
 
-def support(lam: LatticeVector) -> frozenset:
-    """Simple-root labels with nonzero coefficient in lam."""
-    return lam.support
-
-
 def restricted_coroot(rs: RootSystem, alpha: str, psi: Sequence[LatticeVector]) -> Functional:
     """The coroot of alpha as a functional on the span of psi."""
     return Functional(cartan_integer(rs, alpha, sigma) for sigma in psi)

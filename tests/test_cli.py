@@ -5,7 +5,12 @@ import json
 import pytest
 
 from wondersys import dumps, loads
-from wondersys.catalog import catalog_entries, catalog_entry
+from wondersys.catalog import (
+    catalog_entries,
+    catalog_entry,
+    group_compactification_a1a1,
+    projective_line,
+)
 from wondersys.cli import main
 
 from randsys import colored_flag, direct_sum
@@ -123,6 +128,19 @@ class TestOrbits:
         out = capsys.readouterr().out
         assert "nodes: 4" in out and "edges: 4" in out
         assert dot.read_text().startswith("digraph orbits {")
+
+    def test_rank_above_the_limit_exits_two(self, tmp_path, capsys):
+        system = direct_sum([group_compactification_a1a1()] * 8 + [projective_line()])
+        path = tmp_path / "rank17.json"
+        path.write_text(dumps(system))
+        dot = tmp_path / "poset.dot"
+        assert main(["orbits", str(path), "--dot", str(dot)]) == 2
+        assert "rank 17 exceeds the limit 16" in capsys.readouterr().err
+        assert main(["--format", "json", "orbits", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["ok"] is False
+        assert "rank 17 exceeds the limit 16" in payload["error"]
+        assert not dot.exists()
 
 
 class TestCatalogVerb:

@@ -6,6 +6,7 @@ import pytest
 
 from wondersys import emit_graph, orbit_poset, poset_of_rank
 from wondersys.catalog import catalog_entry
+from wondersys.orbits import MAX_ORBIT_RANK
 
 GOLDEN = Path(__file__).parent / "data" / "orbit_r2.dot"
 
@@ -35,6 +36,11 @@ class TestOrbitPoset:
         sinks = set(p.nodes) - {a for a, _ in p.edges}
         assert sources == {frozenset()}
         assert sinks == {frozenset(range(r))}
+
+    def test_rank_above_the_limit_is_rejected(self):
+        assert MAX_ORBIT_RANK == 16
+        with pytest.raises(ValueError, match="rank 17 exceeds the limit 16"):
+            poset_of_rank(MAX_ORBIT_RANK + 1)
 
     def test_from_system(self):
         p = orbit_poset(catalog_entry("group-a1a1").system)

@@ -2,6 +2,9 @@ from __future__ import annotations
 
 import itertools
 
+import pytest
+
+import wondersys.rigidity
 from wondersys import (
     SphericalSystem,
     build_root_system,
@@ -21,7 +24,7 @@ from wondersys.catalog import (
     short_chain_sum_b,
 )
 
-from randsys import random_systems
+from randsys import direct_sum, random_systems
 
 
 class TestDistinguished:
@@ -69,6 +72,33 @@ class TestCriticality:
     def test_reduced_matches_oracle_on_random_systems(self):
         for s in random_systems(seed=31, count=60):
             assert critical_roots(s).entries == critical_roots_oracle(s).entries
+
+    def test_reduced_matches_oracle_on_wider_random_systems(self):
+        for s in random_systems(seed=43, count=300, max_rank=8):
+            assert critical_roots(s).entries == critical_roots_oracle(s).entries
+
+    def test_reduced_matches_oracle_at_rank_24(self):
+        # Every root fails at its first coatom, so the oracle stays cheap.
+        s = direct_sum([group_compactification_a1a1()] * 12)
+        assert s.rs.rank == 24
+        entries = critical_roots(s).entries
+        assert entries == critical_roots_oracle(s).entries
+        assert all(e.failing_subset is not None for e in entries)
+
+    @pytest.mark.parametrize("compute", [critical_roots, critical_roots_oracle])
+    def test_each_subset_localized_once(self, monkeypatch, compute):
+        calls = []
+        original = wondersys.rigidity.localize
+
+        def counting(system, subset):
+            calls.append(frozenset(subset))
+            return original(system, subset)
+
+        monkeypatch.setattr(wondersys.rigidity, "localize", counting)
+        s = direct_sum([group_compactification_a1a1()] * 3)
+        entries = compute(s).entries
+        assert sum(not e.distinguished and not e.vacuous for e in entries) == 6
+        assert len(calls) == len(set(calls)) == 3
 
     def test_distinguished_never_critical(self):
         for s in random_systems(seed=37, count=40):

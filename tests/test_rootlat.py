@@ -17,7 +17,6 @@ from wondersys import (
     detect_subdiagram_type,
     positive_roots,
     restricted_coroot,
-    support,
 )
 
 from wondersys.rootlat import MAX_RANK, component_cartan
@@ -223,13 +222,13 @@ class TestLatticeVector:
 
 class TestSupport:
     def test_single(self):
-        assert support(lv(a2=1)) == {"a2"}
+        assert lv(a2=1).support == {"a2"}
 
     def test_two(self):
-        assert support(lv(a1=1, a2=2)) == {"a1", "a2"}
+        assert lv(a1=1, a2=2).support == {"a1", "a2"}
 
     def test_zero(self):
-        assert support(LatticeVector()) == frozenset()
+        assert LatticeVector().support == frozenset()
 
 
 class TestRestrictedCoroot:
