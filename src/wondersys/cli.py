@@ -17,7 +17,7 @@ from .localize import localize
 from .orbits import emit_graph, orbit_poset
 from .rigidity import critical_roots, critical_roots_oracle, distinguished_elements
 from .rootlat import RootSystemError, _label_key
-from .serialize import DocumentError, document_to_system, system_to_document
+from .serialize import DocumentError, loads, system_to_document
 from .sphsys import SphericalSystem, ValidationReport, validate_system
 
 EXIT_OK = 0
@@ -36,16 +36,10 @@ def _load_system(source: str) -> SphericalSystem:
         try:
             with open(source, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise CliError(f"cannot read {source}: {exc}", EXIT_USAGE)
         try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise CliError(
-                f"{source}: invalid JSON at line {exc.lineno}: {exc.msg}", EXIT_USAGE
-            )
-        try:
-            return document_to_system(doc)
+            return loads(text)
         except DocumentError as exc:
             raise CliError(f"{source}: {exc}", EXIT_USAGE)
     try:
@@ -56,12 +50,14 @@ def _load_system(source: str) -> SphericalSystem:
         )
 
 
-def _require_valid(system: SphericalSystem) -> ValidationReport:
+def _invalid_text(report: ValidationReport) -> str:
+    return "\n".join(["invalid"] + [f"violation {v}" for v in report.violations])
+
+
+def _require_valid(system: SphericalSystem) -> None:
     report = validate_system(system)
     if not report.ok:
-        lines = ["invalid"] + [f"violation {v}" for v in report.violations]
-        raise CliError("\n".join(lines), EXIT_INVALID)
-    return report
+        raise CliError(_invalid_text(report), EXIT_INVALID)
 
 
 def _violations_json(report: ValidationReport) -> List[Dict[str, str]]:
@@ -73,8 +69,8 @@ def _cmd_validate(args) -> tuple:
     report = validate_system(system)
     if report.ok:
         return EXIT_OK, "ok", {"ok": True, "violations": []}
-    text = "invalid\n" + "\n".join(f"violation {v}" for v in report.violations)
-    return EXIT_INVALID, text, {"ok": False, "violations": _violations_json(report)}
+    payload = {"ok": False, "violations": _violations_json(report)}
+    return EXIT_INVALID, _invalid_text(report), payload
 
 
 def _parse_subset(raw: str) -> List[str]:
@@ -126,6 +122,7 @@ def _cmd_critical(args) -> tuple:
     lines = []
     payload = {"oracle": bool(args.oracle), "entries": []}
     for i, e in enumerate(report.entries):
+        failing = sorted(e.failing_subset or (), key=_label_key)
         if e.distinguished:
             verdict = "distinguished (not critical)"
         elif e.critical and e.vacuous:
@@ -133,8 +130,7 @@ def _cmd_critical(args) -> tuple:
         elif e.critical:
             verdict = "critical"
         else:
-            failing = ",".join(sorted(e.failing_subset, key=_label_key))
-            verdict = f"not critical (not distinguished at {{{failing}}})"
+            verdict = f"not critical (not distinguished at {{{','.join(failing)}}})"
         lines.append(f"s{i + 1} = {e.root}: {verdict}")
         payload["entries"].append(
             {
@@ -143,9 +139,7 @@ def _cmd_critical(args) -> tuple:
                 "distinguished": e.distinguished,
                 "critical": e.critical,
                 "vacuous": e.vacuous,
-                "failing_subset": (
-                    sorted(e.failing_subset, key=_label_key) if e.failing_subset else None
-                ),
+                "failing_subset": failing or None,
             }
         )
     if not report.entries:

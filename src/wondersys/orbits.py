@@ -1,7 +1,8 @@
 """Orbit poset of a rank-r system: the Boolean lattice of spherical-root
 subsets, with covering edges and a deterministic DOT emitter.
 
-The poset has 2^r nodes, so r may not exceed MAX_ORBIT_RANK.
+Nodes are named s1..sr after the spherical roots.  The poset has 2^r
+nodes, so r may not exceed MAX_ORBIT_RANK.
 """
 from __future__ import annotations
 
@@ -18,24 +19,23 @@ MAX_ORBIT_RANK = 16
 @dataclass(frozen=True)
 class OrbitPoset:
     rank: int
-    root_names: Tuple[str, ...]
     nodes: Tuple[frozenset, ...]
     edges: Tuple[Tuple[frozenset, frozenset], ...]
 
     def node_label(self, node: frozenset) -> str:
-        names = sorted(self.root_names[i] for i in node)
-        return "{" + ",".join(names) + "}"
+        return "{" + ",".join(sorted(f"s{i + 1}" for i in node)) + "}"
 
     def boundary_rank(self, node: frozenset) -> int:
         return self.rank - len(node)
 
 
-def poset_of_rank(rank: int, root_names: Tuple[str, ...] | None = None) -> OrbitPoset:
-    """Raises ValueError above MAX_ORBIT_RANK, before anything is built."""
+def poset_of_rank(rank: int) -> OrbitPoset:
+    """Raises ValueError for a negative rank or one above MAX_ORBIT_RANK,
+    before anything is built."""
+    if rank < 0:
+        raise ValueError(f"orbit poset rank {rank} is negative")
     if rank > MAX_ORBIT_RANK:
         raise ValueError(f"orbit poset rank {rank} exceeds the limit {MAX_ORBIT_RANK}")
-    if root_names is None:
-        root_names = tuple(f"s{i + 1}" for i in range(rank))
     nodes = []
     for size in range(rank + 1):
         for combo in itertools.combinations(range(rank), size):
@@ -46,7 +46,7 @@ def poset_of_rank(rank: int, root_names: Tuple[str, ...] | None = None) -> Orbit
         for i in range(rank)
         if i not in node
     ]
-    return OrbitPoset(rank, root_names, tuple(nodes), tuple(edges))
+    return OrbitPoset(rank, tuple(nodes), tuple(edges))
 
 
 def orbit_poset(system: SphericalSystem) -> OrbitPoset:
@@ -63,10 +63,7 @@ def emit_graph(poset: OrbitPoset) -> str:
         lines.append(
             f'  "{labels[node]}" [boundary_rank={poset.boundary_rank(node)}];'
         )
-    edge_texts = sorted(
-        (labels[a], labels[b], len(a)) for a, b in poset.edges
-    )
-    for a, b, _ in sorted(edge_texts, key=lambda t: (t[2], t[0], t[1])):
+    for _, a, b in sorted((len(a), labels[a], labels[b]) for a, b in poset.edges):
         lines.append(f'  "{a}" -> "{b}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -67,7 +67,7 @@ def _distinguished_witness(
                 return DistinguishedWitness(
                     sigma, 1, f"colors {d1.id}, {d2.id} of {label} have equal phi"
                 )
-    supp = sorted(sigma.support, key=system.rs.index)
+    supp = sigma.support
     if len(supp) < 2:
         return None
     comps = detect_subdiagram_type(system.rs, supp)

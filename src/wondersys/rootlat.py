@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-SERIES = ("A", "B", "C", "D", "E", "F", "G")
-
 # Largest total rank a root system may have.  Construction allocates an
 # n x n Cartan matrix, so the limit is checked before anything of size n is
 # built; it bounds what one input document can make the program allocate.
@@ -115,16 +113,14 @@ class Functional:
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[Fraction | int]):
-        self.values: Tuple[Fraction, ...] = tuple(Fraction(v) for v in values)
+        self.values: Tuple[Fraction, ...] = tuple(
+            v if type(v) is Fraction else Fraction(v) for v in values
+        )
 
     def __add__(self, other: "Functional") -> "Functional":
         if len(self.values) != len(other.values):
             raise ValueError("functional length mismatch")
         return Functional(a + b for a, b in zip(self.values, other.values))
-
-    def scale(self, c: Fraction | int) -> "Functional":
-        c = Fraction(c)
-        return Functional(c * v for v in self.values)
 
     def restrict(self, indices: Sequence[int]) -> "Functional":
         return Functional(self.values[i] for i in indices)

@@ -133,7 +133,7 @@ def document_to_system(doc: Any) -> SphericalSystem:
         if not isinstance(moved, list) or not moved:
             raise DocumentError(f"colors[{k}] ({cid}): moved_by must be a nonempty list")
         for lab in moved:
-            if lab not in rs:
+            if not isinstance(lab, str) or lab not in rs:
                 raise DocumentError(f"colors[{k}] ({cid}): unknown label {lab!r}")
         phi_raw = raw.get("phi")
         if not isinstance(phi_raw, list):
@@ -160,5 +160,5 @@ def loads(text: str) -> SphericalSystem:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise DocumentError(f"invalid JSON: line {exc.lineno}: {exc.msg}") from None
+        raise DocumentError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     return document_to_system(doc)

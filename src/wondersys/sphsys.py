@@ -182,14 +182,12 @@ def _check_base(system: SphericalSystem, out: List[Violation]) -> None:
                 out.append(
                     Violation("BASE", f"negative coefficient of {lab} in {sigma}")
                 )
-    # The form is integral on the root lattice, so the Cartan number
-    # 2(sigma, tau)/(sigma, sigma) is checked on numerators.
+    # The form is integral and positive definite on the root lattice, so the
+    # Cartan number 2(sigma, tau)/(sigma, sigma) is checked on numerators.
     for i, sigma in enumerate(system.psi):
         if sigma.is_zero():
             continue
         norm = system.rs.form(sigma, sigma).numerator
-        if norm == 0:
-            continue
         for j, tau in enumerate(system.psi):
             if i == j or tau == sigma:
                 continue
@@ -211,16 +209,8 @@ def _check_p1(
         kind = system.type_map[lab]
         moved = system.colors_moved_by(lab)
         coroot = Functional(coroots[lab])
-        if kind == TYPE_A:
-            if moved:
-                out.append(
-                    Violation(
-                        "P1",
-                        f"{lab} is type a but moved colors "
-                        f"{[d.id for d in moved]} exist",
-                    )
-                )
-        elif kind == TYPE_B:
+        # A root that moves a color is never typed a (see assign_types).
+        if kind == TYPE_B:
             if len(moved) != 2:
                 out.append(
                     Violation("P1", f"type-b root {lab} has {len(moved)} colors, expected 2")
@@ -249,16 +239,17 @@ def _check_p1(
                 out.append(
                     Violation("P1", f"type-c root {lab} has {len(moved)} colors, expected 1")
                 )
+            half = Functional(Fraction(v, 2) for v in coroots[lab])
             for d in moved:
-                if d.phi != coroot.scale(Fraction(1, 2)):
+                if d.phi != half:
                     out.append(
                         Violation(
                             "P1",
                             f"type-c root {lab}: phi({d.id}) = {d.phi} differs from "
-                            f"half coroot {coroot.scale(Fraction(1, 2))}",
+                            f"half coroot {half}",
                         )
                     )
-        else:  # TYPE_D
+        elif kind == TYPE_D:
             if len(moved) != 1:
                 out.append(
                     Violation("P1", f"type-d root {lab} has {len(moved)} colors, expected 1")

@@ -23,6 +23,18 @@ def p1_path(tmp_path):
     return str(path)
 
 
+def _run(fmt, argv, capsys):
+    """Exit code and error text of a failing run, from stderr or the JSON envelope."""
+    code = main(["--format", fmt] + argv)
+    out, err = capsys.readouterr()
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["ok"] is False and err == ""
+        return code, payload["error"]
+    assert out == ""
+    return code, err.rstrip("\n")
+
+
 class TestValidate:
     def test_valid_file(self, p1_path, capsys):
         assert main(["validate", p1_path]) == 0
@@ -47,6 +59,46 @@ class TestValidate:
         path = tmp_path / "broken.json"
         path.write_text("{oops")
         assert main(["validate", str(path)]) == 2
+
+    def test_malformed_json_message(self, tmp_path, capsys):
+        path = tmp_path / "broken.json"
+        path.write_text("{oops")
+        assert main(["validate", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"{path}: invalid JSON at line 1: "
+            "Expecting property name enclosed in double quotes\n"
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_non_string_moved_by_exits_two(self, tmp_path, capsys, fmt):
+        doc = {
+            "root_system": {"components": [{"series": "A", "rank": 1}]},
+            "spherical_roots": [{"coeffs": {"a1": 1}}],
+            "colors": [{"id": "D", "moved_by": [["a1"]], "phi": [1]}],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert _run(fmt, ["validate", str(path)], capsys) == (
+            2,
+            f"{path}: colors[0] (D): unknown label ['a1']",
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_document_not_utf8_exits_two(self, tmp_path, capsys, fmt):
+        path = tmp_path / "bad.json"
+        path.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
+        assert _run(fmt, ["validate", str(path)], capsys) == (
+            2,
+            f"cannot read {path}: 'utf-8' codec can't decode byte 0xff in position 0: "
+            "invalid start byte",
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_directory_as_document_exits_two(self, tmp_path, capsys, fmt):
+        assert _run(fmt, ["validate", str(tmp_path)], capsys) == (
+            2,
+            f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'",
+        )
 
     def test_unknown_input_exits_two(self, capsys):
         assert main(["validate", "definitely-not-there"]) == 2
@@ -89,6 +141,12 @@ class TestLocalize:
     def test_unknown_subset_label(self, capsys):
         assert main(["localize", "group-a1a1", "--subset", "a9"]) == 2
 
+    def test_empty_subset(self, capsys):
+        assert _run("text", ["localize", "group-a1a1", "--subset", ","], capsys) == (
+            2,
+            "--subset must list at least one simple root",
+        )
+
 
 class TestCritical:
     def test_group_critical(self, capsys):
@@ -102,6 +160,14 @@ class TestCritical:
         assert main(["critical", "group-a1a1", "--oracle"]) == 0
         slow = capsys.readouterr().out
         assert fast == slow
+
+    def test_distinguished_line(self, capsys):
+        assert main(["critical", "p1"]) == 0
+        assert capsys.readouterr().out == "s1 = a1: distinguished (not critical)\n"
+
+    def test_no_spherical_roots_line(self, capsys):
+        assert main(["critical", "flag-a2"]) == 0
+        assert capsys.readouterr().out == "no spherical roots\n"
 
     def test_vacuous_marker(self, capsys):
         assert main(["critical", "a2-full-support"]) == 0

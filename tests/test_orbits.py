@@ -42,6 +42,10 @@ class TestOrbitPoset:
         with pytest.raises(ValueError, match="rank 17 exceeds the limit 16"):
             poset_of_rank(MAX_ORBIT_RANK + 1)
 
+    def test_negative_rank_is_rejected(self):
+        with pytest.raises(ValueError, match="^orbit poset rank -1 is negative$"):
+            poset_of_rank(-1)
+
     def test_from_system(self):
         p = orbit_poset(catalog_entry("group-a1a1").system)
         assert p.rank == 2

@@ -150,6 +150,102 @@ class TestParseErrors:
         with pytest.raises(DocumentError, match="not an integer"):
             document_to_system(doc)
 
+    def test_invalid_json_names_the_line(self):
+        with pytest.raises(DocumentError) as info:
+            loads('{"colors": [1,\n2')
+        assert str(info.value) == "invalid JSON at line 2: Expecting ',' delimiter"
+
+    def test_non_string_moved_by_entry(self):
+        doc = {
+            "root_system": {"components": [{"series": "A", "rank": 1}]},
+            "spherical_roots": [{"coeffs": {"a1": 1}}],
+            "colors": [{"id": "D", "moved_by": [["a1"]], "phi": [1]}],
+        }
+        with pytest.raises(DocumentError) as info:
+            loads(json.dumps(doc))
+        assert str(info.value) == "colors[0] (D): unknown label ['a1']"
+
+    def test_components_far_past_the_limit_fail_at_once(self):
+        # The running rank check alone would pass -10^9 and then make 10^9
+        # labels; the component check before any label is made stops it.
+        doc = {
+            "root_system": {
+                "components": [{"series": "A", "rank": -10**9}, {"series": "A", "rank": 10**9}]
+            }
+        }
+        with pytest.raises(DocumentError) as info:
+            document_to_system(doc)
+        assert str(info.value) == "root_system: invalid component A-1000000000"
+
     def test_document_text_is_valid_json(self):
         text = dumps(catalog_entry("p1").system)
         json.loads(text)
+
+
+def _a1_doc(**fields):
+    doc = {
+        "root_system": {"components": [{"series": "A", "rank": 1}]},
+        "spherical_roots": [{"coeffs": {"a1": 1}}],
+        "colors": [],
+    }
+    doc.update(fields)
+    return doc
+
+
+def _color(**fields):
+    color = {"id": "D", "moved_by": ["a1"], "phi": [1]}
+    color.update(fields)
+    return color
+
+
+class TestEveryParseError:
+    @pytest.mark.parametrize(
+        "doc,message",
+        [
+            ({"root_system": {"components": {}}}, "root_system.components must be a list"),
+            (
+                {"root_system": {"components": [{"series": "A"}]}},
+                "root_system.components[0]: need series and rank",
+            ),
+            (_a1_doc(spherical_roots={}), "spherical_roots must be a list"),
+            (_a1_doc(spherical_roots=[{"a1": 1}]), "spherical_roots[0]: need a coeffs object"),
+            (_a1_doc(colors={}), "colors must be a list"),
+            (_a1_doc(colors=["D"]), "colors[0]: must be an object"),
+            (_a1_doc(colors=[{"moved_by": ["a1"], "phi": [1]}]), "colors[0]: missing id"),
+            (
+                _a1_doc(colors=[_color(moved_by=[])]),
+                "colors[0] (D): moved_by must be a nonempty list",
+            ),
+            (_a1_doc(colors=[_color(phi=1)]), "colors[0] (D): phi must be a list"),
+            (
+                _a1_doc(colors=[_color(phi=[True])]),
+                "colors[0] (D).phi[0]: expected integer or 'p/2' string, got bool",
+            ),
+            (
+                _a1_doc(colors=[_color(phi=[1.0])]),
+                "colors[0] (D).phi[0]: expected integer or 'p/2' string, got float",
+            ),
+            (
+                _a1_doc(colors=[_color(phi=["x/2"])]),
+                "colors[0] (D).phi[0]: cannot parse rational 'x/2'",
+            ),
+        ],
+    )
+    def test_message(self, doc, message):
+        with pytest.raises(DocumentError) as info:
+            document_to_system(doc)
+        assert str(info.value) == message
+
+    def test_encoding_a_third_is_refused(self):
+        from fractions import Fraction
+
+        from wondersys import Color, Functional, LatticeVector, SphericalSystem, build_root_system
+
+        s = SphericalSystem(
+            build_root_system([("A", 1)]),
+            [LatticeVector({"a1": 1})],
+            [Color("D", frozenset({"a1"}), Functional([Fraction(1, 3)]))],
+        )
+        with pytest.raises(DocumentError) as info:
+            system_to_document(s)
+        assert str(info.value) == "functional value 1/3 has denominator > 2"

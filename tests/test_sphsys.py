@@ -167,6 +167,82 @@ class TestValidateSystem:
         assert len(report.violations) >= 2
 
 
+def _violations(spec, psi, colors):
+    system = SphericalSystem(build_root_system(spec), psi, colors)
+    return [str(v) for v in validate_system(system).violations]
+
+
+class TestViolationTexts:
+    def test_duplicate_spherical_root(self):
+        colors = [Color("D", frozenset({"a1"}), Functional([2, 2]))]
+        assert _violations([("A", 1)], [lv(a1=2), lv(a1=2)], colors) == [
+            "BASE: duplicate spherical root 2*a1"
+        ]
+
+    def test_empty_support(self):
+        assert _violations([("A", 1)], [LatticeVector({})], []) == [
+            "BASE: spherical root with empty support"
+        ]
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_type_c_color_count(self, count):
+        colors = [Color(f"D{k}", frozenset({"a1"}), Functional([2])) for k in range(count)]
+        assert _violations([("A", 1)], [lv(a1=2)], colors) == [
+            f"P1: type-c root a1 has {count} colors, expected 1"
+        ]
+
+    def test_type_c_phi_differs_from_half_coroot(self):
+        colors = [Color("D", frozenset({"a1"}), Functional([1]))]
+        assert _violations([("A", 1)], [lv(a1=2)], colors) == [
+            "P1: type-c root a1: phi(D) = (1) differs from half coroot (2)"
+        ]
+
+    def test_half_coroot_with_a_half_value(self):
+        colors = [Color("D", frozenset({"a1"}), Functional([2, 0]))]
+        assert _violations([("A", 3)], [lv(a1=2), lv(a2=1, a3=1)], colors) == [
+            "BASE: Cartan number of (2*a1, a2+a3) is -1/2, not a nonpositive integer",
+            "P1: type-c root a1: phi(D) = (2, 0) differs from half coroot (2, -1/2)",
+        ]
+
+    def test_color_moved_by_no_simple_root(self):
+        colors = [
+            Color("Dp", frozenset({"a1"}), Functional([1])),
+            Color("Dm", frozenset({"a1"}), Functional([1])),
+            Color("E", frozenset(), Functional([0])),
+        ]
+        assert _violations([("A", 1)], [lv(a1=1)], colors) == [
+            "P1: color E is moved by no simple root"
+        ]
+
+    def test_functional_length_mismatch_stops_validation(self):
+        # Without the stop, the type-b check would add functionals of
+        # different lengths.
+        colors = [
+            Color("Dp", frozenset({"a1"}), Functional([1, 0])),
+            Color("Dm", frozenset({"a1"}), Functional([1])),
+        ]
+        assert _violations([("A", 1)], [lv(a1=1)], colors) == [
+            "P1: color Dp: functional has 2 values for 1 spherical roots"
+        ]
+
+    def test_type_b_roots_sharing_two_colors(self):
+        colors = [
+            Color("Dp", frozenset({"a1", "a2"}), Functional([1, 1])),
+            Color("Dm", frozenset({"a1", "a2"}), Functional([1, 1])),
+        ]
+        assert _violations([("A", 1), ("A", 1)], [lv(a1=1), lv(a2=1)], colors) == [
+            "P1: type-b root a1: phi(Dp) + phi(Dm) = (2, 2) differs from coroot (2, 0)",
+            "P1: type-b root a2: phi(Dp) + phi(Dm) = (2, 2) differs from coroot (0, 2)",
+            "P3: type-b roots a1, a2 share 2 colors, expected exactly 1",
+        ]
+
+    def test_shared_color_type_d_roots_not_orthogonal(self):
+        colors = [Color("D", frozenset({"a1", "a2"}), Functional([1]))]
+        assert _violations([("A", 2)], [lv(a1=1, a2=1)], colors) == [
+            "P3: shared-color roots a1, a2 not orthogonal"
+        ]
+
+
 class TestLatticeRank:
     def test_empty(self):
         s = SphericalSystem(build_root_system([("A", 2)]), [], [])
