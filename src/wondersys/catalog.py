@@ -8,19 +8,27 @@ were computed with the brute-force oracle and reviewed by hand.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .rootlat import Functional, LatticeVector, build_root_system
+from .rootlat import Functional, LatticeVector, Record, _set, build_root_system
 from .sphsys import Color, SphericalSystem
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
-    name: str
-    description: str
-    system: SphericalSystem
-    expected: Dict[str, object]
+class CatalogEntry(Record):
+    __slots__ = ("name", "description", "system", "expected")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        system: SphericalSystem,
+        expected: Dict[str, object],
+    ):
+        _set(self, "name", name)
+        _set(self, "description", description)
+        _set(self, "system", system)
+        _set(self, "expected", expected)
+        _set(self, "_values", (name, description, system, expected))
 
 
 def _lv(**coeffs: int) -> LatticeVector:

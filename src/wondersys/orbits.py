@@ -7,20 +7,28 @@ nodes, so r may not exceed MAX_ORBIT_RANK.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
+from .rootlat import Record, _set
 from .sphsys import SphericalSystem
 
 # Largest rank whose poset is built: 2^16 nodes and 16 * 2^15 edges.
 MAX_ORBIT_RANK = 16
 
 
-@dataclass(frozen=True)
-class OrbitPoset:
-    rank: int
-    nodes: Tuple[frozenset, ...]
-    edges: Tuple[Tuple[frozenset, frozenset], ...]
+class OrbitPoset(Record):
+    __slots__ = ("rank", "nodes", "edges")
+
+    def __init__(
+        self,
+        rank: int,
+        nodes: Tuple[frozenset, ...],
+        edges: Tuple[Tuple[frozenset, frozenset], ...],
+    ):
+        _set(self, "rank", rank)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        _set(self, "_values", (rank, nodes, edges))
 
     def node_label(self, node: frozenset) -> str:
         return "{" + ",".join(sorted(f"s{i + 1}" for i in node)) + "}"

@@ -14,24 +14,30 @@ the roots distinguished there are shared by every root that tries it.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .localize import localize, type_a_roots
-from .rootlat import LatticeVector, detect_subdiagram_type
+from .rootlat import LatticeVector, Record, _set, detect_subdiagram_type
 from .sphsys import SphericalSystem, TYPE_A
 
 
-@dataclass(frozen=True)
-class DistinguishedWitness:
-    root: LatticeVector
-    condition: int  # 1: equal color pair, 2: B_k chain sum, 3: G_2 pattern
-    witness: str
+class DistinguishedWitness(Record):
+    __slots__ = ("root", "condition", "witness")
+
+    def __init__(self, root: LatticeVector, condition: int, witness: str):
+        _set(self, "root", root)
+        # 1: equal color pair, 2: B_k chain sum, 3: G_2 pattern
+        _set(self, "condition", condition)
+        _set(self, "witness", witness)
+        _set(self, "_values", (root, condition, witness))
 
 
-@dataclass(frozen=True)
-class RigidityReport:
-    distinguished: Tuple[DistinguishedWitness, ...]
+class RigidityReport(Record):
+    __slots__ = ("distinguished",)
+
+    def __init__(self, distinguished: Tuple[DistinguishedWitness, ...]):
+        _set(self, "distinguished", distinguished)
+        _set(self, "_values", (distinguished,))
 
     @property
     def rigid(self) -> bool:
@@ -41,18 +47,31 @@ class RigidityReport:
         return frozenset(w.root for w in self.distinguished)
 
 
-@dataclass(frozen=True)
-class CriticalityEntry:
-    root: LatticeVector
-    distinguished: bool
-    critical: bool
-    vacuous: bool = False
-    failing_subset: Optional[frozenset] = None
+class CriticalityEntry(Record):
+    __slots__ = ("root", "distinguished", "critical", "vacuous", "failing_subset")
+
+    def __init__(
+        self,
+        root: LatticeVector,
+        distinguished: bool,
+        critical: bool,
+        vacuous: bool = False,
+        failing_subset: Optional[frozenset] = None,
+    ):
+        _set(self, "root", root)
+        _set(self, "distinguished", distinguished)
+        _set(self, "critical", critical)
+        _set(self, "vacuous", vacuous)
+        _set(self, "failing_subset", failing_subset)
+        _set(self, "_values", (root, distinguished, critical, vacuous, failing_subset))
 
 
-@dataclass(frozen=True)
-class CriticalityReport:
-    entries: Tuple[CriticalityEntry, ...]
+class CriticalityReport(Record):
+    __slots__ = ("entries",)
+
+    def __init__(self, entries: Tuple[CriticalityEntry, ...]):
+        _set(self, "entries", entries)
+        _set(self, "_values", (entries,))
 
 
 def _distinguished_witness(

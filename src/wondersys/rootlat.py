@@ -7,7 +7,6 @@ A root system has total rank at most MAX_RANK.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -19,6 +18,47 @@ MAX_RANK = 64
 
 class RootSystemError(ValueError):
     """Invalid series/rank data or unknown simple-root label."""
+
+
+# Record subclasses set their fields through this alias: a module global is
+# found faster than the attribute `object.__setattr__`.
+_set = object.__setattr__
+
+
+class Record:
+    """Immutable value with named fields, the names in `__slots__`.
+
+    A subclass's `__init__` sets each field once through `_set`, which is
+    `object.__setattr__`, and also stores the field values, in `__slots__`
+    order, as the tuple `_values`.  Equality (same class, equal fields), the hash and the repr
+    `Name(field=value, ...)` read that one tuple, which is faster than
+    gathering the fields on every call.  Assigning or deleting an
+    attribute raises AttributeError.
+    """
+
+    __slots__ = ("_values",)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values == other._values
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, which never assigns.
+        return (self.__class__, self._values)
 
 
 class LatticeVector:
@@ -200,11 +240,16 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
     raise RootSystemError(f"invalid component {series}{rank}")
 
 
-@dataclass(frozen=True)
-class Component:
-    series: str
-    rank: int
-    labels: Tuple[str, ...]
+class Component(Record):
+    """One simple component: its series, rank and labels in canonical order."""
+
+    __slots__ = ("series", "rank", "labels")
+
+    def __init__(self, series: str, rank: int, labels: Tuple[str, ...]):
+        _set(self, "series", series)
+        _set(self, "rank", rank)
+        _set(self, "labels", labels)
+        _set(self, "_values", (series, rank, labels))
 
 
 class RootSystem:

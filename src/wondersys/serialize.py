@@ -161,4 +161,10 @@ def loads(text: str) -> SphericalSystem:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
+    except RecursionError:
+        raise DocumentError("invalid JSON: arrays or objects nested too deeply") from None
+    except ValueError:
+        # The only other ValueError json raises: the interpreter's limit on
+        # the digits of an int it converts from a string.
+        raise DocumentError("invalid JSON: integer literal has too many digits") from None
     return document_to_system(doc)

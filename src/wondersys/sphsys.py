@@ -15,45 +15,53 @@ validated, so only validation pays for the coroot table.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rootlat import (
     Functional,
     LatticeVector,
+    Record,
     RootSystem,
+    _set,
     cartan_integer,
 )
 
 TYPE_A, TYPE_B, TYPE_C, TYPE_D = "a", "b", "c", "d"
 
 
-@dataclass(frozen=True)
-class Color:
+class Color(Record):
     """A B-stable divisor surrogate: its id, the simple roots moving it,
     and its functional on the spherical roots."""
 
-    id: str
-    moved_by: frozenset
-    phi: Functional
+    __slots__ = ("id", "moved_by", "phi")
 
-    def __post_init__(self):
-        object.__setattr__(self, "moved_by", frozenset(self.moved_by))
+    def __init__(self, id: str, moved_by: Iterable[str], phi: Functional):
+        moved_by = frozenset(moved_by)
+        _set(self, "id", id)
+        _set(self, "moved_by", moved_by)
+        _set(self, "phi", phi)
+        _set(self, "_values", (id, moved_by, phi))
 
 
-@dataclass(frozen=True)
-class Violation:
-    axiom: str  # BASE, P1, P2 or P3
-    message: str
+class Violation(Record):
+    __slots__ = ("axiom", "message")
+
+    def __init__(self, axiom: str, message: str):
+        _set(self, "axiom", axiom)  # BASE, P1, P2 or P3
+        _set(self, "message", message)
+        _set(self, "_values", (axiom, message))
 
     def __str__(self) -> str:
         return f"{self.axiom}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    violations: Tuple[Violation, ...]
+class ValidationReport(Record):
+    __slots__ = ("violations",)
+
+    def __init__(self, violations: Tuple[Violation, ...]):
+        _set(self, "violations", violations)
+        _set(self, "_values", (violations,))
 
     @property
     def ok(self) -> bool:

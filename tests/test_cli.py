@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -99,6 +103,20 @@ class TestValidate:
             2,
             f"cannot read {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'",
         )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
+            ("[" + "1" * 5000 + "]", "invalid JSON: integer literal has too many digits"),
+        ],
+        ids=["nested", "long-int"],
+    )
+    def test_json_past_the_parser_limits_exits_two(self, tmp_path, capsys, fmt, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert _run(fmt, ["validate", str(path)], capsys) == (2, f"{path}: {message}")
 
     def test_unknown_input_exits_two(self, capsys):
         assert main(["validate", "definitely-not-there"]) == 2
@@ -243,3 +261,21 @@ class TestJsonFormat:
         first = capsys.readouterr().out
         assert main(["--format", "json", "critical", "group-a1a1"]) == 0
         assert capsys.readouterr().out == first
+
+
+class TestColdStart:
+    def test_import_loads_neither_dataclasses_nor_inspect(self):
+        # Only the modules the import adds count, so what `site` loads first
+        # on a given machine does not matter.
+        code = (
+            "import sys; before = set(sys.modules); import wondersys.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        )
+        assert child.returncode == 0, child.stderr
+        loaded = set(child.stdout.split())
+        assert "wondersys.cli" in loaded
+        assert not loaded & {"dataclasses", "inspect"}

@@ -1,0 +1,180 @@
+"""The exported value types: immutable, equal by class and fields, hashed by
+their field tuple, and printed as `Name(field=value, ...)`."""
+from __future__ import annotations
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from wondersys import (
+    CatalogEntry,
+    Color,
+    Component,
+    CriticalityEntry,
+    CriticalityReport,
+    DistinguishedWitness,
+    Functional,
+    LatticeVector,
+    OrbitPoset,
+    RigidityReport,
+    ValidationReport,
+    Violation,
+    catalog_entry,
+    poset_of_rank,
+)
+
+ROOT = LatticeVector({"a1": 1, "a2": 2})
+WITNESS = DistinguishedWitness(ROOT, 2, "chain a1,a2")
+ENTRY = CriticalityEntry(ROOT, False, True)
+P1 = catalog_entry("p1")
+
+# (object, its fields in order, the repr the frozen dataclasses printed)
+CASES = {
+    "Component": (
+        Component("B", 2, ("a1", "a2")),
+        ("B", 2, ("a1", "a2")),
+        "Component(series='B', rank=2, labels=('a1', 'a2'))",
+    ),
+    "Color": (
+        Color("D1", ["a1"], Functional([1, Fraction(-1, 2)])),
+        ("D1", frozenset({"a1"}), Functional([1, Fraction(-1, 2)])),
+        "Color(id='D1', moved_by=frozenset({'a1'}), phi=(1, -1/2))",
+    ),
+    "Violation": (
+        Violation("P1", "x"),
+        ("P1", "x"),
+        "Violation(axiom='P1', message='x')",
+    ),
+    "ValidationReport": (
+        ValidationReport((Violation("P1", "x"), Violation("BASE", "it's"))),
+        ((Violation("P1", "x"), Violation("BASE", "it's")),),
+        "ValidationReport(violations=(Violation(axiom='P1', message='x'), "
+        "Violation(axiom='BASE', message=\"it's\")))",
+    ),
+    "DistinguishedWitness": (
+        WITNESS,
+        (ROOT, 2, "chain a1,a2"),
+        "DistinguishedWitness(root=LatticeVector({'a1': 1, 'a2': 2}), condition=2, "
+        "witness='chain a1,a2')",
+    ),
+    "RigidityReport": (
+        RigidityReport((WITNESS,)),
+        ((WITNESS,),),
+        "RigidityReport(distinguished=(DistinguishedWitness(root=LatticeVector("
+        "{'a1': 1, 'a2': 2}), condition=2, witness='chain a1,a2'),))",
+    ),
+    "CriticalityEntry": (
+        CriticalityEntry(ROOT, False, False, True, frozenset({"a1"})),
+        (ROOT, False, False, True, frozenset({"a1"})),
+        "CriticalityEntry(root=LatticeVector({'a1': 1, 'a2': 2}), distinguished=False, "
+        "critical=False, vacuous=True, failing_subset=frozenset({'a1'}))",
+    ),
+    "CriticalityReport": (
+        CriticalityReport((ENTRY,)),
+        ((ENTRY,),),
+        "CriticalityReport(entries=(CriticalityEntry(root=LatticeVector({'a1': 1, 'a2': 2}), "
+        "distinguished=False, critical=True, vacuous=False, failing_subset=None),))",
+    ),
+    "OrbitPoset": (
+        poset_of_rank(1),
+        (1, (frozenset(), frozenset({0})), ((frozenset(), frozenset({0})),)),
+        "OrbitPoset(rank=1, nodes=(frozenset(), frozenset({0})), "
+        "edges=((frozenset(), frozenset({0})),))",
+    ),
+    "CatalogEntry": (
+        P1,
+        (P1.name, P1.description, P1.system, P1.expected),
+        "CatalogEntry(name='p1', description='simple spherical root on A1 with two equal "
+        "colors', system=SphericalSystem(RootSystem(A1), psi=[a1], colors=['Dp', 'Dm']), "
+        "expected={'type_map': {'a1': 'b'}, 'rigid': False, 'distinguished': ((0, 1),), "
+        "'critical': ((0, False, False),)})",
+    ),
+}
+NAMES = sorted(CASES)
+HASHABLE = [name for name in NAMES if name != "CatalogEntry"]
+
+
+def _rebuilt(name):
+    """An equal object built from copies of the fields, sharing none of them."""
+    obj, fields, _ = CASES[name]
+    return type(obj)(*copy.deepcopy(fields))
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_repr_is_the_dataclass_text(name):
+    obj, _, text = CASES[name]
+    assert repr(obj) == text
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_fields_in_order(name):
+    obj, fields, _ = CASES[name]
+    assert tuple(getattr(obj, field) for field in obj.__slots__) == fields
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_equal_by_fields(name):
+    obj, fields, _ = CASES[name]
+    assert obj == _rebuilt(name) and not obj != _rebuilt(name)
+    assert obj != fields and fields != obj
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_keyword_construction(name):
+    obj, fields, _ = CASES[name]
+    assert type(obj)(**dict(zip(obj.__slots__, fields))) == obj
+
+
+@pytest.mark.parametrize("name", HASHABLE)
+def test_hash_is_the_hash_of_the_fields(name):
+    obj, fields, _ = CASES[name]
+    assert hash(obj) == hash(fields) == hash(_rebuilt(name))
+
+
+def test_catalog_entry_is_unhashable_like_its_expected_dict():
+    with pytest.raises(TypeError):
+        hash(P1)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_assignment_and_deletion_raise(name):
+    obj, fields, _ = CASES[name]
+    for field in obj.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert tuple(getattr(obj, field) for field in obj.__slots__) == fields
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_copy_and_pickle_round_trip(name):
+    obj, _, _ = CASES[name]
+    assert copy.copy(obj) == obj
+    assert copy.deepcopy(obj) == obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_same_fields_in_another_class_are_unequal():
+    assert RigidityReport(()) != CriticalityReport(())
+    assert ValidationReport(()) != RigidityReport(())
+    assert Violation("P1", "x") != ("P1", "x")
+    assert Violation("P1", "x") != Violation("P1", "y")
+
+
+def test_color_stores_moved_by_as_a_frozenset():
+    color = Color("D", ["a2", "a1", "a2"], Functional([1]))
+    assert type(color.moved_by) is frozenset
+    assert color.moved_by == frozenset({"a1", "a2"})
+    assert color == Color("D", frozenset({"a1", "a2"}), Functional([1]))
+
+
+def test_criticality_entry_defaults():
+    entry = CriticalityEntry(ROOT, distinguished=True, critical=False)
+    assert entry.vacuous is False
+    assert entry.failing_subset is None
+    assert entry == CriticalityEntry(ROOT, True, False, False, None)

@@ -155,6 +155,19 @@ class TestParseErrors:
             loads('{"colors": [1,\n2')
         assert str(info.value) == "invalid JSON at line 2: Expecting ',' delimiter"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("[" * 100_000, "invalid JSON: arrays or objects nested too deeply"),
+            ('{"colors": [' + "9" * 5000 + "]}", "invalid JSON: integer literal has too many digits"),
+        ],
+        ids=["nested", "long-int"],
+    )
+    def test_json_past_the_parser_limits(self, text, message):
+        with pytest.raises(DocumentError) as info:
+            loads(text)
+        assert str(info.value) == message
+
     def test_non_string_moved_by_entry(self):
         doc = {
             "root_system": {"components": [{"series": "A", "rank": 1}]},
