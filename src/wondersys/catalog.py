@@ -28,7 +28,6 @@ class CatalogEntry(Record):
         _set(self, "description", description)
         _set(self, "system", system)
         _set(self, "expected", expected)
-        _set(self, "_values", (name, description, system, expected))
 
 
 def _lv(**coeffs: int) -> LatticeVector:

@@ -28,7 +28,6 @@ class OrbitPoset(Record):
         _set(self, "rank", rank)
         _set(self, "nodes", nodes)
         _set(self, "edges", edges)
-        _set(self, "_values", (rank, nodes, edges))
 
     def node_label(self, node: frozenset) -> str:
         return "{" + ",".join(sorted(f"s{i + 1}" for i in node)) + "}"

@@ -29,7 +29,6 @@ class DistinguishedWitness(Record):
         # 1: equal color pair, 2: B_k chain sum, 3: G_2 pattern
         _set(self, "condition", condition)
         _set(self, "witness", witness)
-        _set(self, "_values", (root, condition, witness))
 
 
 class RigidityReport(Record):
@@ -37,7 +36,6 @@ class RigidityReport(Record):
 
     def __init__(self, distinguished: Tuple[DistinguishedWitness, ...]):
         _set(self, "distinguished", distinguished)
-        _set(self, "_values", (distinguished,))
 
     @property
     def rigid(self) -> bool:
@@ -63,7 +61,6 @@ class CriticalityEntry(Record):
         _set(self, "critical", critical)
         _set(self, "vacuous", vacuous)
         _set(self, "failing_subset", failing_subset)
-        _set(self, "_values", (root, distinguished, critical, vacuous, failing_subset))
 
 
 class CriticalityReport(Record):
@@ -71,7 +68,6 @@ class CriticalityReport(Record):
 
     def __init__(self, entries: Tuple[CriticalityEntry, ...]):
         _set(self, "entries", entries)
-        _set(self, "_values", (entries,))
 
 
 def _distinguished_witness(

@@ -8,6 +8,7 @@ A root system has total rank at most MAX_RANK.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 # Largest total rank a root system may have.  Construction allocates an
@@ -29,25 +30,31 @@ class Record:
     """Immutable value with named fields, the names in `__slots__`.
 
     A subclass's `__init__` sets each field once through `_set`, which is
-    `object.__setattr__`, and also stores the field values, in `__slots__`
-    order, as the tuple `_values`.  Equality (same class, equal fields), the hash and the repr
-    `Name(field=value, ...)` read that one tuple, which is faster than
-    gathering the fields on every call.  Assigning or deleting an
-    attribute raises AttributeError.
+    `object.__setattr__`.  Equality (same class, equal fields), the hash and
+    the repr `Name(field=value, ...)` read the fields as one tuple through
+    `_fields`, an `operator.attrgetter` over the subclass's `__slots__`.
+    Assigning or deleting an attribute raises AttributeError.
     """
 
-    __slots__ = ("_values",)
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names = cls.__slots__
+        get = attrgetter(*names)
+        # attrgetter of one name returns the bare value, not a 1-tuple.
+        cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
-            return self._values == other._values
+            return self._fields(self) == self._fields(other)
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self._values)
+        return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._values))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -58,7 +65,7 @@ class Record:
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, which never assigns.
-        return (self.__class__, self._values)
+        return (self.__class__, self._fields(self))
 
 
 class LatticeVector:
@@ -249,7 +256,6 @@ class Component(Record):
         _set(self, "series", series)
         _set(self, "rank", rank)
         _set(self, "labels", labels)
-        _set(self, "_values", (series, rank, labels))
 
 
 class RootSystem:

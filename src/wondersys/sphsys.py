@@ -41,7 +41,6 @@ class Color(Record):
         _set(self, "id", id)
         _set(self, "moved_by", moved_by)
         _set(self, "phi", phi)
-        _set(self, "_values", (id, moved_by, phi))
 
 
 class Violation(Record):
@@ -50,7 +49,6 @@ class Violation(Record):
     def __init__(self, axiom: str, message: str):
         _set(self, "axiom", axiom)  # BASE, P1, P2 or P3
         _set(self, "message", message)
-        _set(self, "_values", (axiom, message))
 
     def __str__(self) -> str:
         return f"{self.axiom}: {self.message}"
@@ -61,7 +59,6 @@ class ValidationReport(Record):
 
     def __init__(self, violations: Tuple[Violation, ...]):
         _set(self, "violations", violations)
-        _set(self, "_values", (violations,))
 
     @property
     def ok(self) -> bool:
