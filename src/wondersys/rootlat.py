@@ -1,8 +1,9 @@
 """Exact root-system arithmetic over the root lattice.
 
-Semisimple Dynkin data with integer Cartan matrices and a rational
+Semisimple Dynkin data with integer Cartan matrices and an integral
 Weyl-invariant form, normalized so that the short roots of every simple
-component have squared length 2.  All arithmetic is exact; no floats.
+component have squared length 2.  Functionals take values in (1/2)Z and are
+stored doubled, so all arithmetic is on ints; no floats.
 A root system has total rank at most MAX_RANK.
 """
 from __future__ import annotations
@@ -151,43 +152,74 @@ def _label_key(item) -> Tuple[int, str]:
 
 
 class Functional:
-    """Rational linear functional given by its values on an ordered base.
+    """Linear functional with values in (1/2)Z, given on an ordered base.
 
     Used for color functionals and restricted coroots: the values are
     indexed by the position of each spherical root in the ambient system.
+    Every value is stored doubled, as the int `twice[i]`.  The constructor
+    takes ints (not bools) and `Fraction`s with denominator 1 or 2, and
+    raises ValueError on anything else; this is the one place that checks
+    the half-integer rule.  `values` and `phi[i]` read the values back as
+    `Fraction`s.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("twice",)
 
     def __init__(self, values: Iterable[Fraction | int]):
-        self.values: Tuple[Fraction, ...] = tuple(
-            v if type(v) is Fraction else Fraction(v) for v in values
-        )
+        twice = []
+        for i, v in enumerate(values):
+            if type(v) is int:
+                twice.append(2 * v)
+            elif type(v) is Fraction and v.denominator <= 2:
+                twice.append(2 * v.numerator // v.denominator)
+            else:
+                raise ValueError(
+                    f"value {i} of a functional is not an int or a half-integer "
+                    f"Fraction: {v!r}"
+                )
+        self.twice: Tuple[int, ...] = tuple(twice)
+
+    @classmethod
+    def _of_twice(cls, twice: Tuple[int, ...]) -> "Functional":
+        """The functional whose doubled values are `twice`, taken as they are."""
+        f = object.__new__(cls)
+        f.twice = twice
+        return f
+
+    @property
+    def values(self) -> Tuple[Fraction, ...]:
+        return tuple(Fraction(t, 2) for t in self.twice)
 
     def __add__(self, other: "Functional") -> "Functional":
-        if len(self.values) != len(other.values):
+        if len(self.twice) != len(other.twice):
             raise ValueError("functional length mismatch")
-        return Functional(a + b for a, b in zip(self.values, other.values))
+        return Functional._of_twice(tuple(a + b for a, b in zip(self.twice, other.twice)))
 
     def restrict(self, indices: Sequence[int]) -> "Functional":
-        return Functional(self.values[i] for i in indices)
+        twice = self.twice
+        return Functional._of_twice(tuple(twice[i] for i in indices))
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Functional) and self.values == other.values
+        return isinstance(other, Functional) and self.twice == other.twice
 
     def __hash__(self) -> int:
-        return hash(self.values)
+        return hash(self.twice)
 
     def __len__(self) -> int:
-        return len(self.values)
+        return len(self.twice)
 
     def __getitem__(self, i: int) -> Fraction:
-        return self.values[i]
+        return Fraction(self.twice[i], 2)
 
     def __str__(self) -> str:
-        return "(" + ", ".join(str(v) for v in self.values) + ")"
+        return "(" + ", ".join(map(half_text, self.twice)) + ")"
 
     __repr__ = __str__
+
+
+def half_text(twice: int) -> str:
+    """The value twice/2 as `Fraction` prints it: "t" or "t/2"."""
+    return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
 def _chain_cartan(n: int) -> list:
@@ -320,21 +352,21 @@ class RootSystem:
             return items[0][0]
         return None
 
-    def form(self, v: LatticeVector, w: LatticeVector) -> Fraction:
-        """The invariant form (v, w) = sum_i x_i d_i sum_j a_ij y_j, exactly.
+    def form(self, v: LatticeVector, w: LatticeVector) -> int:
+        """The invariant form (v, w) = sum_i x_i d_i sum_j a_ij y_j, an int.
 
-        Integer arithmetic over the two supports; the result is returned as
-        a Fraction so that quotients of forms stay exact.
+        Integer arithmetic over the two supports: the form is integral on
+        the root lattice.
         """
         if not v._coeffs:
-            return Fraction(0)
+            return 0
         w_terms = [(self.index(b), y) for b, y in w._coeffs.items()]
         total = 0
         for a, x in v._coeffs.items():
             i = self.index(a)
             row = self._cartan[i]
             total += x * self._d[i] * sum(y * row[j] for j, y in w_terms)
-        return Fraction(total)
+        return total
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.components == other.components

@@ -3,9 +3,11 @@
 A document is a single object with `root_system`, `spherical_roots` and
 `colors` fields.  Simple roots are labelled a1, a2, ... in the canonical
 order of the components; functionals are listed in spherical-root order,
-with halves written as "p/2" strings.  Parsing errors name the offending
-field and label; a root system of total rank above MAX_RANK and a color id
-used twice are parsing errors too.
+with halves written as "p/2" strings.  `fractions` is used only to parse
+those strings: values are written from a functional's doubled ints, and
+`Functional` itself refuses values outside (1/2)Z.  Parsing errors name the
+offending field and label; a root system of total rank above MAX_RANK and a
+color id used twice are parsing errors too.
 """
 from __future__ import annotations
 
@@ -23,28 +25,38 @@ class DocumentError(ValueError):
     """Malformed spherical-system document."""
 
 
-def _encode_value(v: Fraction) -> Any:
-    if v.denominator == 1:
-        return int(v)
-    if v.denominator == 2:
-        return f"{v.numerator}/2"
-    raise DocumentError(f"functional value {v} has denominator > 2")
+def _encode_value(twice: int) -> Any:
+    """A doubled functional value as JSON: an int, or "p/2" for a half."""
+    return f"{twice}/2" if twice % 2 else twice // 2
 
 
-def _decode_value(raw: Any, where: str) -> Fraction:
+def _decode_value(raw: Any, where: str) -> int | Fraction:
     if isinstance(raw, bool):
         raise DocumentError(f"{where}: expected integer or 'p/2' string, got bool")
     if isinstance(raw, int):
-        return Fraction(raw)
+        return raw
     if isinstance(raw, str):
         try:
-            v = Fraction(raw)
+            return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise DocumentError(f"{where}: cannot parse rational {raw!r}") from None
-        if v.denominator not in (1, 2):
-            raise DocumentError(f"{where}: denominator of {raw!r} must divide 2")
-        return v
     raise DocumentError(f"{where}: expected integer or 'p/2' string, got {type(raw).__name__}")
+
+
+def _decode_phi(raw: List[Any], where: str) -> Functional:
+    values = [_decode_value(v, f"{where}[{j}]") for j, v in enumerate(raw)]
+    try:
+        return Functional(values)
+    except ValueError:
+        # A value outside (1/2)Z: name the first one Functional refuses.
+        for j, v in enumerate(values):
+            try:
+                Functional([v])
+            except ValueError:
+                raise DocumentError(
+                    f"{where}[{j}]: denominator of {raw[j]!r} must divide 2"
+                ) from None
+        raise
 
 
 def system_to_document(system: SphericalSystem) -> Dict[str, Any]:
@@ -67,7 +79,7 @@ def system_to_document(system: SphericalSystem) -> Dict[str, Any]:
                     (rename[lab] for lab in d.moved_by),
                     key=lambda s: int(s[1:]),
                 ),
-                "phi": [_encode_value(v) for v in d.phi.values],
+                "phi": [_encode_value(t) for t in d.phi.twice],
             }
             for d in system.colors
         ],
@@ -143,10 +155,7 @@ def document_to_system(doc: Any) -> SphericalSystem:
                 f"colors[{k}] ({cid}): phi has {len(phi_raw)} values for "
                 f"{len(psi)} spherical roots"
             )
-        phi = Functional(
-            _decode_value(v, f"colors[{k}] ({cid}).phi[{j}]")
-            for j, v in enumerate(phi_raw)
-        )
+        phi = _decode_phi(phi_raw, f"colors[{k}] ({cid}).phi")
         colors.append(Color(cid, frozenset(moved), phi))
 
     return SphericalSystem(rs, psi, colors)

@@ -3,7 +3,9 @@
 A spherical system is a root system together with an ordered list of
 spherical roots (nonnegative lattice vectors forming a base of a root
 system in their span) and a list of colors, each carrying the set of
-simple roots moving it and a rational functional on the spherical roots.
+simple roots moving it and a functional on the spherical roots with values
+in (1/2)Z.  `Functional` enforces that rule on construction and stores the
+values doubled, so the checks compare ints (2 stands for the value 1).
 Validation checks the base property and the three color axioms; every
 violation is collected with a witness, nothing is thrown.
 
@@ -25,6 +27,7 @@ from .rootlat import (
     RootSystem,
     _set,
     cartan_integer,
+    half_text,
 )
 
 TYPE_A, TYPE_B, TYPE_C, TYPE_D = "a", "b", "c", "d"
@@ -144,22 +147,26 @@ def assign_types(system: SphericalSystem) -> Dict[str, str]:
 def spherical_lattice_rank(system: SphericalSystem) -> int:
     """Rank of the lattice generated by the spherical roots.
 
-    Exact Gaussian elimination over their coefficient vectors, so dependent
-    spherical roots are counted once.
+    Fraction-free (Bareiss) elimination over their integer coefficient
+    vectors, so dependent spherical roots are counted once.
     """
     labels = system.rs.simple_roots
-    rows = [[Fraction(sigma.coeff(lab)) for lab in labels] for sigma in system.psi]
-    rank = 0
+    rows = [[sigma.coeff(lab) for lab in labels] for sigma in system.psi]
+    rank, previous = 0, 1
     for col in range(len(labels)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if pivot is None:
             continue
         rows[rank], rows[pivot] = rows[pivot], rows[rank]
         top = rows[rank]
+        p = top[col]
         for r in range(rank + 1, len(rows)):
-            factor = rows[r][col] / top[col]
-            if factor:
-                rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+            row = rows[r]
+            q = row[col]
+            # Bareiss: every entry is a minor of the input, so the division
+            # by the previous pivot is exact.
+            rows[r] = [(p * x - q * y) // previous for x, y in zip(row, top)]
+        previous = p
         rank += 1
     return rank
 
@@ -188,15 +195,15 @@ def _check_base(system: SphericalSystem, out: List[Violation]) -> None:
                     Violation("BASE", f"negative coefficient of {lab} in {sigma}")
                 )
     # The form is integral and positive definite on the root lattice, so the
-    # Cartan number 2(sigma, tau)/(sigma, sigma) is checked on numerators.
+    # Cartan number 2(sigma, tau)/(sigma, sigma) is checked in integers.
     for i, sigma in enumerate(system.psi):
         if sigma.is_zero():
             continue
-        norm = system.rs.form(sigma, sigma).numerator
+        norm = system.rs.form(sigma, sigma)
         for j, tau in enumerate(system.psi):
             if i == j or tau == sigma:
                 continue
-            twice = 2 * system.rs.form(sigma, tau).numerator
+            twice = 2 * system.rs.form(sigma, tau)
             if twice % norm or twice > 0:
                 out.append(
                     Violation(
@@ -213,7 +220,9 @@ def _check_p1(
     for lab in system.rs.simple_roots:
         kind = system.type_map[lab]
         moved = system.colors_moved_by(lab)
-        coroot = Functional(coroots[lab])
+        # Doubled, the half coroot's values are the coroot's integers.
+        half = Functional._of_twice(coroots[lab])
+        coroot = half + half
         # A root that moves a color is never typed a (see assign_types).
         if kind == TYPE_B:
             if len(moved) != 2:
@@ -232,11 +241,12 @@ def _check_p1(
                 )
             idx = system.psi_index(system.rs.simple_root(lab))
             for d in moved:
-                if d.phi[idx] != 1:
+                value = d.phi.twice[idx]
+                if value != 2:
                     out.append(
                         Violation(
                             "P1",
-                            f"type-b root {lab}: <phi({d.id}), {lab}> = {d.phi[idx]} != 1",
+                            f"type-b root {lab}: <phi({d.id}), {lab}> = {half_text(value)} != 1",
                         )
                     )
         elif kind == TYPE_C:
@@ -244,7 +254,6 @@ def _check_p1(
                 out.append(
                     Violation("P1", f"type-c root {lab} has {len(moved)} colors, expected 1")
                 )
-            half = Functional(Fraction(v, 2) for v in coroots[lab])
             for d in moved:
                 if d.phi != half:
                     out.append(
@@ -278,17 +287,17 @@ def _check_p2(system: SphericalSystem, out: List[Violation]) -> None:
             continue
         for d in system.colors_moved_by(lab):
             for j, sigma in enumerate(system.psi):
-                value = d.phi[j]
+                value = d.phi.twice[j]  # doubled: 2 stands for 1
                 sigma_label = psi_labels[j]
                 simple_and_moved = sigma_label is not None and sigma_label in d.moved_by
-                if value > 1:
+                if value > 2:
                     out.append(
                         Violation(
                             "P2",
-                            f"<phi({d.id}), {sigma}> = {value} > 1 (color of {lab})",
+                            f"<phi({d.id}), {sigma}> = {half_text(value)} > 1 (color of {lab})",
                         )
                     )
-                elif value == 1 and not simple_and_moved:
+                elif value == 2 and not simple_and_moved:
                     out.append(
                         Violation(
                             "P2",
@@ -296,12 +305,12 @@ def _check_p2(system: SphericalSystem, out: List[Violation]) -> None:
                             f"root moving {d.id}",
                         )
                     )
-                elif value != 1 and simple_and_moved:
+                elif value != 2 and simple_and_moved:
                     out.append(
                         Violation(
                             "P2",
-                            f"<phi({d.id}), {sigma}> = {value} != 1 although {sigma} "
-                            f"is a simple root moving {d.id}",
+                            f"<phi({d.id}), {sigma}> = {half_text(value)} != 1 although "
+                            f"{sigma} is a simple root moving {d.id}",
                         )
                     )
 
@@ -401,15 +410,6 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
             )
         if not d.moved_by:
             out.append(Violation("P1", f"color {d.id} is moved by no simple root"))
-        for j, value in enumerate(d.phi.values):
-            if value.denominator not in (1, 2):
-                out.append(
-                    Violation(
-                        "P1",
-                        f"color {d.id}: phi[{j}] = {value} has a denominator "
-                        "that does not divide 2",
-                    )
-                )
     if any(len(d.phi) != len(system.psi) for d in system.colors):
         return ValidationReport(tuple(out))
     coroots = coroot_table(system)

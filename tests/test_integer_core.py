@@ -1,0 +1,57 @@
+"""Valid systems are analysed without building a single `Fraction`.
+
+Functional values are stored as doubled ints, the invariant form is an int
+and the coroot table holds ints, so `Fraction` is needed only to parse a
+"p/2" string and to read `Functional.values` back.  The test counts calls
+to `Fraction.__new__` while the analyses run.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from wondersys import (
+    critical_roots,
+    critical_roots_oracle,
+    distinguished_elements,
+    localize,
+    validate_system,
+)
+from wondersys.catalog import catalog_entries
+
+from randsys import random_systems
+
+ORACLE_MAX_RANK = 8
+
+
+def _count_fractions(monkeypatch) -> list:
+    calls = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        calls.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    return calls
+
+
+def test_no_fraction_on_the_valid_system_path(monkeypatch):
+    systems = [e.system for e in catalog_entries()] + random_systems(5, 200, 8)
+    calls = _count_fractions(monkeypatch)
+    valid = 0
+    for s in systems:
+        if not validate_system(s).ok:
+            continue
+        valid += 1
+        distinguished_elements(s)
+        critical_roots(s)
+        if s.rs.rank <= ORACLE_MAX_RANK:
+            critical_roots_oracle(s)
+        labels = frozenset(s.rs.simple_roots)
+        for lab in labels:
+            localize(s, labels - {lab})
+    assert valid > 200
+    assert calls == []
+    # The counter sees the read view, which does build Fractions.
+    assert systems[0].colors[0].phi.values
+    assert calls

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from wondersys import (
     Component,
+    Functional,
     LatticeVector,
     RootSystem,
     RootSystemError,
@@ -133,7 +135,7 @@ class TestInvariantForm:
                 for _ in range(2)
             )
             value = rs.form(v, w)
-            assert type(value) is Fraction
+            assert type(value) is int
             assert value == gram_form(rs, v, w) == rs.form(w, v)
 
     def test_form_on_interleaved_labels(self):
@@ -218,6 +220,38 @@ class TestLatticeVector:
     def test_scaling_by_a_fraction_rejected(self):
         with pytest.raises(ValueError):
             lv(a1=2) * Fraction(1, 2)
+
+
+class TestFunctional:
+    @pytest.mark.parametrize(
+        "value", [0.5, 0.1, 1.0, "1/2", True, False, Fraction(1, 3), Fraction(4, 3), None]
+    )
+    def test_value_outside_half_integers_rejected(self, value):
+        with pytest.raises(ValueError, match=f"value 1 .*{re.escape(repr(value))}"):
+            Functional([1, value])
+
+    def test_values_stored_doubled(self):
+        f = Functional([1, Fraction(-3, 2), 0, Fraction(4, 2)])
+        assert f.twice == (2, -3, 0, 4)
+        assert all(type(t) is int for t in f.twice)
+        assert f.values == (1, Fraction(-3, 2), 0, 2)
+        assert [f[i] for i in range(len(f))] == list(f.values)
+        assert all(type(v) is Fraction for v in f.values)
+
+    def test_text_matches_fraction_text(self):
+        values = [Fraction(t, 2) for t in range(-7, 8)]
+        assert str(Functional(values)) == "(" + ", ".join(map(str, values)) + ")"
+        assert str(Functional([])) == "()"
+
+    def test_sum_restrict_and_equality_on_doubled_values(self):
+        f = Functional([Fraction(1, 2), 1, Fraction(-1, 2)])
+        g = Functional([Fraction(1, 2), 0, 2])
+        assert (f + g).twice == (2, 2, 3)
+        assert f.restrict([2, 0]) == Functional([Fraction(-1, 2), Fraction(1, 2)])
+        assert Functional([1, 2]) == Functional([Fraction(2, 2), Fraction(4, 2)])
+        assert hash(Functional([1, 2])) == hash(Functional([Fraction(1), Fraction(2)]))
+        with pytest.raises(ValueError, match="length"):
+            f + Functional([1])
 
 
 class TestSupport:

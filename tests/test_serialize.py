@@ -242,6 +242,14 @@ class TestEveryParseError:
                 _a1_doc(colors=[_color(phi=["x/2"])]),
                 "colors[0] (D).phi[0]: cannot parse rational 'x/2'",
             ),
+            (
+                _a1_doc(colors=[_color(phi=["1/3"])]),
+                "colors[0] (D).phi[0]: denominator of '1/3' must divide 2",
+            ),
+            (
+                _a1_doc(colors=[_color(phi=["0.1"])]),
+                "colors[0] (D).phi[0]: denominator of '0.1' must divide 2",
+            ),
         ],
     )
     def test_message(self, doc, message):
@@ -252,13 +260,9 @@ class TestEveryParseError:
     def test_encoding_a_third_is_refused(self):
         from fractions import Fraction
 
-        from wondersys import Color, Functional, LatticeVector, SphericalSystem, build_root_system
+        from wondersys import Functional
 
-        s = SphericalSystem(
-            build_root_system([("A", 1)]),
-            [LatticeVector({"a1": 1})],
-            [Color("D", frozenset({"a1"}), Functional([Fraction(1, 3)]))],
-        )
-        with pytest.raises(DocumentError) as info:
-            system_to_document(s)
-        assert str(info.value) == "functional value 1/3 has denominator > 2"
+        # A third cannot be put in a functional, so no system can carry one
+        # to the encoder.
+        with pytest.raises(ValueError, match="value 0 .* Fraction\\(1, 3\\)"):
+            Functional([Fraction(1, 3)])

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -150,15 +151,10 @@ class TestValidateSystem:
         assert "P1: color id D is used by more than one color" in map(str, report.violations)
 
     def test_denominator_not_dividing_two(self):
-        rs = build_root_system([("A", 1)])
-        colors = [
-            Color("Dp", frozenset({"a1"}), Functional([Fraction(4, 3)])),
-            Color("Dm", frozenset({"a1"}), Functional([Fraction(2, 3)])),
-        ]
-        report = validate_system(SphericalSystem(rs, [lv(a1=1)], colors))
-        messages = [str(v) for v in report.violations]
-        assert "P1: color Dp: phi[0] = 4/3 has a denominator that does not divide 2" in messages
-        assert "P1: color Dm: phi[0] = 2/3 has a denominator that does not divide 2" in messages
+        # Values outside (1/2)Z are refused when the functional is built, so
+        # no such color reaches validation.
+        with pytest.raises(ValueError, match="value 0 .* Fraction\\(4, 3\\)"):
+            Functional([Fraction(4, 3)])
 
     def test_violations_are_collected_not_thrown(self):
         rs = build_root_system([("A", 2)])
@@ -268,11 +264,52 @@ class TestLatticeRank:
             ([("A", 1)], [{"a1": 2}, {"a1": 1}], 1),
             ([("A", 3)], [{"a1": 1, "a2": 1}, {"a2": 1, "a3": 1}, {"a1": 1, "a3": -1}], 2),
             ([("B", 2), ("A", 1)], [{"a3": 1}, {"a1": 1, "a2": 2}, {"a2": 1}], 3),
+            ([("A", 2)], [{"a1": 2, "a2": 1}, {"a1": 1, "a2": 2}], 2),
+            ([("A", 2)], [{"a1": 2, "a2": 4}, {"a1": 1, "a2": 2}], 1),
+            (
+                [("A", 3)],
+                [{"a1": 2, "a2": 1}, {"a1": 1, "a2": 2, "a3": 1}, {"a1": 3, "a2": 3, "a3": 1}],
+                2,
+            ),
+            (
+                [("A", 3)],
+                [{"a1": 2, "a2": 3, "a3": 1}, {"a1": 4, "a2": 1, "a3": 5}, {"a1": 6, "a2": 2, "a3": 3}],
+                3,
+            ),
+            ([("A", 3)], [{"a2": 3, "a3": 2}, {"a2": 6, "a3": 4}, {"a1": 5, "a3": 7}], 2),
         ],
     )
     def test_dependent_roots_counted_once(self, spec, psi, rank):
         s = SphericalSystem(build_root_system(spec), [LatticeVector(c) for c in psi], [])
         assert spherical_lattice_rank(s) == rank
+
+    def test_matches_rational_elimination(self):
+        rs = build_root_system([("A", 5)])
+        rng = random.Random(11)
+        for _ in range(300):
+            psi = [
+                LatticeVector({lab: rng.choice([0, 0, -3, -2, -1, 1, 2, 3]) for lab in rs.simple_roots})
+                for _ in range(rng.randint(0, 6))
+            ]
+            s = SphericalSystem(rs, psi, [])
+            assert spherical_lattice_rank(s) == _rational_rank(rs.simple_roots, psi), psi
+
+
+def _rational_rank(labels, psi):
+    """Rank by Gaussian elimination over Fraction, as a reference."""
+    rows = [[Fraction(sigma.coeff(lab)) for lab in labels] for sigma in psi]
+    rank = 0
+    for col in range(len(labels)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / top[col]
+            rows[r] = [x - factor * y for x, y in zip(rows[r], top)]
+        rank += 1
+    return rank
 
 
 class TestPropOneOnValidatedSystems:
