@@ -17,7 +17,7 @@ from .localize import localize
 from .orbits import emit_graph, orbit_poset
 from .rigidity import critical_roots, critical_roots_oracle, distinguished_elements
 from .rootlat import RootSystemError, _label_key
-from .serialize import DocumentError, loads, system_to_document
+from .serialize import DocumentError, dumps, loads, system_to_document
 from .sphsys import SphericalSystem, ValidationReport, validate_system
 
 EXIT_OK = 0
@@ -87,9 +87,7 @@ def _cmd_localize(args) -> tuple:
         sub = localize(system, _parse_subset(args.subset))
     except RootSystemError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    doc = system_to_document(sub)
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    return EXIT_OK, text, {"system": doc}
+    return EXIT_OK, dumps(sub).rstrip("\n"), {"system": system_to_document(sub)}
 
 
 def _cmd_rigidity(args) -> tuple:
@@ -189,8 +187,7 @@ def _cmd_catalog(args) -> tuple:
     except KeyError as exc:
         raise CliError(str(exc.args[0]), EXIT_USAGE)
     doc = system_to_document(entry.system)
-    text = json.dumps(doc, indent=2, sort_keys=True)
-    return EXIT_OK, text, {"name": entry.name, "system": doc}
+    return EXIT_OK, dumps(entry.system).rstrip("\n"), {"name": entry.name, "system": doc}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -69,12 +69,13 @@ class Record:
         return (self.__class__, self._fields(self))
 
 
-class LatticeVector:
+class LatticeVector(Record):
     """Integer vector over simple-root labels, finitely supported.
 
     Zero coefficients are dropped on construction; equality and hashing
     are coefficient-wise.  Every coefficient must be an `int` (not a bool):
-    anything else raises ValueError rather than being rounded.
+    anything else raises ValueError rather than being rounded.  Like every
+    `Record`, a vector cannot be changed once built.
     """
 
     __slots__ = ("_coeffs",)
@@ -84,7 +85,7 @@ class LatticeVector:
         for k, v in coeffs.items():
             if type(v) is not int:
                 raise ValueError(f"coefficient of {k!r} is not an int: {v!r}")
-        self._coeffs = {k: v for k, v in coeffs.items() if v}
+        _set(self, "_coeffs", {k: v for k, v in coeffs.items() if v})
 
     def coeff(self, label: str) -> int:
         return self._coeffs.get(label, 0)
@@ -151,16 +152,16 @@ def _label_key(item) -> Tuple[int, str]:
     return (int(digits) if digits else 0, label)
 
 
-class Functional:
+class Functional(Record):
     """Linear functional with values in (1/2)Z, given on an ordered base.
 
     Used for color functionals and restricted coroots: the values are
     indexed by the position of each spherical root in the ambient system.
     Every value is stored doubled, as the int `twice[i]`.  The constructor
     takes ints (not bools) and `Fraction`s with denominator 1 or 2, and
-    raises ValueError on anything else; this is the one place that checks
-    the half-integer rule.  `values` and `phi[i]` read the values back as
-    `Fraction`s.
+    raises ValueError on anything else (the document reader checks its
+    text itself and builds through `_of_twice`); `twice` cannot be changed
+    afterwards.  `values` and `phi[i]` read the values back as `Fraction`s.
     """
 
     __slots__ = ("twice",)
@@ -177,13 +178,13 @@ class Functional:
                     f"value {i} of a functional is not an int or a half-integer "
                     f"Fraction: {v!r}"
                 )
-        self.twice: Tuple[int, ...] = tuple(twice)
+        _set(self, "twice", tuple(twice))
 
     @classmethod
     def _of_twice(cls, twice: Tuple[int, ...]) -> "Functional":
         """The functional whose doubled values are `twice`, taken as they are."""
         f = object.__new__(cls)
-        f.twice = twice
+        _set(f, "twice", twice)
         return f
 
     @property
@@ -204,6 +205,10 @@ class Functional:
 
     def __hash__(self) -> int:
         return hash(self.twice)
+
+    def __reduce__(self):
+        # __init__ would double the stored values again.
+        return (self._of_twice, (self.twice,))
 
     def __len__(self) -> int:
         return len(self.twice)

@@ -3,16 +3,16 @@
 A document is a single object with `root_system`, `spherical_roots` and
 `colors` fields.  Simple roots are labelled a1, a2, ... in the canonical
 order of the components; functionals are listed in spherical-root order,
-with halves written as "p/2" strings.  `fractions` is used only to parse
-those strings: values are written from a functional's doubled ints, and
-`Functional` itself refuses values outside (1/2)Z.  Parsing errors name the
-offending field and label; a root system of total rank above MAX_RANK and a
-color id used twice are parsing errors too.
+with halves written as "p/2" strings.  Each phi value is read straight into
+its doubled int: an int n gives 2n, "p/2" gives p and "p/1" gives 2p; any
+other spelling is a parsing error.  Parsing errors name the offending field
+and label; a root system of total rank above MAX_RANK, a color id used twice
+and a label listed twice in one `moved_by` are parsing errors too.
 """
 from __future__ import annotations
 
 import json
-from fractions import Fraction
+import re
 from typing import Any, Dict, List
 
 from .rootlat import Functional, LatticeVector, RootSystemError, build_root_system
@@ -30,33 +30,27 @@ def _encode_value(twice: int) -> Any:
     return f"{twice}/2" if twice % 2 else twice // 2
 
 
-def _decode_value(raw: Any, where: str) -> int | Fraction:
-    if isinstance(raw, bool):
-        raise DocumentError(f"{where}: expected integer or 'p/2' string, got bool")
-    if isinstance(raw, int):
-        return raw
-    if isinstance(raw, str):
+# "p/q": an optional minus and ASCII digits over a denominator without a
+# leading zero.
+_RATIONAL = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
+
+
+def _decode_twice(raw: Any, where: str, j: int) -> int:
+    """Phi value `where[j]` as its doubled int."""
+    if type(raw) is int:
+        return 2 * raw
+    if not isinstance(raw, str):
+        name = type(raw).__name__
+        raise DocumentError(f"{where}[{j}]: expected integer or 'p/2' string, got {name}")
+    match = _RATIONAL.fullmatch(raw)
+    if match:
+        if match[2] not in ("1", "2"):
+            raise DocumentError(f"{where}[{j}]: denominator of {raw!r} must divide 2")
         try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise DocumentError(f"{where}: cannot parse rational {raw!r}") from None
-    raise DocumentError(f"{where}: expected integer or 'p/2' string, got {type(raw).__name__}")
-
-
-def _decode_phi(raw: List[Any], where: str) -> Functional:
-    values = [_decode_value(v, f"{where}[{j}]") for j, v in enumerate(raw)]
-    try:
-        return Functional(values)
-    except ValueError:
-        # A value outside (1/2)Z: name the first one Functional refuses.
-        for j, v in enumerate(values):
-            try:
-                Functional([v])
-            except ValueError:
-                raise DocumentError(
-                    f"{where}[{j}]: denominator of {raw[j]!r} must divide 2"
-                ) from None
-        raise
+            return int(match[1]) if match[2] == "2" else 2 * int(match[1])
+        except ValueError:  # more digits than the interpreter converts
+            pass
+    raise DocumentError(f"{where}[{j}]: cannot parse rational {raw!r}")
 
 
 def system_to_document(system: SphericalSystem) -> Dict[str, Any]:
@@ -144,9 +138,13 @@ def document_to_system(doc: Any) -> SphericalSystem:
         moved = raw.get("moved_by")
         if not isinstance(moved, list) or not moved:
             raise DocumentError(f"colors[{k}] ({cid}): moved_by must be a nonempty list")
+        seen = set()
         for lab in moved:
             if not isinstance(lab, str) or lab not in rs:
                 raise DocumentError(f"colors[{k}] ({cid}): unknown label {lab!r}")
+            if lab in seen:
+                raise DocumentError(f"colors[{k}] ({cid}): moved_by lists {lab!r} twice")
+            seen.add(lab)
         phi_raw = raw.get("phi")
         if not isinstance(phi_raw, list):
             raise DocumentError(f"colors[{k}] ({cid}): phi must be a list")
@@ -155,8 +153,9 @@ def document_to_system(doc: Any) -> SphericalSystem:
                 f"colors[{k}] ({cid}): phi has {len(phi_raw)} values for "
                 f"{len(psi)} spherical roots"
             )
-        phi = _decode_phi(phi_raw, f"colors[{k}] ({cid}).phi")
-        colors.append(Color(cid, frozenset(moved), phi))
+        where = f"colors[{k}] ({cid}).phi"
+        phi = tuple(_decode_twice(v, where, j) for j, v in enumerate(phi_raw))
+        colors.append(Color(cid, seen, Functional._of_twice(phi)))
 
     return SphericalSystem(rs, psi, colors)
 

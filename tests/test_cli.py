@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from wondersys import dumps, loads
+from wondersys import dumps, loads, localize
 from wondersys.catalog import (
     catalog_entries,
     catalog_entry,
@@ -88,6 +88,31 @@ class TestValidate:
         )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "color, message",
+        [
+            (
+                {"id": "D", "moved_by": ["a1"], "phi": ["0.5"]},
+                "colors[0] (D).phi[0]: cannot parse rational '0.5'",
+            ),
+            (
+                {"id": "D", "moved_by": ["a1", "a1"], "phi": [1]},
+                "colors[0] (D): moved_by lists 'a1' twice",
+            ),
+        ],
+        ids=["decimal-phi", "repeated-moved-by"],
+    )
+    def test_refused_spelling_exits_two(self, tmp_path, capsys, fmt, color, message):
+        doc = {
+            "root_system": {"components": [{"series": "A", "rank": 1}]},
+            "spherical_roots": [{"coeffs": {"a1": 1}}],
+            "colors": [color],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert _run(fmt, ["validate", str(path)], capsys) == (2, f"{path}: {message}")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_document_not_utf8_exits_two(self, tmp_path, capsys, fmt):
         path = tmp_path / "bad.json"
         path.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
@@ -158,6 +183,11 @@ class TestLocalize:
 
     def test_unknown_subset_label(self, capsys):
         assert main(["localize", "group-a1a1", "--subset", "a9"]) == 2
+
+    def test_prints_the_serialized_document(self, capsys):
+        assert main(["localize", "group-a1a1", "--subset", "a2"]) == 0
+        sub = localize(catalog_entry("group-a1a1").system, {"a2"})
+        assert capsys.readouterr().out == dumps(sub)
 
     def test_empty_subset(self, capsys):
         assert _run("text", ["localize", "group-a1a1", "--subset", ","], capsys) == (
@@ -239,6 +269,11 @@ class TestCatalogVerb:
             assert main(["catalog", "show", entry.name]) == 0
             doc_text = capsys.readouterr().out
             assert loads(doc_text) == entry.system, entry.name
+
+    def test_show_prints_the_serialized_document(self, capsys):
+        for entry in catalog_entries():
+            assert main(["catalog", "show", entry.name]) == 0
+            assert capsys.readouterr().out == dumps(entry.system), entry.name
 
     def test_show_unknown(self, capsys):
         assert main(["catalog", "show", "nope"]) == 2

@@ -1,18 +1,21 @@
 """Valid systems are analysed without building a single `Fraction`.
 
 Functional values are stored as doubled ints, the invariant form is an int
-and the coroot table holds ints, so `Fraction` is needed only to parse a
-"p/2" string and to read `Functional.values` back.  The test counts calls
-to `Fraction.__new__` while the analyses run.
+and the coroot table holds ints, so `Fraction` is needed only to read
+`Functional.values` back.  The tests count calls to `Fraction.__new__` while
+documents are read and the analyses run.
 """
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from wondersys import (
     critical_roots,
     critical_roots_oracle,
     distinguished_elements,
+    dumps,
+    loads,
     localize,
     validate_system,
 )
@@ -55,3 +58,21 @@ def test_no_fraction_on_the_valid_system_path(monkeypatch):
     # The counter sees the read view, which does build Fractions.
     assert systems[0].colors[0].phi.values
     assert calls
+
+
+def test_no_fraction_while_reading_documents(monkeypatch):
+    texts = [dumps(e.system) for e in catalog_entries()]
+    texts += [
+        json.dumps(
+            {
+                "root_system": {"components": [{"series": "A", "rank": 1}]},
+                "spherical_roots": [{"coeffs": {"a1": 1}}, {"coeffs": {"a1": 2}}],
+                "colors": [{"id": "D", "moved_by": ["a1"], "phi": [f"{p}/2", f"{p}/1"]}],
+            }
+        )
+        for p in range(-9, 10)
+    ]
+    calls = _count_fractions(monkeypatch)
+    systems = [loads(text) for text in texts]
+    assert calls == []
+    assert systems[-1].colors[0].phi.twice == (9, 18)

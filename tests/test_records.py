@@ -159,6 +159,38 @@ def test_copy_and_pickle_round_trip(name):
     assert pickle.loads(pickle.dumps(obj)) == obj
 
 
+# Functional and LatticeVector keep their own ==, hash and text, but are
+# immutable like the Record types.
+VALUES = {
+    "Functional": (Functional([1, Fraction(-1, 2)]), "twice"),
+    "LatticeVector": (ROOT, "_coeffs"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_assignment_and_deletion_raise(name):
+    obj, field = VALUES[name]
+    before = getattr(obj, field)
+    with pytest.raises(AttributeError):
+        setattr(obj, field, before)
+    with pytest.raises(AttributeError):
+        delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert getattr(obj, field) is before
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_value_copy_and_pickle_round_trip(name):
+    obj, field = VALUES[name]
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copied = pickle.loads(pickle.dumps(obj, protocol))
+        assert copied == obj and getattr(copied, field) == getattr(obj, field)
+    for copied in (copy.copy(obj), copy.deepcopy(obj)):
+        assert copied == obj and getattr(copied, field) == getattr(obj, field)
+    assert str(copied) == str(obj) and repr(copied) == repr(obj)
+
+
 def test_same_fields_in_another_class_are_unequal():
     assert RigidityReport(()) != CriticalityReport(())
     assert ValidationReport(()) != RigidityReport(())

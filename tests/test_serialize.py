@@ -3,9 +3,15 @@ from __future__ import annotations
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wondersys import (
+    Color,
     DocumentError,
+    Functional,
+    LatticeVector,
+    SphericalSystem,
+    build_root_system,
     document_to_system,
     dumps,
     loads,
@@ -51,6 +57,24 @@ class TestRoundTrip:
         doc = system_to_document(localize(s, {"a2"}))
         assert doc["spherical_roots"] == [{"coeffs": {"a1": 1}}]
         assert {c["id"] for c in doc["colors"]} == {"Dp", "D2m"}
+
+
+class TestPhiValues:
+    @pytest.mark.parametrize(
+        "raw, twice",
+        [("-3/2", -3), ("4/2", 4), ("3/1", 6), ("-0/2", 0), ("03/2", 3), (-2, -4), (0, 0)],
+    )
+    def test_value_reads_as_its_doubled_int(self, raw, twice):
+        system = loads(json.dumps(_a1_doc(colors=[_color(phi=[raw])])))
+        assert system.colors[0].phi.twice == (twice,)
+
+    @given(st.integers(min_value=-(10**30), max_value=10**30))
+    def test_doubled_value_survives_a_round_trip(self, t):
+        rs = build_root_system([("A", 1)])
+        system = SphericalSystem(
+            rs, [LatticeVector({"a1": 1})], [Color("D", ["a1"], Functional._of_twice((t,)))]
+        )
+        assert loads(dumps(system)).colors[0].phi.twice == (t,)
 
 
 class TestParseErrors:
@@ -248,7 +272,7 @@ class TestEveryParseError:
             ),
             (
                 _a1_doc(colors=[_color(phi=["0.1"])]),
-                "colors[0] (D).phi[0]: denominator of '0.1' must divide 2",
+                "colors[0] (D).phi[0]: cannot parse rational '0.1'",
             ),
         ],
     )
@@ -256,6 +280,48 @@ class TestEveryParseError:
         with pytest.raises(DocumentError) as info:
             document_to_system(doc)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ("0.5", "cannot parse rational '0.5'"),
+            ("6/4", "denominator of '6/4' must divide 2"),
+            (" 3/2", "cannot parse rational ' 3/2'"),
+            ("1e0", "cannot parse rational '1e0'"),
+            ("-0.5e1", "cannot parse rational '-0.5e1'"),
+            ("3", "cannot parse rational '3'"),
+            ("+1/2", "cannot parse rational '+1/2'"),
+            ("1_0/2", "cannot parse rational '1_0/2'"),
+            ("\u0661/2", "cannot parse rational '\u0661/2'"),
+            ("2/4", "denominator of '2/4' must divide 2"),
+            ("1/0", "cannot parse rational '1/0'"),
+            ("3/2\n", "cannot parse rational '3/2\\n'"),
+            ("1/02", "cannot parse rational '1/02'"),
+            ("7" * 5000 + "/2", f"cannot parse rational '{'7' * 5000}/2'"),
+        ],
+        ids=[
+            "decimal", "six-quarters", "leading-space", "exponent", "negative-exponent",
+            "bare-int-string", "plus-sign", "underscore", "arabic-indic-digit", "two-quarters",
+            "zero-denominator", "trailing-newline", "zero-padded-denominator", "5000-digits",
+        ],
+    )
+    def test_phi_spelling_message(self, raw, message):
+        # Through the JSON text, so non-ASCII digits arrive as loads reads them.
+        with pytest.raises(DocumentError) as info:
+            loads(json.dumps(_a1_doc(colors=[_color(phi=[raw])])))
+        assert str(info.value) == f"colors[0] (D).phi[0]: {message}"
+
+    def test_repeated_moved_by_label(self):
+        doc = _a1_doc(colors=[_color(moved_by=["a1", "a1"])])
+        with pytest.raises(DocumentError) as info:
+            loads(json.dumps(doc))
+        assert str(info.value) == "colors[0] (D): moved_by lists 'a1' twice"
+
+    def test_unknown_label_before_a_repeat(self):
+        doc = _a1_doc(colors=[_color(moved_by=["a1", "a7", "a1"])])
+        with pytest.raises(DocumentError) as info:
+            document_to_system(doc)
+        assert str(info.value) == "colors[0] (D): unknown label 'a7'"
 
     def test_encoding_a_third_is_refused(self):
         from fractions import Fraction
