@@ -9,7 +9,8 @@ A root system has total rank at most MAX_RANK.
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import attrgetter
+from itertools import compress
+from operator import add, attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 # Largest total rank a root system may have.  Construction allocates an
@@ -75,7 +76,8 @@ class LatticeVector(Record):
     Zero coefficients are dropped on construction; equality and hashing
     are coefficient-wise.  Every coefficient must be an `int` (not a bool):
     anything else raises ValueError rather than being rounded.  Like every
-    `Record`, a vector cannot be changed once built.
+    `Record`, a vector cannot be changed once built.  Arithmetic on vectors
+    builds its result through `_of_ints`, since the operands were checked.
     """
 
     __slots__ = ("_coeffs",)
@@ -86,6 +88,18 @@ class LatticeVector(Record):
             if type(v) is not int:
                 raise ValueError(f"coefficient of {k!r} is not an int: {v!r}")
         _set(self, "_coeffs", {k: v for k, v in coeffs.items() if v})
+
+    @classmethod
+    def _of_ints(cls, coeffs: dict) -> "LatticeVector":
+        """The vector with these int coefficients, taken as they are but for zeros.
+
+        The dict becomes the vector's own; nothing is copied or checked.
+        """
+        v = object.__new__(cls)
+        if 0 in coeffs.values():
+            coeffs = {k: c for k, c in coeffs.items() if c}
+        _set(v, "_coeffs", coeffs)
+        return v
 
     def coeff(self, label: str) -> int:
         return self._coeffs.get(label, 0)
@@ -104,16 +118,18 @@ class LatticeVector(Record):
         merged = dict(self._coeffs)
         for k, v in other._coeffs.items():
             merged[k] = merged.get(k, 0) + v
-        return LatticeVector(merged)
+        return LatticeVector._of_ints(merged)
 
     def __sub__(self, other: "LatticeVector") -> "LatticeVector":
         return self + (-other)
 
     def __neg__(self) -> "LatticeVector":
-        return LatticeVector({k: -v for k, v in self._coeffs.items()})
+        return LatticeVector._of_ints({k: -v for k, v in self._coeffs.items()})
 
     def __mul__(self, n: int) -> "LatticeVector":
-        return LatticeVector({k: n * v for k, v in self._coeffs.items()})
+        if type(n) is not int:
+            raise ValueError(f"factor is not an int: {n!r}")
+        return LatticeVector._of_ints({k: n * v for k, v in self._coeffs.items()})
 
     __rmul__ = __mul__
 
@@ -121,7 +137,7 @@ class LatticeVector(Record):
         """Return self/2 if it stays integral, else None."""
         if any(v % 2 for v in self._coeffs.values()):
             return None
-        return LatticeVector({k: v // 2 for k, v in self._coeffs.items()})
+        return LatticeVector._of_ints({k: v // 2 for k, v in self._coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeVector) and self._coeffs == other._coeffs
@@ -348,13 +364,15 @@ class RootSystem:
 
     def simple_root(self, label: str) -> LatticeVector:
         self.index(label)
-        return LatticeVector({label: 1})
+        return LatticeVector._of_ints({label: 1})
 
     def as_simple_label(self, v: LatticeVector) -> Optional[str]:
         """Label of v if v is a simple root of this system, else None."""
-        items = list(v.items())
-        if len(items) == 1 and items[0][1] == 1 and items[0][0] in self._index:
-            return items[0][0]
+        coeffs = v._coeffs
+        if len(coeffs) == 1:
+            ((label, c),) = coeffs.items()
+            if c == 1 and label in self._index:
+                return label
         return None
 
     def form(self, v: LatticeVector, w: LatticeVector) -> int:
@@ -507,53 +525,65 @@ def _recognize(block: list, labels: list) -> Component:
     return Component(series, k, tuple(labels[i] for i in order))
 
 
-def _component_positive_roots(block: Sequence[Sequence[int]]) -> set:
-    """Positive roots of one simple component as coefficient tuples.
+def _component_positive_roots(block: Sequence[Sequence[int]]) -> list:
+    """Positive roots of one simple component, each packed into an int key.
 
-    Root-string closure, one height at a time: beta + alpha_i is a root
-    exactly when q > <beta, alpha_i^vee>, where q counts how far the
-    alpha_i-string through beta reaches down; the string is followed only
-    as far as that comparison needs.
+    Root-string closure, one height at a time (Humphreys, Introduction to Lie
+    Algebras and Representation Theory, 9.4 and 10.2): beta + alpha_i is a root
+    exactly when q_i > <beta, alpha_i^vee>, where q_i counts how far the
+    alpha_i-string through beta reaches down.  Each root carries both
+    numbers for every i, so nothing is summed again: beta + alpha_i pairs
+    as beta plus column i of the Cartan block, and its q_j is one more than
+    the q_j of beta + alpha_i - alpha_j when that is a root, else 0.
+
+    A key holds coefficient j of the root in byte j, so adding alpha_i is
+    adding one int and `int.to_bytes` reads the coefficients back.  A byte
+    is wide enough: no coefficient of a positive root exceeds 6 (the highest
+    root of E8).  A key minus alpha_j where the coefficient of j is 0
+    borrows, leaving a byte of 255 or a negative int, which is no root's key.
+    The pairing and string records live only while the closure runs.
     """
     k = len(block)
-    layer = {tuple(int(i == j) for j in range(k)) for i in range(k)}
-    roots = set(layer)
+    unit = [1 << (8 * i) for i in range(k)]
+    column = [tuple(row[i] for row in block) for i in range(k)]
+    span = range(k)
+    # key -> (pairings <beta, alpha_j^vee>, string depths q_j), over every j
+    layer = {unit[i]: (column[i], (0,) * k) for i in span}
+    roots = dict(layer)
     while layer:
-        above = set()
-        for beta in layer:
-            for i, row in enumerate(block):
-                pairing = sum(c * x for c, x in zip(row, beta))
-                q = 0
-                down = list(beta)
-                while q <= pairing:
-                    down[i] -= 1
-                    if tuple(down) not in roots:
-                        break
-                    q += 1
-                if q > pairing:
-                    up = list(beta)
-                    up[i] += 1
-                    above.add(tuple(up))
-        roots |= above
+        above = {}
+        for key, (pairing, depth) in layer.items():
+            for i in span:
+                if depth[i] > pairing[i]:
+                    up = key + unit[i]
+                    if up not in above:
+                        up_depth = [0] * k
+                        for j in span:
+                            below = roots.get(up - unit[j])
+                            if below is not None:
+                                up_depth[j] = below[1][j] + 1
+                        above[up] = (tuple(map(add, pairing, column[i])), up_depth)
+        roots.update(above)
         layer = above
-    return roots
+    return list(roots)
 
 
 def positive_roots(rs: RootSystem) -> frozenset:
     """All positive roots, generated by root-string closure from the simple ones.
 
     Every root lies in one simple component, so the closure runs per
-    component on integer tuples over its Cartan block; the tuples become
-    LatticeVector only at the end.
+    component on packed int keys over its Cartan block, each root carrying
+    its coroot pairings and string depths; the keys become LatticeVector
+    only at the end, one component at a time.
     """
     out = []
     offset = 0
     for comp in rs.components:
         end = offset + comp.rank
         block = [row[offset:end] for row in rs._cartan[offset:end]]
-        out.extend(
-            LatticeVector(zip(comp.labels, beta))
-            for beta in _component_positive_roots(block)
-        )
+        labels = comp.labels
+        for key in _component_positive_roots(block):
+            coeffs = key.to_bytes(comp.rank, "little")
+            out.append(LatticeVector._of_ints(dict(compress(zip(labels, coeffs), coeffs))))
         offset = end
     return frozenset(out)

@@ -116,10 +116,10 @@ def document_to_system(doc: Any) -> SphericalSystem:
         for lab, v in raw["coeffs"].items():
             if lab not in rs:
                 raise DocumentError(f"spherical_roots[{k}]: unknown label {lab!r}")
-            if not isinstance(v, int) or isinstance(v, bool):
+            if type(v) is not int:
                 raise DocumentError(f"spherical_roots[{k}]: coefficient of {lab!r} not an integer")
             coeffs[lab] = v
-        psi.append(LatticeVector(coeffs))
+        psi.append(LatticeVector._of_ints(coeffs))
 
     colors: List[Color] = []
     ids = set()

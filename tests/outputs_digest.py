@@ -5,10 +5,11 @@ Run from the repository root with the package under test on the path:
     PYTHONPATH=src python3 tests/outputs_digest.py
 
 It prints the number of results and one SHA-256 over all of them, in a fixed
-order: violation texts, distinguished witnesses, critical entries (critical
-and oracle, with `failing_subset`), `dumps`, DOT for ranks 0-12, and the CLI's
-exit code, stdout and stderr for every verb in both formats on every catalog
-entry, on generated documents and on malformed-JSON files.  The inputs are
+order: violation texts, positive roots, distinguished witnesses, critical
+entries (critical and oracle, with `failing_subset`), `dumps`, DOT for ranks
+0-12, and the CLI's exit code, stdout and stderr for every verb in both
+formats on every catalog entry, on generated documents and on malformed-JSON
+files.  The inputs are
 the catalog, `random_systems(5, 600, 8)`, the mutation cases and the
 benchmark corpora for seeds 301-302 (read from `perfbench/corpus.py`).  It
 uses only long-standing public API, so it runs unchanged against an older
@@ -37,6 +38,7 @@ from wondersys import (  # noqa: E402
     emit_graph,
     loads,
     poset_of_rank,
+    positive_roots,
     validate_system,
 )
 from wondersys.catalog import catalog_entries  # noqa: E402
@@ -103,6 +105,7 @@ def _entries(report) -> list:
 def _system_results(system):
     report = validate_system(system)
     yield "violations", [str(v) for v in report.violations]
+    yield "positive_roots", sorted(map(str, positive_roots(system.rs)))
     try:
         yield "dumps", dumps(system)
     except ValueError as exc:

@@ -397,3 +397,165 @@ class TestPositiveRoots:
         ours = positive_roots(rs)
         assert ours == reflection_positive_roots(rs)
         assert len(ours) == formula_count(rs)
+
+
+class TestVectorArithmetic:
+    @pytest.mark.parametrize("factor", [Fraction(1, 2), Fraction(2), True, False, 2.0, "2"])
+    def test_scaling_by_a_non_int_rejected(self, factor):
+        for v in (lv(a1=2, a2=-1), LatticeVector()):
+            with pytest.raises(ValueError, match="factor"):
+                v * factor
+            with pytest.raises(ValueError, match="factor"):
+                factor * v
+
+    @given(st.dictionaries(st.sampled_from(["a1", "a2", "a3", "a4"]), st.integers(-9, 9)))
+    def test_sum_with_negation_is_the_zero_vector(self, coeffs):
+        x = LatticeVector(coeffs)
+        for zero in (x + (-x), x - x, 0 * x, x * 0):
+            assert zero == LatticeVector() and hash(zero) == hash(LatticeVector())
+            assert zero.is_zero() and str(zero) == "0"
+
+    @given(
+        st.dictionaries(st.sampled_from(["a1", "a2", "a3"]), st.integers(-5, 5)),
+        st.dictionaries(st.sampled_from(["a2", "a3", "a4"]), st.integers(-5, 5)),
+        st.integers(-3, 3),
+    )
+    def test_results_equal_vectors_built_from_their_coefficients(self, xs, ys, n):
+        x, y = LatticeVector(xs), LatticeVector(ys)
+        labels = set(xs) | set(ys)
+        expected = {
+            "+": {a: xs.get(a, 0) + ys.get(a, 0) for a in labels},
+            "-": {a: xs.get(a, 0) - ys.get(a, 0) for a in labels},
+            "neg": {a: -c for a, c in xs.items()},
+            "*": {a: n * c for a, c in xs.items()},
+            "half": xs,
+        }
+        got = {"+": x + y, "-": x - y, "neg": -x, "*": x * n, "half": (2 * x).halved()}
+        for op, v in got.items():
+            assert v == LatticeVector(expected[op]), op
+            assert hash(v) == hash(LatticeVector(expected[op])), op
+            assert all(type(c) is int and c for _, c in v.items()), op
+        assert n * x == x * n
+
+    def test_halved(self):
+        assert lv(a1=2, a2=-4).halved() == lv(a1=1, a2=-2)
+        assert lv(a1=2, a2=3).halved() is None
+        assert LatticeVector().halved() == LatticeVector()
+
+    def test_results_refuse_assignment(self):
+        rs = build_root_system([("B", 3)])
+        x, y = lv(a1=2, a2=-1), lv(a2=1, a3=4)
+        results = [x + y, x - y, -x, 3 * x, x * 3, (2 * x).halved(),
+                   rs.simple_root("a2"), *positive_roots(rs)]
+        for v in results:
+            before = v._coeffs
+            with pytest.raises(AttributeError):
+                v._coeffs = {"a1": 0.5}
+            with pytest.raises(AttributeError):
+                del v._coeffs
+            with pytest.raises(AttributeError):
+                v.extra = 1
+            assert v._coeffs is before
+
+
+def _simple_label_by_sorted_items(rs, v):
+    items = list(v.items())
+    if len(items) == 1 and items[0][1] == 1 and items[0][0] in rs:
+        return items[0][0]
+    return None
+
+
+class TestAsSimpleLabel:
+    RS = build_root_system([("A", 3)])
+
+    @pytest.mark.parametrize(
+        "coeffs,label",
+        [
+            ({"a2": 1}, "a2"),
+            ({"a3": 1}, "a3"),
+            ({"a2": 2}, None),
+            ({"a2": -1}, None),
+            ({"a1": 1, "a2": 1}, None),
+            ({}, None),
+            ({"a9": 1}, None),
+            ({"b": 1}, None),
+        ],
+    )
+    def test_examples(self, coeffs, label):
+        assert self.RS.as_simple_label(LatticeVector(coeffs)) == label
+
+    @given(st.dictionaries(st.sampled_from(["a1", "a2", "a3", "a4", "x"]), st.integers(-2, 2)))
+    def test_same_as_reading_sorted_items(self, coeffs):
+        v = LatticeVector(coeffs)
+        assert self.RS.as_simple_label(v) == _simple_label_by_sorted_items(self.RS, v)
+
+
+# Every series at each rank the reflection oracle closes in well under a second.
+SERIES_SPECS = (
+    [("A", n) for n in range(1, 11)]
+    + [("B", n) for n in range(2, 11)]
+    + [("C", n) for n in range(3, 11)]
+    + [("D", n) for n in range(4, 11)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def _highest_root(series, n):
+    """The highest root of a component built with labels a1..an, by coefficient."""
+    if series == "A":
+        coeffs = [1] * n
+    elif series == "B":
+        coeffs = [1] + [2] * (n - 1)
+    elif series == "C":
+        coeffs = [2] * (n - 1) + [1]
+    elif series == "D":
+        coeffs = [1] + [2] * (n - 3) + [1, 1]
+    else:
+        coeffs = {"E8": [2, 3, 4, 6, 5, 4, 3, 2], "F4": [2, 3, 4, 2], "G2": [2, 3]}[f"{series}{n}"]
+    return LatticeVector({f"a{i + 1}": c for i, c in enumerate(coeffs)})
+
+
+def _height(v):
+    return sum(c for _, c in v.items())
+
+
+class TestPositiveRootsEverySeries:
+    @pytest.mark.parametrize("series,rank", SERIES_SPECS, ids=lambda x: str(x))
+    def test_against_reflection_oracle(self, series, rank):
+        rs = build_root_system([(series, rank)])
+        ours = positive_roots(rs)
+        assert ours == reflection_positive_roots(rs)
+        assert len(ours) == formula_count(rs)
+
+    def test_exceptional_components_with_interleaved_labels(self):
+        rs = RootSystem(
+            [
+                Component("E", 8, ("a14", "a2", "a9", "a5", "a11", "a7", "a1", "a12")),
+                Component("F", 4, ("a3", "a13", "a6", "a10")),
+                Component("G", 2, ("a8", "a4")),
+            ]
+        )
+        ours = positive_roots(rs)
+        assert ours == reflection_positive_roots(rs)
+        assert len(ours) == formula_count(rs) == 150
+
+    @pytest.mark.parametrize("series", ["A", "B", "C", "D"])
+    def test_count_at_max_rank(self, series):
+        rs = build_root_system([(series, MAX_RANK)])
+        ours = positive_roots(rs)
+        assert len(ours) == formula_count(rs)
+        assert _highest_root(series, MAX_RANK) in ours
+        assert all(c > 0 for v in ours for _, c in v.items())
+
+    @pytest.mark.parametrize("series,rank", [("E", 8), ("F", 4), ("G", 2)])
+    def test_highest_root_present(self, series, rank):
+        ours = positive_roots(build_root_system([(series, rank)]))
+        top = _highest_root(series, rank)
+        assert [v for v in ours if _height(v) >= _height(top)] == [top]
+
+    @pytest.mark.parametrize(
+        "series,rank", [s for s in SERIES_SPECS if s[0] != "E"] + [("E", 8)], ids=lambda x: str(x)
+    )
+    def test_highest_root_matches_oracle(self, series, rank):
+        oracle = reflection_positive_roots(build_root_system([(series, rank)]))
+        assert max(oracle, key=_height) == _highest_root(series, rank)

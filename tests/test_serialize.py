@@ -332,3 +332,26 @@ class TestEveryParseError:
         # to the encoder.
         with pytest.raises(ValueError, match="value 0 .* Fraction\\(1, 3\\)"):
             Functional([Fraction(1, 3)])
+
+
+class _Int(int):
+    pass
+
+
+@pytest.mark.parametrize("value", [_Int(1), True])
+def test_spherical_root_coefficient_must_be_a_plain_int(value):
+    # The reader builds each spherical root without checking it again, so a
+    # coefficient that is an int subclass stops at the document boundary.
+    doc = _a1_doc(spherical_roots=[{"coeffs": {"a1": value}}])
+    with pytest.raises(DocumentError) as info:
+        document_to_system(doc)
+    assert str(info.value) == "spherical_roots[0]: coefficient of 'a1' not an integer"
+
+
+def test_spherical_roots_are_plain_int_vectors():
+    doc = _a1_doc(
+        root_system={"components": [{"series": "A", "rank": 2}]},
+        spherical_roots=[{"coeffs": {"a1": 2, "a2": 0}}],
+    )
+    (sigma,) = document_to_system(doc).psi
+    assert sigma == LatticeVector({"a1": 2}) and sigma._coeffs == {"a1": 2}
