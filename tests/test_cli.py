@@ -256,6 +256,33 @@ class TestOrbits:
         assert "rank 17 exceeds the limit 16" in payload["error"]
         assert not dot.exists()
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dot_into_a_missing_directory_exits_two(self, tmp_path, capsys, fmt):
+        dot = tmp_path / "missing" / "poset.dot"
+        assert _run(fmt, ["orbits", "group-a1a1", "--dot", str(dot)], capsys) == (
+            2,
+            f"cannot write {dot}: [Errno 2] No such file or directory: '{dot}'",
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_dot_at_a_directory_exits_two(self, tmp_path, capsys, fmt):
+        assert _run(fmt, ["orbits", "group-a1a1", "--dot", str(tmp_path)], capsys) == (
+            2,
+            f"cannot write {tmp_path}: [Errno 21] Is a directory: '{tmp_path}'",
+        )
+
+    def test_rank_twelve_counts_and_dot(self, tmp_path, capsys):
+        path = tmp_path / "rank12.json"
+        path.write_text(dumps(direct_sum([group_compactification_a1a1()] * 6)))
+        dot = tmp_path / "poset.dot"
+        assert main(["--format", "json", "orbits", str(path), "--dot", str(dot)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["rank"], payload["nodes"], payload["edges"]) == (12, 4096, 24576)
+        assert payload["dot_path"] == str(dot)
+        lines = dot.read_text().splitlines()
+        assert sum("[boundary_rank=" in line for line in lines) == 4096
+        assert sum(" -> " in line for line in lines) == 24576
+
 
 class TestCatalogVerb:
     def test_list(self, capsys):

@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import re
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from wondersys import emit_graph, orbit_poset, poset_of_rank
+from wondersys import OrbitPoset, emit_graph, orbit_poset, poset_of_rank
 from wondersys.catalog import catalog_entry
 from wondersys.orbits import MAX_ORBIT_RANK
 
+from orbitoracle import oracle_dot, oracle_poset
+
 GOLDEN = Path(__file__).parent / "data" / "orbit_r2.dot"
+NODE_LINE = re.compile(r'  "(\{[^"]*\})" \[boundary_rank=(\d+)\];')
 
 
 class TestOrbitPoset:
@@ -70,3 +75,72 @@ class TestEmitGraph:
         a = emit_graph(poset_of_rank(4))
         b = emit_graph(poset_of_rank(4))
         assert a == b
+
+    @pytest.mark.parametrize(
+        "rank, message",
+        [
+            (17, "orbit poset rank 17 exceeds the limit 16"),
+            (-1, "orbit poset rank -1 is negative"),
+        ],
+    )
+    def test_rank_is_checked_before_anything_is_built(self, rank, message):
+        # emit_graph reads only the rank, so a hand-built poset with empty
+        # nodes and edges must still be refused; a rank-17 label table alone
+        # would take megabytes.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                emit_graph(OrbitPoset(rank, (), ()))
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                poset_of_rank(rank)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
+
+    def test_reads_only_the_rank(self):
+        assert emit_graph(OrbitPoset(3, (), ())) == emit_graph(poset_of_rank(3))
+
+    def test_rank_fourteen_order_by_sorting_parsed_lines(self):
+        # Checks the documented order by sorting what the DOT says, without the
+        # oracle: nodes by (size, label text), edges by (source position, target
+        # label text), every edge a cover and every cover present once.
+        r = 14
+        lines = emit_graph(poset_of_rank(r)).splitlines()
+        assert lines[0] == "digraph orbits {" and lines[-1] == "}"
+        node_lines, edge_lines = lines[1 : 1 + 2**r], lines[1 + 2**r : -1]
+        assert len(edge_lines) == r * 2 ** (r - 1)
+
+        bit = {f"s{i + 1}": 1 << i for i in range(r)}
+        nodes, mask = [], {}
+        for line in node_lines:
+            label, boundary = NODE_LINE.fullmatch(line).groups()
+            parts = label[1:-1].split(",") if label != "{}" else []
+            assert parts == sorted(parts) and int(boundary) == r - len(parts)
+            nodes.append((len(parts), label))
+            mask[label] = sum(bit[name] for name in parts)
+        assert nodes == sorted(nodes) and len(set(mask.values())) == 2**r
+
+        assert all(line[:3] == '  "' and line[-2:] == '";' for line in edge_lines)
+        pairs = [line[3:-2].split('" -> "') for line in edge_lines]
+        # t covers s exactly when t > s and they differ in one bit.
+        covers = [(mask[source], mask[target]) for source, target in pairs]
+        assert all(t > s and (t ^ s).bit_count() == 1 for s, t in covers)
+        position = {label: i for i, (_, label) in enumerate(nodes)}
+        edges = [(position[source], target) for source, target in pairs]
+        assert edges == sorted(edges) and len(set(edges)) == len(edges)
+
+
+class TestAgainstOracle:
+    @pytest.mark.parametrize("r", range(13))
+    def test_poset_in_order_and_dot_byte_identical(self, r):
+        p, q = poset_of_rank(r), oracle_poset(r)
+        assert p == q and hash(p) == hash(q)
+        assert p.nodes == q.nodes and p.edges == q.edges
+        assert emit_graph(p) == oracle_dot(q)
+
+    def test_edges_reuse_the_node_objects(self):
+        p = poset_of_rank(8)
+        ids = {id(n) for n in p.nodes}
+        assert all(id(a) in ids and id(b) in ids for a, b in p.edges)
+
