@@ -25,7 +25,6 @@ from .rootlat import (
     cartan_integer,
     detect_subdiagram_type,
     positive_roots,
-    restricted_coroot,
 )
 from .serialize import (
     DocumentError,
@@ -79,7 +78,6 @@ __all__ = [
     "orbit_poset",
     "poset_of_rank",
     "positive_roots",
-    "restricted_coroot",
     "spherical_lattice_rank",
     "system_to_document",
     "type_a_roots",

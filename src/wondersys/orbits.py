@@ -42,6 +42,8 @@ class OrbitPoset(Record):
 
 
 def _check_rank(rank: int) -> None:
+    if type(rank) is not int:
+        raise ValueError(f"orbit poset rank {rank!r} is not an int")
     if rank < 0:
         raise ValueError(f"orbit poset rank {rank} is negative")
     if rank > MAX_ORBIT_RANK:
@@ -52,7 +54,8 @@ def poset_of_rank(rank: int) -> OrbitPoset:
     """Nodes by size, then in `itertools.combinations` order; edges by
     source node, then by the index of the root added.  Each node is built
     once, and every edge reuses the node objects.  Raises ValueError for a
-    negative rank or one above MAX_ORBIT_RANK, before anything is built."""
+    rank that is not an int (a bool included), is negative or is above
+    MAX_ORBIT_RANK, before anything is built."""
     _check_rank(rank)
     # by_mask[m] is the node of the roots whose bits are set in m.
     by_mask = [frozenset()]

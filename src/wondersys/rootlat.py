@@ -317,8 +317,12 @@ class RootSystem:
     The Cartan matrix a_ij = <alpha_i^vee, alpha_j> is kept as integer rows,
     and with it d_i = |alpha_i|^2 / 2, which is 1, 2 or 3.  The invariant form
     on simple roots is (alpha_i, alpha_j) = d_i a_ij, so no Gram matrix is
-    stored.  The total rank may not exceed MAX_RANK.  Immutable after
-    construction; safe for concurrent use.
+    stored.  Alongside the rows the constructor indexes each column by its
+    nonzero entries: `column(b)` is the pairs (i, a_ib) with a_ib != 0, read
+    off b's own component block, so pairing every coroot with a vector costs
+    its support times the few neighbours of each label.  The total rank may
+    not exceed MAX_RANK.  Immutable after construction; safe for concurrent
+    use.
     """
 
     def __init__(self, components: Sequence[Component]):
@@ -334,6 +338,7 @@ class RootSystem:
         self._index = {lab: i for i, lab in enumerate(self.simple_roots)}
         rows: list = []
         half_lengths: list = []
+        columns = {}
         offset = 0
         for comp in self.components:
             if len(comp.labels) != comp.rank:
@@ -342,9 +347,14 @@ class RootSystem:
             left, right = (0,) * offset, (0,) * (n - offset - comp.rank)
             rows.extend(left + tuple(row) + right for row in cmat)
             half_lengths.extend(length // 2 for length in lens)
+            for c, label in enumerate(comp.labels):
+                columns[label] = tuple(
+                    (offset + r, row[c]) for r, row in enumerate(cmat) if row[c]
+                )
             offset += comp.rank
         self._cartan = tuple(rows)
         self._d: Tuple[int, ...] = tuple(half_lengths)
+        self._columns = columns
 
     @property
     def rank(self) -> int:
@@ -358,6 +368,14 @@ class RootSystem:
 
     def __contains__(self, label: str) -> bool:
         return label in self._index
+
+    def column(self, label: str) -> Tuple[Tuple[int, int], ...]:
+        """The nonzero entries (i, a_ib) of the Cartan column of b = label,
+        i ascending."""
+        try:
+            return self._columns[label]
+        except KeyError:
+            raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
     def cartan_entry(self, a: str, b: str) -> int:
         return self._cartan[self.index(a)][self.index(b)]
@@ -420,11 +438,6 @@ def cartan_integer(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
     """The pairing of the coroot of alpha with lam, an exact integer."""
     row = rs._cartan[rs.index(alpha)]
     return sum(v * row[rs.index(b)] for b, v in lam._coeffs.items())
-
-
-def restricted_coroot(rs: RootSystem, alpha: str, psi: Sequence[LatticeVector]) -> Functional:
-    """The coroot of alpha as a functional on the span of psi."""
-    return Functional(cartan_integer(rs, alpha, sigma) for sigma in psi)
 
 
 def detect_subdiagram_type(rs: RootSystem, sigma: Iterable[str]) -> list:

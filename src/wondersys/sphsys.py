@@ -10,14 +10,21 @@ Validation checks the base property and the three color axioms; every
 violation is collected with a witness, nothing is thrown.
 
 Each system indexes its colors by the simple roots moving them once, on
-construction.  `validate_system` computes the restricted coroot of every
-simple root once and hands that table to the checks; the pairwise P3 check
-compares color ids.  Localization builds systems that are never
-validated, so only validation pays for the coroot table.
+construction.  `validate_system` first builds the coroot table, the value
+of every simple root's restricted coroot on every spherical root, by
+walking the Cartan matrix's nonzero entries: each coefficient v of b in a
+spherical root adds v * a_ib to row i for the few i in `RootSystem.column(b)`.
+The checks read that table.  The BASE form is read off it too, since
+(sigma, tau) is the sum over a in the support of sigma of
+sigma_a * d_a * <alpha_a^vee, tau>.  P3 visits only the pairs of simple
+roots that can break it: those moved by colors with one id, and type-d
+roots with equal restricted coroots.  Localization builds systems that are
+never validated, so only validation pays for the coroot table.
 """
 from __future__ import annotations
 
-from fractions import Fraction
+from itertools import chain, combinations
+from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .rootlat import (
@@ -26,7 +33,6 @@ from .rootlat import (
     Record,
     RootSystem,
     _set,
-    cartan_integer,
     half_text,
 )
 
@@ -173,14 +179,30 @@ def spherical_lattice_rank(system: SphericalSystem) -> int:
 
 def coroot_table(system: SphericalSystem) -> Dict[str, Tuple[int, ...]]:
     """The values of every simple root's restricted coroot on the spherical
-    roots, as integers, keyed in simple-root order."""
-    return {
-        lab: tuple(cartan_integer(system.rs, lab, sigma) for sigma in system.psi)
-        for lab in system.rs.simple_roots
-    }
+    roots, as integers, keyed in simple-root order.
+
+    Built along the nonzero Cartan entries of each spherical root's support;
+    a label outside the root system raises RootSystemError.
+    """
+    rs = system.rs
+    rows = [[0] * len(system.psi) for _ in rs.simple_roots]
+    for j, sigma in enumerate(system.psi):
+        for b, v in sigma._coeffs.items():
+            for i, a in rs.column(b):
+                rows[i][j] += v * a
+    return dict(zip(rs.simple_roots, map(tuple, rows)))
 
 
-def _check_base(system: SphericalSystem, out: List[Violation]) -> None:
+def _ratio_text(num: int, den: int) -> str:
+    """num/den in lowest terms, den > 0, as `Fraction` prints it: "p" or "p/q"."""
+    g = gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
+
+
+def _check_base(
+    system: SphericalSystem, coroots: Dict[str, Tuple[int, ...]], out: List[Violation]
+) -> None:
     seen = set()
     for sigma in system.psi:
         if sigma in seen:
@@ -196,19 +218,24 @@ def _check_base(system: SphericalSystem, out: List[Violation]) -> None:
                 )
     # The form is integral and positive definite on the root lattice, so the
     # Cartan number 2(sigma, tau)/(sigma, sigma) is checked in integers.
+    # (sigma, tau_j) = sum over a of sigma_a * d_a * coroots[a][j].
+    rs = system.rs
     for i, sigma in enumerate(system.psi):
         if sigma.is_zero():
             continue
-        norm = system.rs.form(sigma, sigma)
+        forms = [0] * len(system.psi)
+        for a, x in sigma._coeffs.items():
+            w = x * rs._d[rs.index(a)]
+            forms = [f + w * c for f, c in zip(forms, coroots[a])]
+        norm = forms[i]
         for j, tau in enumerate(system.psi):
-            if i == j or tau == sigma:
-                continue
-            twice = 2 * system.rs.form(sigma, tau)
-            if twice % norm or twice > 0:
+            twice = 2 * forms[j]
+            # Against itself, or a duplicate of itself, sigma reads 2: skip.
+            if (twice % norm or twice > 0) and i != j and tau != sigma:
                 out.append(
                     Violation(
                         "BASE",
-                        f"Cartan number of ({sigma}, {tau}) is {Fraction(twice, norm)}, "
+                        f"Cartan number of ({sigma}, {tau}) is {_ratio_text(twice, norm)}, "
                         "not a nonpositive integer",
                     )
                 )
@@ -332,69 +359,81 @@ def _check_p3(
     ids = {
         lab: frozenset(d.id for d in system.colors_moved_by(lab)) for lab in labels
     }
-    for i, la in enumerate(labels):
+    # A pair breaks P3 only if it shares a color id, or if both roots are
+    # type d with equal restricted coroots; group the simple-root indices
+    # both ways and visit the pairs in simple-root order.
+    by_id: Dict[str, List[int]] = {}
+    by_coroot: Dict[Tuple[int, ...], List[int]] = {}
+    for i, lab in enumerate(labels):
+        for color_id in ids[lab]:
+            by_id.setdefault(color_id, []).append(i)
+        if types[lab] == TYPE_D:
+            by_coroot.setdefault(coroots[lab], []).append(i)
+    groups = chain(by_id.values(), by_coroot.values())
+    for i, j in sorted({pair for group in groups for pair in combinations(group, 2)}):
+        la, lb = labels[i], labels[j]
         da, ta = ids[la], types[la]
-        for lb in labels[i + 1 :]:
-            db, tb = ids[lb], types[lb]
-            shared = da & db
-            both_d = ta == TYPE_D and tb == TYPE_D
-            if shared:
-                if ta == TYPE_B and tb == TYPE_B:
-                    if len(shared) != 1:
-                        out.append(
-                            Violation(
-                                "P3",
-                                f"type-b roots {la}, {lb} share {len(shared)} colors, "
-                                "expected exactly 1",
-                            )
-                        )
-                elif both_d:
-                    if rs.cartan_entry(la, lb) != 0:
-                        out.append(
-                            Violation("P3", f"shared-color roots {la}, {lb} not orthogonal")
-                        )
-                    if coroots[la] != coroots[lb]:
-                        out.append(
-                            Violation(
-                                "P3",
-                                f"shared-color roots {la}, {lb} have different "
-                                "restricted coroots",
-                            )
-                        )
-                    if not _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb)):
-                        out.append(
-                            Violation(
-                                "P3",
-                                f"{la}+{lb} is neither a spherical root nor twice one",
-                            )
-                        )
-                else:
+        db, tb = ids[lb], types[lb]
+        shared = da & db
+        both_d = ta == TYPE_D and tb == TYPE_D
+        if shared:
+            if ta == TYPE_B and tb == TYPE_B:
+                if len(shared) != 1:
                     out.append(
                         Violation(
                             "P3",
-                            f"roots {la} (type {ta}) and {lb} (type {tb}) share a color",
+                            f"type-b roots {la}, {lb} share {len(shared)} colors, "
+                            "expected exactly 1",
                         )
                     )
-            if (
-                both_d
-                and da != db
-                and rs.cartan_entry(la, lb) == 0
-                and coroots[la] == coroots[lb]
-                and _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb))
-            ):
+            elif both_d:
+                if rs._cartan[i][j] != 0:
+                    out.append(
+                        Violation("P3", f"shared-color roots {la}, {lb} not orthogonal")
+                    )
+                if coroots[la] != coroots[lb]:
+                    out.append(
+                        Violation(
+                            "P3",
+                            f"shared-color roots {la}, {lb} have different "
+                            "restricted coroots",
+                        )
+                    )
+                if not _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb)):
+                    out.append(
+                        Violation(
+                            "P3",
+                            f"{la}+{lb} is neither a spherical root nor twice one",
+                        )
+                    )
+            else:
                 out.append(
                     Violation(
                         "P3",
-                        f"type-d roots {la}, {lb} satisfy the sharing conditions "
-                        "but have different color sets",
+                        f"roots {la} (type {ta}) and {lb} (type {tb}) share a color",
                     )
                 )
+        if (
+            both_d
+            and da != db
+            and rs._cartan[i][j] == 0
+            and coroots[la] == coroots[lb]
+            and _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb))
+        ):
+            out.append(
+                Violation(
+                    "P3",
+                    f"type-d roots {la}, {lb} satisfy the sharing conditions "
+                    "but have different color sets",
+                )
+            )
 
 
 def validate_system(system: SphericalSystem) -> ValidationReport:
     """Check the base property and the three color axioms, exhaustively."""
     out: List[Violation] = []
-    _check_base(system, out)
+    coroots = coroot_table(system)
+    _check_base(system, coroots, out)
     seen_ids = set()
     for d in system.colors:
         if d.id in seen_ids:
@@ -412,7 +451,6 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
             out.append(Violation("P1", f"color {d.id} is moved by no simple root"))
     if any(len(d.phi) != len(system.psi) for d in system.colors):
         return ValidationReport(tuple(out))
-    coroots = coroot_table(system)
     _check_p1(system, coroots, out)
     _check_p2(system, out)
     _check_p3(system, coroots, out)

@@ -142,3 +142,25 @@ def random_system(rng: random.Random, max_rank: int = 6) -> SphericalSystem:
 def random_systems(seed: int, count: int, max_rank: int = 6) -> List[SphericalSystem]:
     rng = random.Random(seed)
     return [random_system(rng, max_rank) for _ in range(count)]
+
+
+def wide_system(rng: random.Random, rank: int) -> SphericalSystem:
+    """A valid direct sum of primitives with exactly `rank` simple roots."""
+    parts: List[SphericalSystem] = []
+    total = 0
+    while total < rank:
+        name, builder = rng.choice(PRIMITIVES)
+        part = builder()
+        if total + part.rs.rank <= rank:
+            parts.append(part)
+            total += part.rs.rank
+    system = direct_sum(parts)
+    report = validate_system(system)
+    assert report.ok, [str(v) for v in report.violations]
+    return system
+
+
+def wide_systems(seed: int, count: int) -> List[SphericalSystem]:
+    """Valid direct sums of rank 24-48."""
+    rng = random.Random(seed)
+    return [wide_system(rng, rng.randint(24, 48)) for _ in range(count)]

@@ -18,7 +18,6 @@ from wondersys import (
     localize,
     positive_roots,
     poset_of_rank,
-    restricted_coroot,
     validate_system,
 )
 from wondersys.catalog import catalog_entries
@@ -27,6 +26,7 @@ from wondersys.cli import main
 from mutations import mutation_cases
 from randsys import random_systems
 from rootoracle import formula_count, reflection_positive_roots
+from validateoracle import restricted_coroot
 
 GOLDEN_DOT = Path(__file__).parent / "data" / "orbit_r2.dot"
 

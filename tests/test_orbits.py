@@ -51,6 +51,16 @@ class TestOrbitPoset:
         with pytest.raises(ValueError, match="^orbit poset rank -1 is negative$"):
             poset_of_rank(-1)
 
+    @pytest.mark.parametrize(
+        "rank, shown", [(True, "True"), (False, "False"), (2.0, "2.0"), ("3", "'3'"), (None, "None")]
+    )
+    def test_rank_that_is_not_an_int_is_rejected(self, rank, shown):
+        message = f"orbit poset rank {shown} is not an int"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            poset_of_rank(rank)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            emit_graph(OrbitPoset(rank, (), ()))
+
     def test_from_system(self):
         p = orbit_poset(catalog_entry("group-a1a1").system)
         assert p.rank == 2

@@ -18,13 +18,13 @@ from wondersys import (
     cartan_integer,
     detect_subdiagram_type,
     positive_roots,
-    restricted_coroot,
 )
 
 from wondersys.rootlat import MAX_RANK, component_cartan
 
 from dynkinoracle import oracle_subdiagram_type
 from rootoracle import formula_count, reflection_positive_roots
+from validateoracle import restricted_coroot
 
 
 def lv(**coeffs):
@@ -53,6 +53,16 @@ class TestBuildRootSystem:
         assert rs.form(lv(a1=1), lv(a1=1)) == 4
         assert rs.cartan_entry("a3", "a2") == -2
         assert rs.cartan_entry("a2", "a3") == -1
+
+    def test_columns_are_the_nonzero_cartan_entries(self):
+        spec = [("G", 2), ("A", 3), ("B", 4), ("C", 3), ("D", 5), ("E", 6), ("F", 4), ("A", 1)]
+        rs = build_root_system(spec)
+        labels = rs.simple_roots
+        for b in labels:
+            entries = [(i, rs.cartan_entry(a, b)) for i, a in enumerate(labels)]
+            assert rs.column(b) == tuple((i, x) for i, x in entries if x), b
+        with pytest.raises(RootSystemError, match="^unknown simple-root label 'b1'$"):
+            rs.column("b1")
 
     @pytest.mark.parametrize("series,rank", [("D", 2), ("G", 3), ("F", 3), ("E", 5), ("B", 1), ("Z", 1)])
     def test_invalid_components_rejected(self, series, rank):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import List
 
 import pytest
 
@@ -9,11 +10,11 @@ from wondersys import (
     Color,
     Functional,
     LatticeVector,
+    RootSystemError,
     SphericalSystem,
     assign_types,
     build_root_system,
     localize,
-    restricted_coroot,
     spherical_lattice_rank,
     validate_system,
 )
@@ -21,7 +22,8 @@ from wondersys.catalog import catalog_entries
 from wondersys.sphsys import coroot_table
 
 from mutations import mutation_cases
-from randsys import random_systems
+from randsys import random_systems, wide_systems
+from validateoracle import oracle_violations, restricted_coroot
 
 
 def lv(**coeffs):
@@ -232,6 +234,18 @@ class TestViolationTexts:
             "P3: type-b roots a1, a2 share 2 colors, expected exactly 1",
         ]
 
+    @pytest.mark.parametrize(
+        "psi, text",
+        [
+            ([lv(a2=1), lv(a1=1, a2=1)], "(a2, a1+a2) is 1"),
+            ([lv(a2=2), lv(a1=1, a2=2)], "(2*a2, a1+2*a2) is 3/2"),
+            ([lv(a2=2), lv(a1=1)], "(2*a2, a1) is -1/2"),
+        ],
+    )
+    def test_cartan_number_text(self, psi, text):
+        base = [v for v in _violations([("A", 2)], psi, []) if v.startswith("BASE")]
+        assert base[0] == f"BASE: Cartan number of {text}, not a nonpositive integer"
+
     def test_shared_color_type_d_roots_not_orthogonal(self):
         colors = [Color("D", frozenset({"a1", "a2"}), Functional([1]))]
         assert _violations([("A", 2)], [lv(a1=1, a2=1)], colors) == [
@@ -384,3 +398,120 @@ class TestMutations:
             report = validate_system(mutated)
             assert not report.ok, desc
             assert axiom in report.axiom_ids(), (desc, [str(v) for v in report.violations])
+
+
+def _perturbed(system: SphericalSystem, rng: random.Random) -> List[SphericalSystem]:
+    """Invalid variants of a valid system: two colors given one id, one
+    functional value moved by 1/2, one color dropped, and one spherical
+    root grown by a simple root."""
+    colors, psi = list(system.colors), list(system.psi)
+    out = []
+    if len(colors) >= 2:
+        a, b = rng.sample(range(len(colors)), 2)
+        renamed = list(colors)
+        renamed[b] = Color(colors[a].id, colors[b].moved_by, colors[b].phi)
+        out.append(SphericalSystem(system.rs, psi, renamed))
+    if colors and psi:
+        k, j = rng.randrange(len(colors)), rng.randrange(len(psi))
+        twice = list(colors[k].phi.twice)
+        twice[j] += rng.choice((-1, 1))
+        shifted = list(colors)
+        shifted[k] = Color(colors[k].id, colors[k].moved_by, Functional._of_twice(tuple(twice)))
+        out.append(SphericalSystem(system.rs, psi, shifted))
+    if colors:
+        dropped = colors[: len(colors) // 2] + colors[len(colors) // 2 + 1 :]
+        out.append(SphericalSystem(system.rs, psi, dropped))
+    if psi:
+        j = rng.randrange(len(psi))
+        grown = list(psi)
+        grown[j] = grown[j] + system.rs.simple_root(rng.choice(system.rs.simple_roots))
+        out.append(SphericalSystem(system.rs, grown, colors))
+    return out
+
+
+def _hand_built_systems() -> List[SphericalSystem]:
+    a1a1 = build_root_system([("A", 1), ("A", 1)])
+    a2 = build_root_system([("A", 2)])
+
+    def color(id, moved_by, values):
+        return Color(id, frozenset(moved_by), Functional(values))
+
+    return [
+        # Two colors with one id on different labels: orthogonal type-d
+        # roots, then adjacent ones, then a type-b root and a type-d root.
+        SphericalSystem(a1a1, [lv(a1=1, a2=1)], [color("D", ["a1"], [2]), color("D", ["a2"], [2])]),
+        SphericalSystem(a2, [lv(a1=1, a2=1)], [color("D", ["a1"], [1]), color("D", ["a2"], [1])]),
+        SphericalSystem(
+            a1a1,
+            [lv(a1=1)],
+            [color("D", ["a1"], [1]), color("E", ["a1"], [1]), color("D", ["a2"], [0])],
+        ),
+        # A zero spherical root, with and without other roots.
+        SphericalSystem(a2, [LatticeVector({})], []),
+        SphericalSystem(a2, [lv(a1=1), LatticeVector({}), lv(a2=1)], []),
+        # A negative coefficient.
+        SphericalSystem(a2, [lv(a1=1, a2=-1), lv(a1=1)], [color("D", ["a1"], [1, 1])]),
+        # Type-d roots with equal restricted coroots but separate colors,
+        # whose sum is a spherical root, then one whose sum is not.
+        SphericalSystem(a1a1, [lv(a1=1, a2=1)], [color("D1", ["a1"], [2]), color("D2", ["a2"], [2])]),
+        SphericalSystem(
+            a1a1, [lv(a1=2, a2=2)], [color("D1", ["a1"], [4]), color("D2", ["a2"], [4])]
+        ),
+    ]
+
+
+class TestValidateOracle:
+    """`validate_system` reports what the all-pairs oracle reports, in order."""
+
+    def _assert_agrees(self, systems):
+        for s in systems:
+            expected = oracle_violations(s)
+            assert list(validate_system(s).violations) == expected, s
+
+    def test_catalog_random_and_coatom_localizations(self):
+        self._assert_agrees(_systems_and_coatom_localizations())
+
+    def test_mutations(self):
+        self._assert_agrees([mutated for _, mutated, _ in mutation_cases()])
+
+    def test_wide_sums_and_their_perturbations(self):
+        rng = random.Random(5)
+        systems = wide_systems(seed=23, count=12)
+        assert min(s.rs.rank for s in systems) >= 24
+        assert max(s.rs.rank for s in systems) <= 48
+        perturbed = [p for s in systems for p in _perturbed(s, rng)]
+        assert sum(not validate_system(p).ok for p in perturbed) > len(systems)
+        self._assert_agrees(systems + perturbed)
+
+    def test_hand_built(self):
+        systems = _hand_built_systems()
+        self._assert_agrees(systems)
+        texts = [[str(v) for v in validate_system(s).violations] for s in systems]
+        assert "P1: color id D is used by more than one color" in texts[0]
+        assert "P3: shared-color roots a1, a2 not orthogonal" in texts[1]
+        assert "P3: roots a1 (type b) and a2 (type d) share a color" in texts[2]
+        assert "BASE: spherical root with empty support" in texts[3]
+        assert "BASE: negative coefficient of a2 in a1-a2" in texts[5]
+        assert texts[6] == [
+            "P3: type-d roots a1, a2 satisfy the sharing conditions "
+            "but have different color sets"
+        ]
+        # a1 + a2 is neither 2*a1+2*a2 nor twice it: nothing to share.
+        assert texts[7] == []
+
+    @pytest.mark.parametrize(
+        "psi",
+        [
+            [lv(a9=1)],
+            [LatticeVector({}), lv(a1=1), lv(a2=1, a9=1, a8=1)],
+            [lv(a1=1, b=2)],
+        ],
+    )
+    def test_unknown_label_raises_the_same_error(self, psi):
+        s = SphericalSystem(build_root_system([("A", 2)]), psi, [])
+        with pytest.raises(RootSystemError) as expected:
+            oracle_violations(s)
+        with pytest.raises(RootSystemError) as got:
+            validate_system(s)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).startswith("unknown simple-root label")
