@@ -257,8 +257,11 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
 
     Ordering follows the usual Bourbaki numbering; in B_k the short simple
     root is last, in G_2 it is the second one.  Short roots have squared
-    length 2.
+    length 2.  A rank that is not an `int` (a bool included) raises
+    RootSystemError, so every component's rank is written as a JSON number.
     """
+    if type(rank) is not int:
+        raise RootSystemError(f"invalid component {series}{rank}: rank is not an int")
     n = rank
     if series == "A" and n >= 1:
         return _chain_cartan(n), [2] * n

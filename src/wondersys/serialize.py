@@ -8,14 +8,30 @@ its doubled int: an int n gives 2n, "p/2" gives p and "p/1" gives 2p; any
 other spelling is a parsing error.  Parsing errors name the offending field
 and label; a root system of total rank above MAX_RANK, a color id used twice
 and a label listed twice in one `moved_by` are parsing errors too.
+
+`dumps` writes the document text in one pass over the system, laid out
+byte for byte as `json.dumps(system_to_document(s), indent=2,
+sort_keys=True)` would lay it out: two-space indentation, keys in string
+order (so `a10` precedes `a2` among a spherical root's coefficients),
+`moved_by` in simple-root order and `[]` or `{}` for an empty list or
+object.  Labels and numbers need no escaping; a color id, which `Color`
+requires to be a non-empty `str`, goes through json's own string escaper.
+`system_to_document` gives the same document as a dict.
 """
 from __future__ import annotations
 
 import json
 import re
+from json.encoder import encode_basestring_ascii
 from typing import Any, Dict, List
 
-from .rootlat import Functional, LatticeVector, RootSystemError, build_root_system
+from .rootlat import (
+    Functional,
+    LatticeVector,
+    RootSystemError,
+    build_root_system,
+    half_text,
+)
 from .sphsys import Color, SphericalSystem
 
 SERIES_SET = set("ABCDEFG")
@@ -160,8 +176,51 @@ def document_to_system(doc: Any) -> SphericalSystem:
     return SphericalSystem(rs, psi, colors)
 
 
+def _nest(items: List[str], pad: str, brackets: str = "[]") -> str:
+    """Written items as one indented JSON list (or, with brackets "{}", object)
+    whose closing bracket sits at indentation `pad`."""
+    if not items:
+        return brackets
+    inner = "\n" + pad + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
+
+
 def dumps(system: SphericalSystem) -> str:
-    return json.dumps(system_to_document(system), indent=2, sort_keys=True) + "\n"
+    """The document text, byte for byte what `json.dumps` writes for
+    `system_to_document(system)` with `indent=2, sort_keys=True`, plus a
+    newline."""
+    rs = system.rs
+    index = rs._index
+    names = [f'"a{i + 1}"' for i in range(len(index))]
+    colors = [
+        '{\n      "id": %s,\n      "moved_by": %s,\n      "phi": %s\n    }'
+        % (
+            encode_basestring_ascii(d.id),
+            _nest([names[i] for i in sorted([index[lab] for lab in d.moved_by])], "      "),
+            _nest([f'"{half_text(t)}"' if t % 2 else half_text(t) for t in d.phi.twice], "      "),
+        )
+        for d in system.colors
+    ]
+    components = [
+        f'{{\n        "rank": {c.rank},\n        "series": "{c.series}"\n      }}'
+        for c in rs.components
+    ]
+    roots = []
+    for sigma in system.psi:
+        coeffs = [f"{names[index[lab]]}: {v}" for lab, v in sigma._coeffs.items()]
+        # The closing quote sorts before every digit, so the entries sort as
+        # their keys do: "a1" < "a10" < "a2".
+        coeffs.sort()
+        roots.append('{\n      "coeffs": ' + _nest(coeffs, "      ", "{}") + "\n    }")
+    return (
+        '{\n  "colors": '
+        + _nest(colors, "  ")
+        + ',\n  "root_system": {\n    "components": '
+        + _nest(components, "    ")
+        + '\n  },\n  "spherical_roots": '
+        + _nest(roots, "  ")
+        + "\n}\n"
+    )
 
 
 def loads(text: str) -> SphericalSystem:

@@ -18,12 +18,12 @@ The checks read that table.  The BASE form is read off it too, since
 (sigma, tau) is the sum over a in the support of sigma of
 sigma_a * d_a * <alpha_a^vee, tau>.  P3 visits only the pairs of simple
 roots that can break it: those moved by colors with one id, and type-d
-roots with equal restricted coroots.  Localization builds systems that are
+roots whose sum is a spherical root.  Localization builds systems that are
 never validated, so only validation pays for the coroot table.
 """
 from __future__ import annotations
 
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -41,11 +41,17 @@ TYPE_A, TYPE_B, TYPE_C, TYPE_D = "a", "b", "c", "d"
 
 class Color(Record):
     """A B-stable divisor surrogate: its id, the simple roots moving it,
-    and its functional on the spherical roots."""
+    and its functional on the spherical roots.
+
+    The id must be a non-empty `str`, as a document's id must be; anything
+    else raises ValueError, so every color can be written and read back.
+    """
 
     __slots__ = ("id", "moved_by", "phi")
 
     def __init__(self, id: str, moved_by: Iterable[str], phi: Functional):
+        if not isinstance(id, str) or not id:
+            raise ValueError(f"color id is not a non-empty str: {id!r}")
         moved_by = frozenset(moved_by)
         _set(self, "id", id)
         _set(self, "moved_by", moved_by)
@@ -360,17 +366,20 @@ def _check_p3(
         lab: frozenset(d.id for d in system.colors_moved_by(lab)) for lab in labels
     }
     # A pair breaks P3 only if it shares a color id, or if both roots are
-    # type d with equal restricted coroots; group the simple-root indices
-    # both ways and visit the pairs in simple-root order.
+    # type d and their sum is a spherical root (a sum of two simple roots is
+    # never twice one).  Collect the simple-root index pairs both ways and
+    # visit them in simple-root order.
     by_id: Dict[str, List[int]] = {}
-    by_coroot: Dict[Tuple[int, ...], List[int]] = {}
     for i, lab in enumerate(labels):
         for color_id in ids[lab]:
             by_id.setdefault(color_id, []).append(i)
-        if types[lab] == TYPE_D:
-            by_coroot.setdefault(coroots[lab], []).append(i)
-    groups = chain(by_id.values(), by_coroot.values())
-    for i, j in sorted({pair for group in groups for pair in combinations(group, 2)}):
+    pairs = {pair for group in by_id.values() for pair in combinations(group, 2)}
+    for sigma in system.psi:
+        if list(sigma._coeffs.values()) == [1, 1]:
+            i, j = sorted(map(rs.index, sigma._coeffs))
+            if types[labels[i]] == TYPE_D and types[labels[j]] == TYPE_D:
+                pairs.add((i, j))
+    for i, j in sorted(pairs):
         la, lb = labels[i], labels[j]
         da, ta = ids[la], types[la]
         db, tb = ids[lb], types[lb]

@@ -5,15 +5,17 @@ Run from the repository root with the package under test on the path:
     PYTHONPATH=src python3 tests/outputs_digest.py
 
 It prints the number of results and one SHA-256 over all of them, in a fixed
-order: violation texts, positive roots, distinguished witnesses, critical
-entries (critical and oracle, with `failing_subset`), `dumps`, DOT for ranks
-0-12, and the CLI's exit code, stdout and stderr for every verb in both
-formats on every catalog entry, on generated documents and on malformed-JSON
-files.  The inputs are
-the catalog, `random_systems(5, 600, 8)`, the mutation cases and the
-benchmark corpora for seeds 301-302 (read from `perfbench/corpus.py`).  It
-uses only long-standing public API, so it runs unchanged against an older
-`src/`.  This file is a script, not a test module.
+order: violation texts, positive roots, `dumps` of the system and of each of
+its coatom localizations, distinguished witnesses, critical entries
+(critical and oracle, with `failing_subset`), DOT for ranks 0-12, and the
+CLI's exit code, stdout and stderr for every verb in both formats on every
+catalog entry, on generated documents and on malformed-JSON files.  The
+inputs are the catalog, `random_systems(5, 600, 8)`, the mutation cases,
+the benchmark corpora for seeds 301-302 (read from `perfbench/corpus.py`)
+and the writer's edge cases (`documentoracle.writer_edge_cases`, whose
+color ids are all strings).  It uses only long-standing public API, so it
+runs unchanged against an older `src/`.  This file is a script, not a test
+module.
 """
 from __future__ import annotations
 
@@ -28,6 +30,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import corpus  # noqa: E402
+from documentoracle import writer_edge_cases  # noqa: E402
 from mutations import mutation_cases  # noqa: E402
 from randsys import random_systems  # noqa: E402
 from wondersys import (  # noqa: E402
@@ -37,6 +40,7 @@ from wondersys import (  # noqa: E402
     dumps,
     emit_graph,
     loads,
+    localize,
     poset_of_rank,
     positive_roots,
     validate_system,
@@ -87,6 +91,8 @@ def _systems():
         for make in (corpus.batch_small, corpus.wide_sums, corpus.big_components):
             for case in make(seed):
                 yield loads(case.text)
+    for _, system in writer_edge_cases():
+        yield system
 
 
 def _entries(report) -> list:
@@ -102,14 +108,21 @@ def _entries(report) -> list:
     ]
 
 
+def _dumps(system) -> str:
+    try:
+        return dumps(system)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
 def _system_results(system):
     report = validate_system(system)
     yield "violations", [str(v) for v in report.violations]
     yield "positive_roots", sorted(map(str, positive_roots(system.rs)))
-    try:
-        yield "dumps", dumps(system)
-    except ValueError as exc:
-        yield "dumps", f"{type(exc).__name__}: {exc}"
+    yield "dumps", _dumps(system)
+    labels = frozenset(system.rs.simple_roots)
+    for lab in system.rs.simple_roots:
+        yield "coatom_dumps", lab, _dumps(localize(system, labels - {lab}))
     if not report.ok:
         return
     witnesses = distinguished_elements(system).distinguished

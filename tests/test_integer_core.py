@@ -6,10 +6,13 @@ and the coroot table holds ints, so `Fraction` is needed only to read
 documents are read and the analyses run.  Validation walks the Cartan
 matrix's nonzero entries, so it calls neither `RootSystem.form` nor
 `cartan_integer`, which pair every two supports; a test counts those too.
+`dumps` writes the document text itself, so a last test counts the calls it
+makes into json's pure-Python indenting encoder.
 """
 from __future__ import annotations
 
 import json
+import json.encoder
 import sys
 from fractions import Fraction
 
@@ -108,3 +111,27 @@ def test_validation_pairs_no_supports(monkeypatch):
     s.rs.form(s.psi[0], s.psi[0])
     sys.modules["wondersys.rootlat"].cartan_integer(s.rs, s.rs.simple_roots[0], s.psi[0])
     assert calls == ["form", "cartan_integer"]
+
+
+def test_dumps_uses_no_json_encoder(monkeypatch):
+    systems = [e.system for e in catalog_entries()] + wide_systems(7, 20)
+    calls = []
+    make_iterencode = json.encoder._make_iterencode
+    iterencode = json.encoder.JSONEncoder.iterencode
+
+    def counting_make_iterencode(*args, **kwargs):
+        calls.append("_make_iterencode")
+        return make_iterencode(*args, **kwargs)
+
+    def counting_iterencode(self, *args, **kwargs):
+        calls.append("iterencode")
+        return iterencode(self, *args, **kwargs)
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", counting_make_iterencode)
+    monkeypatch.setattr(json.encoder.JSONEncoder, "iterencode", counting_iterencode)
+    texts = [dumps(s) for s in systems]
+    assert all(texts)
+    assert calls == []
+    # The counters see an indented json.dumps.
+    json.dumps({"a": [1]}, indent=2)
+    assert calls == ["iterencode", "_make_iterencode"]

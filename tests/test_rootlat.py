@@ -177,6 +177,16 @@ class TestRankLimit:
         with pytest.raises(RootSystemError, match="exceeds the limit"):
             build_root_system(spec)
 
+    @pytest.mark.parametrize("rank", [True, 2.0])
+    def test_rank_must_be_an_int(self, rank):
+        # A bool rank would be written as `true`, which no reader accepts.
+        message = f"^invalid component A{rank}: rank is not an int$"
+        with pytest.raises(RootSystemError, match=message):
+            build_root_system([("A", rank)])
+        labels = tuple(f"x{k}" for k in range(int(rank)))
+        with pytest.raises(RootSystemError, match=message):
+            RootSystem([Component("A", rank, labels)])
+
     def test_constructor_checks_limit(self):
         labels = tuple(f"x{i}" for i in range(MAX_RANK + 1))
         assert RootSystem([Component("A", MAX_RANK, labels[:-1])]).rank == MAX_RANK

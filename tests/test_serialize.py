@@ -21,7 +21,9 @@ from wondersys import (
 from wondersys.rootlat import MAX_RANK
 from wondersys.catalog import catalog_entries, catalog_entry
 
-from randsys import doubled_root_a1
+from documentoracle import oracle_dumps, writer_edge_cases
+from mutations import mutation_cases
+from randsys import doubled_root_a1, random_systems, wide_systems
 
 
 class TestRoundTrip:
@@ -57,6 +59,71 @@ class TestRoundTrip:
         doc = system_to_document(localize(s, {"a2"}))
         assert doc["spherical_roots"] == [{"coeffs": {"a1": 1}}]
         assert {c["id"] for c in doc["colors"]} == {"Dp", "D2m"}
+
+
+def _with_coatoms(systems):
+    for s in systems:
+        yield s
+        labels = frozenset(s.rs.simple_roots)
+        for lab in s.rs.simple_roots:
+            yield localize(s, labels - {lab})
+
+
+def _writer_corpus():
+    systems = [e.system for e in catalog_entries()]
+    systems += random_systems(5, 200, 8) + wide_systems(7, 20)
+    yield from _with_coatoms(systems)
+    for _, system, _ in mutation_cases():
+        yield system
+
+
+class TestWriterOracle:
+    """`dumps` writes the bytes json's encoder writes for the dict document."""
+
+    def test_corpus(self):
+        count = 0
+        for s in _writer_corpus():
+            text = dumps(s)
+            assert text == oracle_dumps(s), s
+            assert json.loads(text) == system_to_document(s), s
+            count += 1
+        assert count > 1500
+
+    @pytest.mark.parametrize(
+        "system", [pytest.param(system, id=name) for name, system in writer_edge_cases()]
+    )
+    def test_edge_case(self, system):
+        for s in _with_coatoms([system]):
+            text = dumps(s)
+            assert text == oracle_dumps(s)
+            assert json.loads(text) == system_to_document(s)
+
+    def test_edge_cases_reach_the_rare_branches(self):
+        texts = {name: dumps(system) for name, system in writer_edge_cases()}
+        assert '"components": []' in texts["empty"]
+        assert '"spherical_roots": []' in texts["no-spherical-roots"]
+        assert '"phi": []' in texts["no-spherical-roots"]
+        assert '"colors": []' in texts["no-colors"]
+        assert '"coeffs": {}' in texts["zero-root-and-unmoved-color"]
+        assert '"moved_by": []' in texts["zero-root-and-unmoved-color"]
+        rank_twelve = texts["rank-twelve"]
+        assert rank_twelve.index('"a10": 1') < rank_twelve.index('"a2": 1')
+        assert rank_twelve.index('"a2",') < rank_twelve.index('"a10",')
+        assert '"-7/2"' in texts["negative-and-half"]
+        assert '"a1": -3' in texts["negative-and-half"]
+        assert '"id": "\\ud800"' in texts["escaped-ids"]
+
+
+class TestColorIds:
+    @pytest.mark.parametrize("cid", [5, ("x", 1), "", None, b"D"])
+    def test_id_must_be_a_non_empty_str(self, cid):
+        with pytest.raises(ValueError) as info:
+            Color(cid, ["a1"], Functional([1]))
+        assert str(info.value) == f"color id is not a non-empty str: {cid!r}"
+
+    def test_escaped_ids_read_back(self):
+        system = dict(writer_edge_cases())["escaped-ids"]
+        assert loads(dumps(system)) == system
 
 
 class TestPhiValues:
