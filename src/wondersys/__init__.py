@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .catalog import CatalogEntry, catalog_entries, catalog_entry
 from .localize import localize, type_a_roots
-from .orbits import OrbitPoset, emit_graph, orbit_poset, poset_of_rank
+from .orbits import OrbitPoset, emit_graph, orbit_poset
 from .rigidity import (
     CriticalityEntry,
     CriticalityReport,
@@ -38,7 +38,6 @@ from .sphsys import (
     SphericalSystem,
     ValidationReport,
     Violation,
-    assign_types,
     spherical_lattice_rank,
     validate_system,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "SphericalSystem",
     "ValidationReport",
     "Violation",
-    "assign_types",
     "build_root_system",
     "cartan_integer",
     "catalog_entries",
@@ -76,7 +74,6 @@ __all__ = [
     "loads",
     "localize",
     "orbit_poset",
-    "poset_of_rank",
     "positive_roots",
     "spherical_lattice_rank",
     "system_to_document",

@@ -87,7 +87,9 @@ def _cmd_localize(args) -> tuple:
         sub = localize(system, _parse_subset(args.subset))
     except RootSystemError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    return EXIT_OK, dumps(sub).rstrip("\n"), {"system": system_to_document(sub)}
+    if args.format == "json":
+        return EXIT_OK, "", {"system": system_to_document(sub)}
+    return EXIT_OK, dumps(sub).rstrip("\n"), {}
 
 
 def _cmd_rigidity(args) -> tuple:
@@ -186,8 +188,9 @@ def _cmd_catalog(args) -> tuple:
         entry = catalog_entry(args.name)
     except KeyError as exc:
         raise CliError(str(exc.args[0]), EXIT_USAGE)
-    doc = system_to_document(entry.system)
-    return EXIT_OK, dumps(entry.system).rstrip("\n"), {"name": entry.name, "system": doc}
+    if args.format == "json":
+        return EXIT_OK, "", {"name": entry.name, "system": system_to_document(entry.system)}
+    return EXIT_OK, dumps(entry.system).rstrip("\n"), {}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,9 +13,9 @@ from itertools import compress
 from operator import add, attrgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
-# Largest total rank a root system may have.  Construction allocates an
-# n x n Cartan matrix, so the limit is checked before anything of size n is
-# built; it bounds what one input document can make the program allocate.
+# Largest total rank a root system may have.  It is checked before anything
+# of size n is built, a rank-k component's k x k Cartan block included; it
+# bounds what one input document can make the program allocate.
 MAX_RANK = 64
 
 
@@ -243,13 +243,17 @@ def half_text(twice: int) -> str:
     return f"{twice}/2" if twice % 2 else str(twice // 2)
 
 
-def _chain_cartan(n: int) -> list:
+def _simply_laced(n: int, edges: Iterable[Tuple[int, int]]) -> list:
     cartan = [[0] * n for _ in range(n)]
     for i in range(n):
         cartan[i][i] = 2
-    for i in range(n - 1):
-        cartan[i][i + 1] = cartan[i + 1][i] = -1
+    for i, j in edges:
+        cartan[i][j] = cartan[j][i] = -1
     return cartan
+
+
+def _chain_cartan(n: int) -> list:
+    return _simply_laced(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def component_cartan(series: str, rank: int) -> Tuple[list, list]:
@@ -274,26 +278,10 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
         cartan[n - 2][n - 1] = -2
         return cartan, [2] * (n - 1) + [4]
     if series == "D" and n >= 3:
-        cartan = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cartan[i][i] = 2
-        for i in range(n - 3):
-            cartan[i][i + 1] = cartan[i + 1][i] = -1
-        cartan[n - 3][n - 2] = cartan[n - 2][n - 3] = -1
-        cartan[n - 3][n - 1] = cartan[n - 1][n - 3] = -1
-        return cartan, [2] * n
+        return _simply_laced(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]), [2] * n
     if series == "E" and n in (6, 7, 8):
-        cartan = [[0] * n for _ in range(n)]
-        for i in range(n):
-            cartan[i][i] = 2
-        edges = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5)]
-        if n >= 7:
-            edges.append((5, 6))
-        if n == 8:
-            edges.append((6, 7))
-        for i, j in edges:
-            cartan[i][j] = cartan[j][i] = -1
-        return cartan, [2] * n
+        edges = [(0, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6), (6, 7)]
+        return _simply_laced(n, edges[: n - 1]), [2] * n
     if series == "F" and n == 4:
         cartan = _chain_cartan(4)
         cartan[2][1] = -2
@@ -317,15 +305,15 @@ class Component(Record):
 class RootSystem:
     """Semisimple root system with exact Cartan and form data.
 
-    The Cartan matrix a_ij = <alpha_i^vee, alpha_j> is kept as integer rows,
-    and with it d_i = |alpha_i|^2 / 2, which is 1, 2 or 3.  The invariant form
-    on simple roots is (alpha_i, alpha_j) = d_i a_ij, so no Gram matrix is
-    stored.  Alongside the rows the constructor indexes each column by its
-    nonzero entries: `column(b)` is the pairs (i, a_ib) with a_ib != 0, read
-    off b's own component block, so pairing every coroot with a vector costs
-    its support times the few neighbours of each label.  The total rank may
-    not exceed MAX_RANK.  Immutable after construction; safe for concurrent
-    use.
+    The Cartan matrix a_ij = <alpha_i^vee, alpha_j> is stored once, as an
+    index of its columns by their nonzero entries: `column(b)` is the pairs
+    (i, a_ib) with a_ib != 0, read off b's own component block, so every
+    column holds at most four entries and pairing a coroot with a vector
+    costs its support times the few neighbours of each label.  With it comes
+    d_i = |alpha_i|^2 / 2, which is 1, 2 or 3 (`half_norm`).  The invariant
+    form on simple roots is (alpha_i, alpha_j) = d_i a_ij, so no Gram matrix
+    is stored.  Nothing of size n x n is built.  The total rank may not
+    exceed MAX_RANK.  Immutable after construction; safe for concurrent use.
     """
 
     def __init__(self, components: Sequence[Component]):
@@ -339,7 +327,6 @@ class RootSystem:
         if len(set(self.simple_roots)) != n:
             raise RootSystemError("duplicate simple-root labels")
         self._index = {lab: i for i, lab in enumerate(self.simple_roots)}
-        rows: list = []
         half_lengths: list = []
         columns = {}
         offset = 0
@@ -347,15 +334,12 @@ class RootSystem:
             if len(comp.labels) != comp.rank:
                 raise RootSystemError("component label count mismatch")
             cmat, lens = component_cartan(comp.series, comp.rank)
-            left, right = (0,) * offset, (0,) * (n - offset - comp.rank)
-            rows.extend(left + tuple(row) + right for row in cmat)
             half_lengths.extend(length // 2 for length in lens)
             for c, label in enumerate(comp.labels):
                 columns[label] = tuple(
                     (offset + r, row[c]) for r, row in enumerate(cmat) if row[c]
                 )
             offset += comp.rank
-        self._cartan = tuple(rows)
         self._d: Tuple[int, ...] = tuple(half_lengths)
         self._columns = columns
 
@@ -381,7 +365,16 @@ class RootSystem:
             raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
     def cartan_entry(self, a: str, b: str) -> int:
-        return self._cartan[self.index(a)][self.index(b)]
+        """a_ab = <alpha_a^vee, alpha_b>, found in the column of b."""
+        i = self.index(a)
+        for r, x in self.column(b):
+            if r == i:
+                return x
+        return 0
+
+    def half_norm(self, label: str) -> int:
+        """d_a = (alpha_a, alpha_a) / 2 of the simple root a = label: 1, 2 or 3."""
+        return self._d[self.index(label)]
 
     def simple_root(self, label: str) -> LatticeVector:
         self.index(label)
@@ -399,17 +392,19 @@ class RootSystem:
     def form(self, v: LatticeVector, w: LatticeVector) -> int:
         """The invariant form (v, w) = sum_i x_i d_i sum_j a_ij y_j, an int.
 
-        Integer arithmetic over the two supports: the form is integral on
-        the root lattice.
+        Integer arithmetic along the columns of w's support: the form is
+        integral on the root lattice.
         """
         if not v._coeffs:
             return 0
-        w_terms = [(self.index(b), y) for b, y in w._coeffs.items()]
+        pairings: dict = {}  # i -> <alpha_i^vee, w>
+        for b, y in w._coeffs.items():
+            for i, a in self.column(b):
+                pairings[i] = pairings.get(i, 0) + a * y
         total = 0
         for a, x in v._coeffs.items():
             i = self.index(a)
-            row = self._cartan[i]
-            total += x * self._d[i] * sum(y * row[j] for j, y in w_terms)
+            total += x * self._d[i] * pairings.get(i, 0)
         return total
 
     def __eq__(self, other: object) -> bool:
@@ -428,7 +423,8 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
     comps = []
     next_i = 1
     for series, rank in spec:
-        if next_i - 1 + rank > MAX_RANK:
+        # component_cartan refuses a rank that is not an int, before any sum.
+        if type(rank) is int and next_i - 1 + rank > MAX_RANK:
             raise RootSystemError(f"total rank exceeds the limit {MAX_RANK}")
         component_cartan(series, rank)  # raises on invalid data
         labels = tuple(f"a{next_i + k}" for k in range(rank))
@@ -439,8 +435,8 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
 
 def cartan_integer(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
     """The pairing of the coroot of alpha with lam, an exact integer."""
-    row = rs._cartan[rs.index(alpha)]
-    return sum(v * row[rs.index(b)] for b, v in lam._coeffs.items())
+    rs.index(alpha)  # raises on an unknown label, whatever lam holds
+    return sum(v * rs.cartan_entry(alpha, b) for b, v in lam._coeffs.items())
 
 
 def detect_subdiagram_type(rs: RootSystem, sigma: Iterable[str]) -> list:
@@ -453,30 +449,42 @@ def detect_subdiagram_type(rs: RootSystem, sigma: Iterable[str]) -> list:
     the standard matrix of the first matching series in A, B, C, D, E, F, G;
     it depends only on the labels and their Cartan entries, never on the
     ambient indexing, so repeated localization is stable.  Each component is
-    recognized in O(n^2) from its node degrees, branch arms and multiple bond.
+    recognized from its node degrees, branch arms and multiple bond, read off
+    the Cartan columns of its labels, at most four entries per label.
     """
     labels = sorted(set(sigma), key=_label_key)
-    idx = [rs.index(lab) for lab in labels]
-    cartan = rs._cartan
-    n = len(labels)
-    seen = [False] * n
+    # Nodes are positions in `labels`; `at` maps an ambient index to one.
+    at = {rs.index(lab): p for p, lab in enumerate(labels)}
+    nbrs = []
+    bonds = {}  # short node -> (short, long, multiplicity) of a multiple bond
+    for q, lab in enumerate(labels):
+        near = []
+        for i, a in rs._columns[lab]:
+            # Off the diagonal every nonzero entry is negative.
+            if a < 0 and i in at:
+                p = at[i]
+                near.append(p)
+                if a < -1:
+                    bonds[p] = (p, q, -a)
+        nbrs.append(near)
+    seen = [False] * len(labels)
     out = []
-    for start in range(n):
+    for start, near in enumerate(nbrs):
         if seen[start]:
             continue
         seen[start] = True
+        if not near:
+            out.append(Component("A", 1, (labels[start],)))
+            continue
         members, stack = [start], [start]
         while stack:
-            row = cartan[idx[stack.pop()]]
-            for q in range(n):
-                if not seen[q] and row[idx[q]]:
+            for q in nbrs[stack.pop()]:
+                if not seen[q]:
                     seen[q] = True
                     members.append(q)
                     stack.append(q)
         members.sort()
-        ids = [idx[p] for p in members]
-        block = [[cartan[i][j] for j in ids] for i in ids]
-        out.append(_recognize(block, [labels[p] for p in members]))
+        out.append(_recognize(members, nbrs, bonds, labels))
     return out
 
 
@@ -491,22 +499,15 @@ def _walk(nbrs: list, prev: Optional[int], cur: int) -> list:
         path.append(cur)
 
 
-def _recognize(block: list, labels: list) -> Component:
-    """Type and canonical order of a connected Dynkin diagram.
+def _recognize(members: list, nbrs: list, bonds: dict, labels: list) -> Component:
+    """Type and canonical order of a connected Dynkin diagram of two or more nodes.
 
-    `block` is its Cartan matrix with rows in `_label_key` order of `labels`.
-    Row i holding -2 or -3 at column j marks i short and j long.
+    `members` are its nodes, ascending positions in the `_label_key`-sorted
+    `labels`; `nbrs[p]` lists the neighbours of node p, and `bonds` maps the
+    short end of each multiple bond to (short, long, multiplicity).
     """
-    k = len(labels)
-    if k == 1:
-        return Component("A", 1, (labels[0],))
-    nbrs = [[j for j in range(k) if j != i and block[i][j]] for i in range(k)]
-    bond = None
-    for i in range(k):
-        for j in nbrs[i]:
-            if block[i][j] < -1:
-                bond = (i, j, -block[i][j])
-    branches = [i for i in range(k) if len(nbrs[i]) == 3]
+    k = len(members)
+    branches = [i for i in members if len(nbrs[i]) == 3]
     order = None
     if branches:
         b = branches[0]
@@ -519,7 +520,8 @@ def _recognize(block: list, labels: list) -> Component:
         elif lengths[:2] == [1, 2] and lengths[2] <= 4:
             series, order = "E", [arms[1][1], arms[0][0], arms[1][0], b] + arms[2]
     else:
-        order = _walk(nbrs, None, min(i for i in range(k) if len(nbrs[i]) == 1))
+        order = _walk(nbrs, None, min(i for i in members if len(nbrs[i]) == 1))
+        bond = next((bonds[i] for i in order if i in bonds), None)
         if bond is None:
             series = "A"
         else:
@@ -537,7 +539,7 @@ def _recognize(block: list, labels: list) -> Component:
             if (order.index(long_) < order.index(short)) != (series != "C"):
                 order.reverse()
     if order is None:
-        raise RootSystemError(f"unclassifiable sub-diagram on {labels}")
+        raise RootSystemError(f"unclassifiable sub-diagram on {[labels[i] for i in members]}")
     return Component(series, k, tuple(labels[i] for i in order))
 
 
@@ -593,13 +595,10 @@ def positive_roots(rs: RootSystem) -> frozenset:
     only at the end, one component at a time.
     """
     out = []
-    offset = 0
     for comp in rs.components:
-        end = offset + comp.rank
-        block = [row[offset:end] for row in rs._cartan[offset:end]]
+        block, _ = component_cartan(comp.series, comp.rank)
         labels = comp.labels
         for key in _component_positive_roots(block):
             coeffs = key.to_bytes(comp.rank, "little")
             out.append(LatticeVector._of_ints(dict(compress(zip(labels, coeffs), coeffs))))
-        offset = end
     return frozenset(out)

@@ -190,7 +190,7 @@ def dumps(system: SphericalSystem) -> str:
     `system_to_document(system)` with `indent=2, sort_keys=True`, plus a
     newline."""
     rs = system.rs
-    index = rs._index
+    index = {lab: i for i, lab in enumerate(rs.simple_roots)}
     names = [f'"a{i + 1}"' for i in range(len(index))]
     colors = [
         '{\n      "id": %s,\n      "moved_by": %s,\n      "phi": %s\n    }'

@@ -231,7 +231,7 @@ def _check_base(
             continue
         forms = [0] * len(system.psi)
         for a, x in sigma._coeffs.items():
-            w = x * rs._d[rs.index(a)]
+            w = x * rs.half_norm(a)
             forms = [f + w * c for f, c in zip(forms, coroots[a])]
         norm = forms[i]
         for j, tau in enumerate(system.psi):
@@ -396,7 +396,7 @@ def _check_p3(
                         )
                     )
             elif both_d:
-                if rs._cartan[i][j] != 0:
+                if rs.cartan_entry(la, lb) != 0:
                     out.append(
                         Violation("P3", f"shared-color roots {la}, {lb} not orthogonal")
                     )
@@ -425,7 +425,7 @@ def _check_p3(
         if (
             both_d
             and da != db
-            and rs._cartan[i][j] == 0
+            and rs.cartan_entry(la, lb) == 0
             and coroots[la] == coroots[lb]
             and _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb))
         ):

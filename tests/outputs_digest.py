@@ -13,8 +13,9 @@ catalog entry, on generated documents and on malformed-JSON files.  The
 inputs are the catalog, `random_systems(5, 600, 8)`, the mutation cases,
 the benchmark corpora for seeds 301-302 (read from `perfbench/corpus.py`)
 and the writer's edge cases (`documentoracle.writer_edge_cases`, whose
-color ids are all strings).  It uses only long-standing public API, so it
-runs unchanged against an older `src/`.  This file is a script, not a test
+color ids are all strings).  It uses only long-standing public names
+(`poset_of_rank` from `wondersys.orbits`), so it runs unchanged against an
+older `src/`.  This file is a script, not a test
 module.
 """
 from __future__ import annotations
@@ -41,12 +42,12 @@ from wondersys import (  # noqa: E402
     emit_graph,
     loads,
     localize,
-    poset_of_rank,
     positive_roots,
     validate_system,
 )
 from wondersys.catalog import catalog_entries  # noqa: E402
 from wondersys.cli import main  # noqa: E402
+from wondersys.orbits import poset_of_rank  # noqa: E402
 
 SEEDS = (301, 302)
 ORACLE_MAX_RANK = 8

@@ -1,12 +1,16 @@
-"""Independent positive-root generator used as an oracle.
+"""Independent root-system oracles.
 
-Generates the full root set as the closure of the simple roots under the
-simple reflections, then keeps the nonnegative ones.  This shares no code
-path with the root-string closure in the package.
+`reflection_positive_roots` generates the full root set as the closure of
+the simple roots under the simple reflections, then keeps the nonnegative
+ones.  This shares no code path with the root-string closure in the package.
+`block_cartan` and `block_pairing` read the Cartan matrix straight off each
+component's standard block, not through the column index a `RootSystem`
+keeps.
 """
 from __future__ import annotations
 
 from wondersys import LatticeVector, RootSystem, cartan_integer
+from wondersys.rootlat import component_cartan
 
 # Closed-form positive-root counts per simple component.
 COUNT_FORMULAS = {
@@ -18,6 +22,25 @@ COUNT_FORMULAS = {
     "F": lambda n: 24,
     "G": lambda n: 6,
 }
+
+
+def block_cartan(rs: RootSystem) -> dict:
+    """The nonzero Cartan entries {(a, b): a_ab}, read off the standard block
+    of each component; every pair across components is absent, that is 0."""
+    entries = {}
+    for comp in rs.components:
+        block, _ = component_cartan(comp.series, comp.rank)
+        for a, row in zip(comp.labels, block):
+            for b, x in zip(comp.labels, row):
+                if x:
+                    entries[a, b] = x
+    return entries
+
+
+def block_pairing(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
+    """<alpha^vee, lam> summed over the component blocks, a row at a time."""
+    cartan = block_cartan(rs)
+    return sum(v * cartan.get((alpha, b), 0) for b, v in lam.items())
 
 
 def reflection_positive_roots(rs: RootSystem) -> frozenset:

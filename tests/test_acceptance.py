@@ -17,11 +17,11 @@ from wondersys import (
     loads,
     localize,
     positive_roots,
-    poset_of_rank,
     validate_system,
 )
 from wondersys.catalog import catalog_entries
 from wondersys.cli import main
+from wondersys.orbits import poset_of_rank
 
 from mutations import mutation_cases
 from randsys import random_systems

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +16,7 @@ from wondersys.catalog import (
     group_compactification_a1a1,
     projective_line,
 )
+import wondersys.cli
 from wondersys.cli import main
 
 from randsys import colored_flag, direct_sum
@@ -324,6 +326,26 @@ class TestJsonFormat:
         assert main(["--format", "json", "critical", "group-a1a1"]) == 0
         assert capsys.readouterr().out == first
 
+    @pytest.mark.parametrize(
+        "argv", [["localize", "group-a1a1", "--subset", "a1"], ["catalog", "show", "p1"]]
+    )
+    def test_only_the_printed_document_is_built(self, argv, capsys, monkeypatch):
+        calls = []
+        for name in ("dumps", "system_to_document"):
+            real = getattr(wondersys.cli, name)
+
+            def counted(system, real=real, name=name):
+                calls.append(name)
+                return real(system)
+
+            monkeypatch.setattr(wondersys.cli, name, counted)
+        assert main(argv) == 0
+        assert calls == ["dumps"]
+        calls.clear()
+        assert main(["--format", "json"] + argv) == 0
+        assert calls == ["system_to_document"]
+        capsys.readouterr()
+
 
 class TestColdStart:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
@@ -341,3 +363,17 @@ class TestColdStart:
         loaded = set(child.stdout.split())
         assert "wondersys.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
+
+    def test_only_rootlat_reads_what_root_system_keeps_privately(self):
+        # How RootSystem stores the Cartan matrix stays behind one module.
+        private = {"_cartan", "_columns", "_d", "_index"}
+        package = Path(wondersys.cli.__file__).resolve().parent
+        readers = []
+        for path in sorted(package.glob("*.py")):
+            if path.name == "rootlat.py":
+                continue
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    readers.append(f"{path.name}:{node.lineno} .{node.attr}")
+        assert package.joinpath("rootlat.py").exists()
+        assert readers == []

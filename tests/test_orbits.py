@@ -6,9 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from wondersys import OrbitPoset, emit_graph, orbit_poset, poset_of_rank
+from wondersys import OrbitPoset, emit_graph, orbit_poset
 from wondersys.catalog import catalog_entry
-from wondersys.orbits import MAX_ORBIT_RANK
+from wondersys.orbits import MAX_ORBIT_RANK, poset_of_rank
 
 from orbitoracle import oracle_dot, oracle_poset
 

@@ -22,8 +22,8 @@ from wondersys import (
     ValidationReport,
     Violation,
     catalog_entry,
-    poset_of_rank,
 )
+from wondersys.orbits import poset_of_rank
 
 ROOT = LatticeVector({"a1": 1, "a2": 2})
 WITNESS = DistinguishedWitness(ROOT, 2, "chain a1,a2")

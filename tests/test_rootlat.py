@@ -23,12 +23,34 @@ from wondersys import (
 from wondersys.rootlat import MAX_RANK, component_cartan
 
 from dynkinoracle import oracle_subdiagram_type
-from rootoracle import formula_count, reflection_positive_roots
+from randsys import wide_systems
+from rootoracle import block_cartan, block_pairing, formula_count, reflection_positive_roots
 from validateoracle import restricted_coroot
 
 
 def lv(**coeffs):
     return LatticeVector(coeffs)
+
+
+# Every series once; with MAX_RANK_SPEC, a sum of total rank MAX_RANK.
+MIXED_SPEC = [("G", 2), ("A", 3), ("B", 4), ("C", 3), ("D", 5), ("E", 6), ("F", 4), ("A", 1)]
+MAX_RANK_SPEC = MIXED_SPEC + [("E", 8), ("D", 8), ("B", 5), ("C", 6), ("A", MAX_RANK - 55)]
+REFERENCE_IDS = ["mixed", "max-rank", "interleaved"]
+
+
+def reference_systems():
+    """The mixed sum, the rank-MAX_RANK sum and components with interleaved labels."""
+    return [
+        build_root_system(MIXED_SPEC),
+        build_root_system(MAX_RANK_SPEC),
+        RootSystem(
+            [
+                Component("F", 4, ("a6", "a2", "a8", "a1")),
+                Component("B", 3, ("a7", "a3", "a5")),
+                Component("G", 2, ("a4", "a9")),
+            ]
+        ),
+    ]
 
 
 class TestBuildRootSystem:
@@ -55,14 +77,28 @@ class TestBuildRootSystem:
         assert rs.cartan_entry("a2", "a3") == -1
 
     def test_columns_are_the_nonzero_cartan_entries(self):
-        spec = [("G", 2), ("A", 3), ("B", 4), ("C", 3), ("D", 5), ("E", 6), ("F", 4), ("A", 1)]
-        rs = build_root_system(spec)
-        labels = rs.simple_roots
-        for b in labels:
-            entries = [(i, rs.cartan_entry(a, b)) for i, a in enumerate(labels)]
-            assert rs.column(b) == tuple((i, x) for i, x in entries if x), b
+        # The reference is each component's standard block, not cartan_entry,
+        # which reads the columns itself.
+        for rs in reference_systems():
+            reference = block_cartan(rs)
+            labels = rs.simple_roots
+            for b in labels:
+                assert rs.column(b) == tuple(
+                    (i, reference[a, b]) for i, a in enumerate(labels) if (a, b) in reference
+                ), b
         with pytest.raises(RootSystemError, match="^unknown simple-root label 'b1'$"):
             rs.column("b1")
+
+    def test_unknown_labels(self):
+        rs = build_root_system(MIXED_SPEC)
+        for call in (
+            lambda: rs.cartan_entry("b1", "a1"),
+            lambda: rs.cartan_entry("a1", "b1"),
+            lambda: rs.half_norm("b1"),
+            lambda: cartan_integer(rs, "b1", LatticeVector()),
+        ):
+            with pytest.raises(RootSystemError, match="^unknown simple-root label 'b1'$"):
+                call()
 
     @pytest.mark.parametrize("series,rank", [("D", 2), ("G", 3), ("F", 3), ("E", 5), ("B", 1), ("Z", 1)])
     def test_invalid_components_rejected(self, series, rank):
@@ -92,6 +128,52 @@ class TestBuildRootSystem:
                 assert Fraction(rs.cartan_entry(a, b)) == expected
 
 
+class TestCartanAgainstComponentBlocks:
+    """Every reader of the Cartan matrix against the standard component blocks
+    (`rootoracle.block_cartan`), which share nothing with the column index."""
+
+    @pytest.mark.parametrize("k", range(3), ids=REFERENCE_IDS)
+    def test_every_entry(self, k):
+        rs = reference_systems()[k]
+        # The reference holds no pair across components: those read 0.
+        reference = block_cartan(rs)
+        for a in rs.simple_roots:
+            for b in rs.simple_roots:
+                assert rs.cartan_entry(a, b) == reference.get((a, b), 0), (a, b)
+
+    def test_half_norms(self):
+        for rs in reference_systems():
+            for comp in rs.components:
+                _, lengths = component_cartan(comp.series, comp.rank)
+                assert [rs.half_norm(a) for a in comp.labels] == [x // 2 for x in lengths]
+
+    def test_max_rank_sum_is_at_the_limit(self):
+        assert build_root_system(MAX_RANK_SPEC).rank == MAX_RANK
+
+    @pytest.mark.parametrize("k", range(3), ids=REFERENCE_IDS)
+    def test_form_and_cartan_integer(self, k):
+        rs = reference_systems()[k]
+        labels = rs.simple_roots
+        rng = random.Random(11 + k)
+        for _ in range(150):
+            v, w = (
+                LatticeVector({lab: rng.randint(-4, 4) for lab in rng.sample(labels, rng.randint(0, 8))})
+                for _ in range(2)
+            )
+            assert rs.form(v, w) == gram_form(rs, v, w)
+            alpha = rng.choice(labels)
+            assert cartan_integer(rs, alpha, w) == block_pairing(rs, alpha, w)
+        # On simple roots: <alpha_a^vee, alpha_b> = a_ab and (alpha_a, alpha_b) = d_a a_ab.
+        reference = block_cartan(rs)
+        for a in labels:
+            va = rs.simple_root(a)
+            for b in labels:
+                vb = rs.simple_root(b)
+                assert cartan_integer(rs, a, vb) == reference.get((a, b), 0)
+                assert rs.form(va, vb) == rs.half_norm(a) * reference.get((a, b), 0)
+        assert rs.form(LatticeVector(), rs.simple_root(labels[0])) == 0
+
+
 ALL_SMALL_COMPONENTS = (
     [("A", n) for n in range(1, 9)]
     + [(series, n) for series in "BC" for n in range(2, 9)]
@@ -101,14 +183,16 @@ ALL_SMALL_COMPONENTS = (
 
 
 def gram_form(rs, v, w):
-    """(v, w) = sum_ij x_i y_j a_ij |alpha_i|^2 / 2, from each component's lengths."""
+    """(v, w) = sum_ij x_i y_j a_ij |alpha_i|^2 / 2, from each component's
+    standard block and lengths."""
     lengths = {}
     for comp in rs.components:
         _, lens = component_cartan(comp.series, comp.rank)
         lengths.update(zip(comp.labels, lens))
+    cartan = block_cartan(rs)
     return sum(
         (
-            Fraction(x * y * rs.cartan_entry(a, b) * lengths[a], 2)
+            Fraction(x * y * cartan.get((a, b), 0) * lengths[a], 2)
             for a, x in v.items()
             for b, y in w.items()
         ),
@@ -176,6 +260,18 @@ class TestRankLimit:
     def test_above_limit(self, spec):
         with pytest.raises(RootSystemError, match="exceeds the limit"):
             build_root_system(spec)
+
+    @pytest.mark.parametrize("rank", ["2", 2.0, None, True])
+    def test_build_refuses_a_rank_that_is_not_an_int(self, rank):
+        message = f"^invalid component A{rank}: rank is not an int$"
+        with pytest.raises(RootSystemError, match=message):
+            build_root_system([("A", rank)])
+        with pytest.raises(RootSystemError, match=message):
+            build_root_system([("B", 2), ("A", rank)])
+
+    def test_build_refuses_a_huge_rank_before_building(self):
+        with pytest.raises(RootSystemError, match=f"^total rank exceeds the limit {MAX_RANK}$"):
+            build_root_system([("A", 10**9)])
 
     @pytest.mark.parametrize("rank", [True, 2.0])
     def test_rank_must_be_an_int(self, rank):
@@ -374,6 +470,17 @@ class TestRecognizerAgainstPermutationSearch:
         # Localized systems list labels in canonical order, so _label_key
         # order and the ambient index order differ.
         _assert_recognizer_matches_oracle(RootSystem([Component(series, len(labels), labels)]))
+
+    def test_every_coatom_of_a_wide_sum(self):
+        # Wide sums have rank 24-48, beyond the every-subset tests above.
+        rs = max(wide_systems(301, 4), key=lambda s: s.rs.rank).rs
+        assert rs.rank >= 24
+        full = frozenset(rs.simple_roots)
+        for x in rs.simple_roots:
+            subset = full - {x}
+            ours = [(c.series, c.rank, c.labels) for c in detect_subdiagram_type(rs, subset)]
+            oracle = [(c.series, c.rank, c.labels) for c in oracle_subdiagram_type(rs, subset)]
+            assert ours == oracle, x
 
 
 class TestPositiveRoots:

@@ -12,14 +12,13 @@ from wondersys import (
     LatticeVector,
     RootSystemError,
     SphericalSystem,
-    assign_types,
     build_root_system,
     localize,
     spherical_lattice_rank,
     validate_system,
 )
 from wondersys.catalog import catalog_entries
-from wondersys.sphsys import coroot_table
+from wondersys.sphsys import assign_types, coroot_table
 
 from mutations import mutation_cases
 from randsys import random_systems, wide_systems
