@@ -70,11 +70,11 @@ class CriticalityReport(Record):
         _set(self, "entries", entries)
 
 
-def _distinguished_witness(
-    system: SphericalSystem, sigma: LatticeVector
-) -> Optional[DistinguishedWitness]:
+def _distinguished_witness(system: SphericalSystem, j: int) -> Optional[DistinguishedWitness]:
+    """The witness that psi[j] is distinguished, or None."""
+    sigma = system.psi[j]
     # Condition 1: a simple spherical root with two equal color functionals.
-    label = system.rs.as_simple_label(sigma)
+    label = system.simple_labels[j]
     if label is not None:
         moved = system.colors_moved_by(label)
         for d1, d2 in itertools.combinations(moved, 2):
@@ -110,12 +110,8 @@ def _distinguished_witness(
 
 
 def distinguished_elements(system: SphericalSystem) -> RigidityReport:
-    found = []
-    for sigma in system.psi:
-        w = _distinguished_witness(system, sigma)
-        if w is not None:
-            found.append(w)
-    return RigidityReport(tuple(found))
+    found = (_distinguished_witness(system, j) for j in range(len(system.psi)))
+    return RigidityReport(tuple(w for w in found if w is not None))
 
 
 def is_rigid(system: SphericalSystem) -> bool:
@@ -151,8 +147,8 @@ def _criticality(system: SphericalSystem, subsets) -> CriticalityReport:
         return localized[subset]
 
     entries = []
-    for sigma in system.psi:
-        if _distinguished_witness(system, sigma) is not None:
+    for j, sigma in enumerate(system.psi):
+        if _distinguished_witness(system, j) is not None:
             entries.append(CriticalityEntry(sigma, distinguished=True, critical=False))
             continue
         base = type_a | sigma.support

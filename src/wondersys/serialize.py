@@ -70,31 +70,34 @@ def _decode_twice(raw: Any, where: str, j: int) -> int:
 
 
 def system_to_document(system: SphericalSystem) -> Dict[str, Any]:
-    """Serialize with labels renamed canonically to a1..aN in system order."""
+    """Serialize with labels renamed canonically to a1..aN in system order;
+    a label outside the root system raises RootSystemError."""
     rename = {lab: f"a{i + 1}" for i, lab in enumerate(system.rs.simple_roots)}
-    doc: Dict[str, Any] = {
-        "root_system": {
-            "components": [
-                {"series": c.series, "rank": c.rank} for c in system.rs.components
-            ]
-        },
-        "spherical_roots": [
-            {"coeffs": {rename[lab]: v for lab, v in sigma.items()}}
-            for sigma in system.psi
-        ],
-        "colors": [
-            {
-                "id": d.id,
-                "moved_by": sorted(
-                    (rename[lab] for lab in d.moved_by),
-                    key=lambda s: int(s[1:]),
-                ),
-                "phi": [_encode_value(t) for t in d.phi.twice],
-            }
-            for d in system.colors
-        ],
-    }
-    return doc
+    try:
+        return {
+            "root_system": {
+                "components": [
+                    {"series": c.series, "rank": c.rank} for c in system.rs.components
+                ]
+            },
+            "spherical_roots": [
+                {"coeffs": {rename[lab]: v for lab, v in sigma.items()}}
+                for sigma in system.psi
+            ],
+            "colors": [
+                {
+                    "id": d.id,
+                    "moved_by": sorted(
+                        (rename[lab] for lab in d.moved_by),
+                        key=lambda s: int(s[1:]),
+                    ),
+                    "phi": [_encode_value(t) for t in d.phi.twice],
+                }
+                for d in system.colors
+            ],
+        }
+    except KeyError as exc:
+        raise RootSystemError(f"unknown simple-root label {exc.args[0]!r}") from None
 
 
 def document_to_system(doc: Any) -> SphericalSystem:
@@ -188,30 +191,34 @@ def _nest(items: List[str], pad: str, brackets: str = "[]") -> str:
 def dumps(system: SphericalSystem) -> str:
     """The document text, byte for byte what `json.dumps` writes for
     `system_to_document(system)` with `indent=2, sort_keys=True`, plus a
-    newline."""
+    newline.  A label outside the root system raises RootSystemError."""
     rs = system.rs
     index = {lab: i for i, lab in enumerate(rs.simple_roots)}
     names = [f'"a{i + 1}"' for i in range(len(index))]
-    colors = [
-        '{\n      "id": %s,\n      "moved_by": %s,\n      "phi": %s\n    }'
-        % (
-            encode_basestring_ascii(d.id),
-            _nest([names[i] for i in sorted([index[lab] for lab in d.moved_by])], "      "),
-            _nest([f'"{half_text(t)}"' if t % 2 else half_text(t) for t in d.phi.twice], "      "),
-        )
-        for d in system.colors
-    ]
     components = [
         f'{{\n        "rank": {c.rank},\n        "series": "{c.series}"\n      }}'
         for c in rs.components
     ]
-    roots = []
-    for sigma in system.psi:
-        coeffs = [f"{names[index[lab]]}: {v}" for lab, v in sigma._coeffs.items()]
-        # The closing quote sorts before every digit, so the entries sort as
-        # their keys do: "a1" < "a10" < "a2".
-        coeffs.sort()
-        roots.append('{\n      "coeffs": ' + _nest(coeffs, "      ", "{}") + "\n    }")
+    pad = " " * 6
+    try:
+        colors = [
+            '{\n      "id": %s,\n      "moved_by": %s,\n      "phi": %s\n    }'
+            % (
+                encode_basestring_ascii(d.id),
+                _nest([names[i] for i in sorted([index[lab] for lab in d.moved_by])], pad),
+                _nest([f'"{half_text(t)}"' if t % 2 else half_text(t) for t in d.phi.twice], pad),
+            )
+            for d in system.colors
+        ]
+        roots = []
+        for sigma in system.psi:
+            coeffs = [f"{names[index[lab]]}: {v}" for lab, v in sigma._coeffs.items()]
+            # The closing quote sorts before every digit, so the entries sort
+            # as their keys do: "a1" < "a10" < "a2".
+            coeffs.sort()
+            roots.append('{\n      "coeffs": ' + _nest(coeffs, pad, "{}") + "\n    }")
+    except KeyError as exc:
+        raise RootSystemError(f"unknown simple-root label {exc.args[0]!r}") from None
     return (
         '{\n  "colors": '
         + _nest(colors, "  ")

@@ -9,8 +9,10 @@ values doubled, so the checks compare ints (2 stands for the value 1).
 Validation checks the base property and the three color axioms; every
 violation is collected with a witness, nothing is thrown.
 
-Each system indexes its colors by the simple roots moving them once, on
-construction.  `validate_system` first builds the coroot table, the value
+Each system indexes its colors by the simple roots moving them, and its
+spherical roots that are a simple root or twice one, once on construction,
+and reads its type map off both then; P1, P2 and distinguishedness read the
+second index.  `validate_system` first builds the coroot table, the value
 of every simple root's restricted coroot on every spherical root, by
 walking the Cartan matrix's nonzero entries: each coefficient v of b in a
 spherical root adds v * a_ib to row i for the few i in `RootSystem.column(b)`.
@@ -84,7 +86,12 @@ class ValidationReport(Record):
 
 
 class SphericalSystem:
-    """Root system + spherical roots + colors, immutable."""
+    """Root system + spherical roots + colors, immutable.
+
+    `simple_labels[j]` is `rs.as_simple_label(psi[j])`; `_simple` maps each
+    simple root in psi to its index (the last, should it repeat), `_doubled`
+    holds every a with 2 * alpha_a in psi, and `type_map` is built from them.
+    """
 
     def __init__(
         self,
@@ -101,7 +108,18 @@ class SphericalSystem:
             for lab in d.moved_by:
                 moved.setdefault(lab, []).append(d)
         self._moved = {lab: tuple(ds) for lab, ds in moved.items()}
-        self._type_map: Optional[Dict[str, str]] = None
+        labels: List[Optional[str]] = []
+        self._simple: Dict[str, int] = {}
+        self._doubled = set()
+        for j, sigma in enumerate(self.psi):
+            lab = rs.as_simple_label(sigma)
+            labels.append(lab)
+            if lab is not None:
+                self._simple[lab] = j
+            elif list(sigma._coeffs.values()) == [2]:
+                self._doubled.update(sigma._coeffs)
+        self.simple_labels = tuple(labels)
+        self.type_map: Dict[str, str] = assign_types(self)
 
     def psi_index(self, sigma: LatticeVector) -> Optional[int]:
         return self._psi_index.get(sigma)
@@ -109,12 +127,6 @@ class SphericalSystem:
     def colors_moved_by(self, alpha: str) -> Tuple[Color, ...]:
         """The colors moved by alpha, in the order of `colors`."""
         return self._moved.get(alpha, ())
-
-    @property
-    def type_map(self) -> Dict[str, str]:
-        if self._type_map is None:
-            self._type_map = assign_types(self)
-        return self._type_map
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -141,19 +153,12 @@ def assign_types(system: SphericalSystem) -> Dict[str, str]:
     to (half of) a spherical root is typed b (c) even when its colors are
     missing; validation flags the cardinality separately.
     """
-    psi_set = set(system.psi)
-    out: Dict[str, str] = {}
-    for lab in system.rs.simple_roots:
-        alpha = system.rs.simple_root(lab)
-        if alpha in psi_set:
-            out[lab] = TYPE_B
-        elif 2 * alpha in psi_set:
-            out[lab] = TYPE_C
-        elif system.colors_moved_by(lab):
-            out[lab] = TYPE_D
-        else:
-            out[lab] = TYPE_A
-    return out
+    simple, doubled, moved = system._simple, system._doubled, system._moved
+    return {
+        lab: TYPE_B if lab in simple else TYPE_C if lab in doubled
+        else TYPE_D if lab in moved else TYPE_A
+        for lab in system.rs.simple_roots
+    }
 
 
 def spherical_lattice_rank(system: SphericalSystem) -> int:
@@ -272,9 +277,8 @@ def _check_p1(
                         f"{dplus.phi + dminus.phi} differs from coroot {coroot}",
                     )
                 )
-            idx = system.psi_index(system.rs.simple_root(lab))
             for d in moved:
-                value = d.phi.twice[idx]
+                value = d.phi.twice[system._simple[lab]]
                 if value != 2:
                     out.append(
                         Violation(
@@ -313,15 +317,13 @@ def _check_p1(
 
 
 def _check_p2(system: SphericalSystem, out: List[Violation]) -> None:
-    psi_labels = [system.rs.as_simple_label(sigma) for sigma in system.psi]
     for lab in system.rs.simple_roots:
-        beta = system.rs.simple_root(lab)
-        if system.psi_index(beta) is None:
+        if lab not in system._simple:
             continue
         for d in system.colors_moved_by(lab):
             for j, sigma in enumerate(system.psi):
                 value = d.phi.twice[j]  # doubled: 2 stands for 1
-                sigma_label = psi_labels[j]
+                sigma_label = system.simple_labels[j]
                 simple_and_moved = sigma_label is not None and sigma_label in d.moved_by
                 if value > 2:
                     out.append(
@@ -348,14 +350,6 @@ def _check_p2(system: SphericalSystem, out: List[Violation]) -> None:
                     )
 
 
-def _sum_in_psi(system: SphericalSystem, alpha: LatticeVector, beta: LatticeVector) -> bool:
-    total = alpha + beta
-    if system.psi_index(total) is not None:
-        return True
-    half = total.halved()
-    return half is not None and system.psi_index(half) is not None
-
-
 def _check_p3(
     system: SphericalSystem, coroots: Dict[str, Tuple[int, ...]], out: List[Violation]
 ) -> None:
@@ -366,17 +360,19 @@ def _check_p3(
         lab: frozenset(d.id for d in system.colors_moved_by(lab)) for lab in labels
     }
     # A pair breaks P3 only if it shares a color id, or if both roots are
-    # type d and their sum is a spherical root (a sum of two simple roots is
-    # never twice one).  Collect the simple-root index pairs both ways and
-    # visit them in simple-root order.
+    # type d and their sum is a spherical root: (i, j) in `sums`, since a sum
+    # of two simple roots is never twice one.  Collect the index pairs i < j
+    # both ways and visit them in simple-root order.
     by_id: Dict[str, List[int]] = {}
     for i, lab in enumerate(labels):
         for color_id in ids[lab]:
             by_id.setdefault(color_id, []).append(i)
     pairs = {pair for group in by_id.values() for pair in combinations(group, 2)}
+    sums = set()
     for sigma in system.psi:
         if list(sigma._coeffs.values()) == [1, 1]:
             i, j = sorted(map(rs.index, sigma._coeffs))
+            sums.add((i, j))
             if types[labels[i]] == TYPE_D and types[labels[j]] == TYPE_D:
                 pairs.add((i, j))
     for i, j in sorted(pairs):
@@ -408,7 +404,7 @@ def _check_p3(
                             "restricted coroots",
                         )
                     )
-                if not _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb)):
+                if (i, j) not in sums:
                     out.append(
                         Violation(
                             "P3",
@@ -427,7 +423,7 @@ def _check_p3(
             and da != db
             and rs.cartan_entry(la, lb) == 0
             and coroots[la] == coroots[lb]
-            and _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb))
+            and (i, j) in sums
         ):
             out.append(
                 Violation(

@@ -7,16 +7,21 @@ documents are read and the analyses run.  Validation walks the Cartan
 matrix's nonzero entries, so it calls neither `RootSystem.form` nor
 `cartan_integer`, which pair every two supports; a test counts those too.
 `dumps` writes the document text itself, so a last test counts the calls it
-makes into json's pure-Python indenting encoder.
+makes into json's pure-Python indenting encoder.  Each system indexes its
+simple spherical roots on construction, so validation and rigidity build no
+`LatticeVector` either; a test counts both ways of building one.
 """
 from __future__ import annotations
 
+import importlib
 import json
 import json.encoder
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from wondersys import (
+    LatticeVector,
     critical_roots,
     critical_roots_oracle,
     distinguished_elements,
@@ -65,6 +70,43 @@ def test_no_fraction_on_the_valid_system_path(monkeypatch):
     # The counter sees the read view, which does build Fractions.
     assert systems[0].colors[0].phi.values
     assert calls
+
+
+def _count_vectors(monkeypatch) -> list:
+    calls = []
+    init, of_ints = LatticeVector.__init__, LatticeVector._of_ints.__func__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append("__init__")
+        init(self, *args, **kwargs)
+
+    def counting_of_ints(cls, coeffs):
+        calls.append("_of_ints")
+        return of_ints(cls, coeffs)
+
+    monkeypatch.setattr(LatticeVector, "__init__", counting_init)
+    monkeypatch.setattr(LatticeVector, "_of_ints", classmethod(counting_of_ints))
+    return calls
+
+
+def test_no_lattice_vector_in_validation_and_rigidity(monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    corpus = importlib.import_module("corpus")
+    systems = [e.system for e in catalog_entries()]
+    systems += [loads(case.text) for case in corpus.batch_small(301)]
+    calls = _count_vectors(monkeypatch)
+    valid = 0
+    for s in systems:
+        if not validate_system(s).ok:
+            continue
+        valid += 1
+        distinguished_elements(s)
+        critical_roots(s)
+    assert valid > 700
+    assert calls == []
+    # The counter sees both ways in.
+    LatticeVector({"a1": 1}) + LatticeVector({"a2": 1})
+    assert calls == ["__init__", "__init__", "_of_ints"]
 
 
 def test_no_fraction_while_reading_documents(monkeypatch):

@@ -10,6 +10,7 @@ from wondersys import (
     DocumentError,
     Functional,
     LatticeVector,
+    RootSystemError,
     SphericalSystem,
     build_root_system,
     document_to_system,
@@ -422,3 +423,21 @@ def test_spherical_roots_are_plain_int_vectors():
     )
     (sigma,) = document_to_system(doc).psi
     assert sigma == LatticeVector({"a1": 2}) and sigma._coeffs == {"a1": 2}
+
+
+def _with_foreign_label(field: str) -> SphericalSystem:
+    """An A1 system built through the API whose color (field "moved_by") or
+    spherical root (field "coeffs") names b7, a label outside its root system."""
+    rs = build_root_system([("A", 1)])
+    if field == "moved_by":
+        colors = [Color("D", ["a1", "b7"], Functional([1]))]
+        return SphericalSystem(rs, [LatticeVector({"a1": 2})], colors)
+    return SphericalSystem(rs, [LatticeVector({"a1": 1, "b7": 1})], [])
+
+
+@pytest.mark.parametrize("write", [dumps, system_to_document])
+@pytest.mark.parametrize("field", ["moved_by", "coeffs"])
+def test_writing_a_label_outside_the_root_system(write, field):
+    with pytest.raises(RootSystemError) as info:
+        write(_with_foreign_label(field))
+    assert str(info.value) == "unknown simple-root label 'b7'"

@@ -22,7 +22,7 @@ from wondersys.sphsys import assign_types, coroot_table
 
 from mutations import mutation_cases
 from randsys import random_systems, wide_systems
-from validateoracle import oracle_violations, restricted_coroot
+from validateoracle import oracle_types, oracle_violations, restricted_coroot
 
 
 def lv(**coeffs):
@@ -387,6 +387,107 @@ class TestSystemIndex:
             assert list(table) == list(s.rs.simple_roots)
             for lab, values in table.items():
                 assert Functional(values) == restricted_coroot(s.rs, lab, s.psi), (s, lab)
+
+
+def _index_edge_cases():
+    """Systems whose simple-root index is built from repeated or doubled
+    roots, with the type map and violations read at the commit before the
+    index existed."""
+    a1 = build_root_system([("A", 1)])
+    a2 = build_root_system([("A", 2)])
+    a1a1 = build_root_system([("A", 1), ("A", 1)])
+
+    def color(id, moved_by, values):
+        return Color(id, frozenset(moved_by), Functional(values))
+
+    return [
+        # P1 reads phi at the last index of a simple root listed twice.
+        (
+            SphericalSystem(a1, [lv(a1=1), lv(a1=1)], [color("Dp", ["a1"], [1, 0]), color("Dm", ["a1"], [1, 2])]),
+            {"a1": "b"},
+            [
+                "BASE: duplicate spherical root a1",
+                "P1: type-b root a1: <phi(Dp), a1> = 0 != 1",
+                "P1: type-b root a1: <phi(Dm), a1> = 2 != 1",
+                "P2: <phi(Dp), a1> = 0 != 1 although a1 is a simple root moving Dp",
+                "P2: <phi(Dm), a1> = 2 > 1 (color of a1)",
+            ],
+        ),
+        (
+            SphericalSystem(a1, [lv(a1=1), lv(a1=2)], [color("Dp", ["a1"], [1, 1]), color("Dm", ["a1"], [1, 1])]),
+            {"a1": "b"},
+            [
+                "BASE: Cartan number of (a1, 2*a1) is 4, not a nonpositive integer",
+                "BASE: Cartan number of (2*a1, a1) is 1, not a nonpositive integer",
+                "P1: type-b root a1: phi(Dp) + phi(Dm) = (2, 2) differs from coroot (2, 4)",
+                "P2: <phi(Dp), 2*a1> = 1 but 2*a1 is not a simple root moving Dp",
+                "P2: <phi(Dm), 2*a1> = 1 but 2*a1 is not a simple root moving Dm",
+            ],
+        ),
+        (
+            SphericalSystem(a1, [lv(a1=2)], [color("D", ["a1"], [1])]),
+            {"a1": "c"},
+            ["P1: type-c root a1: phi(D) = (1) differs from half coroot (2)"],
+        ),
+        (
+            SphericalSystem(a2, [lv(a1=2), lv(a2=2)], [color("D", ["a1", "a2"], [1, -1])]),
+            {"a1": "c", "a2": "c"},
+            [
+                "P1: type-c root a1: phi(D) = (1, -1) differs from half coroot (2, -1)",
+                "P1: type-c root a2: phi(D) = (1, -1) differs from half coroot (-1, 2)",
+                "P3: roots a1 (type c) and a2 (type c) share a color",
+            ],
+        ),
+        (
+            SphericalSystem(
+                a1a1,
+                [lv(a1=1, a2=1), lv(a1=1, a2=1)],
+                [color("D1", ["a1"], [1, 1]), color("D2", ["a2"], [1, 1])],
+            ),
+            {"a1": "d", "a2": "d"},
+            [
+                "BASE: duplicate spherical root a1+a2",
+                "P1: type-d root a1: phi(D1) = (1, 1) differs from coroot (2, 2)",
+                "P1: type-d root a2: phi(D2) = (1, 1) differs from coroot (2, 2)",
+                "P3: type-d roots a1, a2 satisfy the sharing conditions but have "
+                "different color sets",
+            ],
+        ),
+        (
+            SphericalSystem(a1a1, [lv(a1=2, a2=2)], [color("D1", ["a1"], [2]), color("D2", ["a2"], [2])]),
+            {"a1": "d", "a2": "d"},
+            [
+                "P1: type-d root a1: phi(D1) = (2) differs from coroot (4)",
+                "P1: type-d root a2: phi(D2) = (2) differs from coroot (4)",
+            ],
+        ),
+        (
+            SphericalSystem(a1a1, [lv(a1=2, a2=2)], [color("D", ["a1", "a2"], [2])]),
+            {"a1": "d", "a2": "d"},
+            [
+                "P1: type-d root a1: phi(D) = (2) differs from coroot (4)",
+                "P1: type-d root a2: phi(D) = (2) differs from coroot (4)",
+                "P3: a1+a2 is neither a spherical root nor twice one",
+            ],
+        ),
+    ]
+
+
+class TestSimpleRootIndex:
+    @pytest.mark.parametrize("system, types, texts", _index_edge_cases())
+    def test_repeated_and_doubled_roots(self, system, types, texts):
+        assert system.type_map == types
+        assert [str(v) for v in validate_system(system).violations] == texts
+        assert oracle_types(system) == types
+        assert [str(v) for v in oracle_violations(system)] == texts
+
+    def test_type_map_equals_vector_membership(self):
+        systems = [entry.system for entry in catalog_entries()]
+        systems += random_systems(5, 300, 8)
+        systems += [mutated for _, mutated, _ in mutation_cases()]
+        for s in systems:
+            assert s.type_map == oracle_types(s), s
+            assert s.simple_labels == tuple(map(s.rs.as_simple_label, s.psi)), s
 
 
 class TestMutations:

@@ -3,8 +3,11 @@
 The restricted coroots are paired through `cartan_integer` for every simple
 root and spherical root, the BASE Cartan numbers go through `RootSystem.form`
 for every pair of spherical roots and print through `Fraction`, and P3
-visits every pair of simple roots.  P1, P2 and `_sum_in_psi` are the
-package's own: they walk no pairs.
+visits every pair of simple roots, asking `_sum_in_psi` whether their sum is
+in the spherical roots or twice one (Luna's axiom, read literally).
+`oracle_types` types each simple root by looking its vector and twice it up
+among the spherical roots.  P1 and P2 are the package's own: they walk no
+pairs.
 """
 from __future__ import annotations
 
@@ -19,7 +22,32 @@ from wondersys import (
     Violation,
     cartan_integer,
 )
-from wondersys.sphsys import TYPE_B, TYPE_D, _check_p1, _check_p2, _sum_in_psi
+from wondersys.sphsys import TYPE_A, TYPE_B, TYPE_C, TYPE_D, _check_p1, _check_p2
+
+
+def oracle_types(system: SphericalSystem) -> Dict[str, str]:
+    """The type of each simple root, by vector membership in the spherical roots."""
+    psi_set = set(system.psi)
+    out: Dict[str, str] = {}
+    for lab in system.rs.simple_roots:
+        alpha = system.rs.simple_root(lab)
+        if alpha in psi_set:
+            out[lab] = TYPE_B
+        elif 2 * alpha in psi_set:
+            out[lab] = TYPE_C
+        elif system.colors_moved_by(lab):
+            out[lab] = TYPE_D
+        else:
+            out[lab] = TYPE_A
+    return out
+
+
+def _sum_in_psi(system: SphericalSystem, alpha: LatticeVector, beta: LatticeVector) -> bool:
+    total = alpha + beta
+    if system.psi_index(total) is not None:
+        return True
+    half = total.halved()
+    return half is not None and system.psi_index(half) is not None
 
 
 def restricted_coroot(rs: RootSystem, alpha: str, psi: Sequence[LatticeVector]) -> Functional:
