@@ -31,14 +31,12 @@ from .serialize import (
     document_to_system,
     dumps,
     loads,
-    system_to_document,
 )
 from .sphsys import (
     Color,
     SphericalSystem,
     ValidationReport,
     Violation,
-    spherical_lattice_rank,
     validate_system,
 )
 
@@ -75,8 +73,6 @@ __all__ = [
     "localize",
     "orbit_poset",
     "positive_roots",
-    "spherical_lattice_rank",
-    "system_to_document",
     "type_a_roots",
     "validate_system",
 ]

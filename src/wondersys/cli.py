@@ -17,7 +17,7 @@ from .localize import localize
 from .orbits import emit_graph, orbit_poset
 from .rigidity import critical_roots, critical_roots_oracle, distinguished_elements
 from .rootlat import RootSystemError, _label_key
-from .serialize import DocumentError, dumps, loads, system_to_document
+from .serialize import DocumentError, dumps, loads
 from .sphsys import SphericalSystem, ValidationReport, validate_system
 
 EXIT_OK = 0
@@ -88,7 +88,7 @@ def _cmd_localize(args) -> tuple:
     except RootSystemError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     if args.format == "json":
-        return EXIT_OK, "", {"system": system_to_document(sub)}
+        return EXIT_OK, "", {"system": json.loads(dumps(sub))}
     return EXIT_OK, dumps(sub).rstrip("\n"), {}
 
 
@@ -189,7 +189,7 @@ def _cmd_catalog(args) -> tuple:
     except KeyError as exc:
         raise CliError(str(exc.args[0]), EXIT_USAGE)
     if args.format == "json":
-        return EXIT_OK, "", {"name": entry.name, "system": system_to_document(entry.system)}
+        return EXIT_OK, "", {"name": entry.name, "system": json.loads(dumps(entry.system))}
     return EXIT_OK, dumps(entry.system).rstrip("\n"), {}
 
 

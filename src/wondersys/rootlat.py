@@ -133,12 +133,6 @@ class LatticeVector(Record):
 
     __rmul__ = __mul__
 
-    def halved(self) -> Optional["LatticeVector"]:
-        """Return self/2 if it stays integral, else None."""
-        if any(v % 2 for v in self._coeffs.values()):
-            return None
-        return LatticeVector._of_ints({k: v // 2 for k, v in self._coeffs.items()})
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, LatticeVector) and self._coeffs == other._coeffs
 

@@ -6,24 +6,25 @@ order of the components; functionals are listed in spherical-root order,
 with halves written as "p/2" strings.  Each phi value is read straight into
 its doubled int: an int n gives 2n, "p/2" gives p and "p/1" gives 2p; any
 other spelling is a parsing error.  Parsing errors name the offending field
-and label; a root system of total rank above MAX_RANK, a color id used twice
-and a label listed twice in one `moved_by` are parsing errors too.
+and label; a top-level field other than those three (`FIELDS`), a root
+system of total rank above MAX_RANK, a color id used twice and a label
+listed twice in one `moved_by` are parsing errors too.
 
-`dumps` writes the document text in one pass over the system, laid out
-byte for byte as `json.dumps(system_to_document(s), indent=2,
-sort_keys=True)` would lay it out: two-space indentation, keys in string
-order (so `a10` precedes `a2` among a spherical root's coefficients),
-`moved_by` in simple-root order and `[]` or `{}` for an empty list or
-object.  Labels and numbers need no escaping; a color id, which `Color`
-requires to be a non-empty `str`, goes through json's own string escaper.
-`system_to_document` gives the same document as a dict.
+`dumps` is the one writer.  It writes the document text in one pass over
+the system, laid out as `json.dumps(doc, indent=2, sort_keys=True)` would
+lay out the document `doc`: two-space indentation, keys in string order (so
+`a10` precedes `a2` among a spherical root's coefficients), `moved_by` in
+simple-root order and `[]` or `{}` for an empty list or object.  Labels and
+numbers need no escaping; a color id, which `Color` requires to be a
+non-empty `str`, goes through json's own string escaper.  Whoever wants the
+document as a dict parses that text, as the CLI's JSON output does.
 """
 from __future__ import annotations
 
 import json
 import re
 from json.encoder import encode_basestring_ascii
-from typing import Any, Dict, List
+from typing import Any, List
 
 from .rootlat import (
     Functional,
@@ -35,15 +36,11 @@ from .rootlat import (
 from .sphsys import Color, SphericalSystem
 
 SERIES_SET = set("ABCDEFG")
+FIELDS = ("root_system", "spherical_roots", "colors")
 
 
 class DocumentError(ValueError):
     """Malformed spherical-system document."""
-
-
-def _encode_value(twice: int) -> Any:
-    """A doubled functional value as JSON: an int, or "p/2" for a half."""
-    return f"{twice}/2" if twice % 2 else twice // 2
 
 
 # "p/q": an optional minus and ASCII digits over a denominator without a
@@ -69,40 +66,12 @@ def _decode_twice(raw: Any, where: str, j: int) -> int:
     raise DocumentError(f"{where}[{j}]: cannot parse rational {raw!r}")
 
 
-def system_to_document(system: SphericalSystem) -> Dict[str, Any]:
-    """Serialize with labels renamed canonically to a1..aN in system order;
-    a label outside the root system raises RootSystemError."""
-    rename = {lab: f"a{i + 1}" for i, lab in enumerate(system.rs.simple_roots)}
-    try:
-        return {
-            "root_system": {
-                "components": [
-                    {"series": c.series, "rank": c.rank} for c in system.rs.components
-                ]
-            },
-            "spherical_roots": [
-                {"coeffs": {rename[lab]: v for lab, v in sigma.items()}}
-                for sigma in system.psi
-            ],
-            "colors": [
-                {
-                    "id": d.id,
-                    "moved_by": sorted(
-                        (rename[lab] for lab in d.moved_by),
-                        key=lambda s: int(s[1:]),
-                    ),
-                    "phi": [_encode_value(t) for t in d.phi.twice],
-                }
-                for d in system.colors
-            ],
-        }
-    except KeyError as exc:
-        raise RootSystemError(f"unknown simple-root label {exc.args[0]!r}") from None
-
-
 def document_to_system(doc: Any) -> SphericalSystem:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
+    for key in doc:
+        if key not in FIELDS:
+            raise DocumentError(f"unknown field {key!r}")
     try:
         components = doc["root_system"]["components"]
     except (KeyError, TypeError):
@@ -189,9 +158,9 @@ def _nest(items: List[str], pad: str, brackets: str = "[]") -> str:
 
 
 def dumps(system: SphericalSystem) -> str:
-    """The document text, byte for byte what `json.dumps` writes for
-    `system_to_document(system)` with `indent=2, sort_keys=True`, plus a
-    newline.  A label outside the root system raises RootSystemError."""
+    """The document text, byte for byte what `json.dumps` writes for the
+    document with `indent=2, sort_keys=True`, plus a newline.  A label
+    outside the root system raises RootSystemError."""
     rs = system.rs
     index = {lab: i for i, lab in enumerate(rs.simple_roots)}
     names = [f'"a{i + 1}"' for i in range(len(index))]

@@ -21,7 +21,8 @@ The checks read that table.  The BASE form is read off it too, since
 sigma_a * d_a * <alpha_a^vee, tau>.  P3 visits only the pairs of simple
 roots that can break it: those moved by colors with one id, and type-d
 roots whose sum is a spherical root.  Localization builds systems that are
-never validated, so only validation pays for the coroot table.
+never validated, so only validation pays for the coroot table.  No other
+index of the spherical roots is kept: `psi_index` scans them.
 """
 from __future__ import annotations
 
@@ -47,6 +48,8 @@ class Color(Record):
 
     The id must be a non-empty `str`, as a document's id must be; anything
     else raises ValueError, so every color can be written and read back.
+    `moved_by` is a collection of labels; a `str`, which would be read as
+    its characters, raises ValueError too.
     """
 
     __slots__ = ("id", "moved_by", "phi")
@@ -54,6 +57,8 @@ class Color(Record):
     def __init__(self, id: str, moved_by: Iterable[str], phi: Functional):
         if not isinstance(id, str) or not id:
             raise ValueError(f"color id is not a non-empty str: {id!r}")
+        if isinstance(moved_by, str):
+            raise ValueError(f"color {id}: moved_by is a str, not a set of labels: {moved_by!r}")
         moved_by = frozenset(moved_by)
         _set(self, "id", id)
         _set(self, "moved_by", moved_by)
@@ -91,6 +96,7 @@ class SphericalSystem:
     `simple_labels[j]` is `rs.as_simple_label(psi[j])`; `_simple` maps each
     simple root in psi to its index (the last, should it repeat), `_doubled`
     holds every a with 2 * alpha_a in psi, and `type_map` is built from them.
+    No map of psi itself is kept: `psi_index` scans it.
     """
 
     def __init__(
@@ -102,7 +108,6 @@ class SphericalSystem:
         self.rs = rs
         self.psi: Tuple[LatticeVector, ...] = tuple(psi)
         self.colors: Tuple[Color, ...] = tuple(colors)
-        self._psi_index = {sigma: i for i, sigma in enumerate(self.psi)}
         moved: Dict[str, List[Color]] = {}
         for d in self.colors:
             for lab in d.moved_by:
@@ -122,7 +127,11 @@ class SphericalSystem:
         self.type_map: Dict[str, str] = assign_types(self)
 
     def psi_index(self, sigma: LatticeVector) -> Optional[int]:
-        return self._psi_index.get(sigma)
+        """The index of the last spherical root equal to sigma, or None."""
+        for j in reversed(range(len(self.psi))):
+            if self.psi[j] == sigma:
+                return j
+        return None
 
     def colors_moved_by(self, alpha: str) -> Tuple[Color, ...]:
         """The colors moved by alpha, in the order of `colors`."""
@@ -159,33 +168,6 @@ def assign_types(system: SphericalSystem) -> Dict[str, str]:
         else TYPE_D if lab in moved else TYPE_A
         for lab in system.rs.simple_roots
     }
-
-
-def spherical_lattice_rank(system: SphericalSystem) -> int:
-    """Rank of the lattice generated by the spherical roots.
-
-    Fraction-free (Bareiss) elimination over their integer coefficient
-    vectors, so dependent spherical roots are counted once.
-    """
-    labels = system.rs.simple_roots
-    rows = [[sigma.coeff(lab) for lab in labels] for sigma in system.psi]
-    rank, previous = 0, 1
-    for col in range(len(labels)):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        top = rows[rank]
-        p = top[col]
-        for r in range(rank + 1, len(rows)):
-            row = rows[r]
-            q = row[col]
-            # Bareiss: every entry is a minor of the input, so the division
-            # by the previous pivot is exact.
-            rows[r] = [(p * x - q * y) // previous for x, y in zip(row, top)]
-        previous = p
-        rank += 1
-    return rank
 
 
 def coroot_table(system: SphericalSystem) -> Dict[str, Tuple[int, ...]]:

@@ -1,8 +1,9 @@
 """The byte oracle for `serialize.dumps`, and hand-built systems that stress it.
 
-`oracle_dumps` lays the dict document out with json's own encoder, as
-`dumps` did before it wrote the text directly; the two must agree byte for
-byte.  `writer_edge_cases` are systems whose documents take the writer's
+`system_to_document` builds the document as a dict, with labels renamed
+a1..aN, and `oracle_dumps` lays it out with json's own encoder, as `dumps`
+did before it wrote the text directly; the two must agree byte for byte.
+`writer_edge_cases` are systems whose documents take the writer's
 rarer branches: empty lists and objects, labels past a9 (string key order
 puts a10 before a2), negative and half values, and color ids that need
 escaping.  They are built through long-standing public API only, so
@@ -12,20 +13,56 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Any, Dict, List, Tuple
 
 from wondersys import (
     Color,
     Functional,
     LatticeVector,
+    RootSystemError,
     SphericalSystem,
     build_root_system,
-    system_to_document,
 )
 
 # Ids that json escapes: a quote, a backslash, control characters, DEL,
 # non-ASCII text (one character outside the BMP) and a lone surrogate.
 ESCAPED_IDS = ('say "hi"', "back\\slash", "tab\tnul\x00\x1f\n", "del\x7f", "Dü€𝔖", "\ud800")
+
+
+def _encode_value(twice: int) -> Any:
+    """A doubled functional value as JSON: an int, or "p/2" for a half."""
+    return f"{twice}/2" if twice % 2 else twice // 2
+
+
+def system_to_document(system: SphericalSystem) -> Dict[str, Any]:
+    """Serialize with labels renamed canonically to a1..aN in system order;
+    a label outside the root system raises RootSystemError."""
+    rename = {lab: f"a{i + 1}" for i, lab in enumerate(system.rs.simple_roots)}
+    try:
+        return {
+            "root_system": {
+                "components": [
+                    {"series": c.series, "rank": c.rank} for c in system.rs.components
+                ]
+            },
+            "spherical_roots": [
+                {"coeffs": {rename[lab]: v for lab, v in sigma.items()}}
+                for sigma in system.psi
+            ],
+            "colors": [
+                {
+                    "id": d.id,
+                    "moved_by": sorted(
+                        (rename[lab] for lab in d.moved_by),
+                        key=lambda s: int(s[1:]),
+                    ),
+                    "phi": [_encode_value(t) for t in d.phi.twice],
+                }
+                for d in system.colors
+            ],
+        }
+    except KeyError as exc:
+        raise RootSystemError(f"unknown simple-root label {exc.args[0]!r}") from None
 
 
 def oracle_dumps(system: SphericalSystem) -> str:

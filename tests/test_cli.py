@@ -115,6 +115,20 @@ class TestValidate:
         assert _run(fmt, ["validate", str(path)], capsys) == (2, f"{path}: {message}")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_misspelled_field_exits_two(self, tmp_path, capsys, fmt):
+        doc = {
+            "root_system": {"components": [{"series": "A", "rank": 1}]},
+            "spherical_root": [{"coeffs": {"a1": 1}}],
+            "colors": [],
+        }
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert _run(fmt, ["validate", str(path)], capsys) == (
+            2,
+            f"{path}: unknown field 'spherical_root'",
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_document_not_utf8_exits_two(self, tmp_path, capsys, fmt):
         path = tmp_path / "bad.json"
         path.write_bytes(bytes([0xFF, 0xFE, 0x7B, 0x7D]))
@@ -331,20 +345,21 @@ class TestJsonFormat:
     )
     def test_only_the_printed_document_is_built(self, argv, capsys, monkeypatch):
         calls = []
-        for name in ("dumps", "system_to_document"):
-            real = getattr(wondersys.cli, name)
+        real = wondersys.cli.dumps
 
-            def counted(system, real=real, name=name):
-                calls.append(name)
-                return real(system)
+        def counted(system):
+            calls.append(system)
+            return real(system)
 
-            monkeypatch.setattr(wondersys.cli, name, counted)
+        monkeypatch.setattr(wondersys.cli, "dumps", counted)
         assert main(argv) == 0
-        assert calls == ["dumps"]
+        assert len(calls) == 1
+        text = capsys.readouterr().out
         calls.clear()
         assert main(["--format", "json"] + argv) == 0
-        assert calls == ["system_to_document"]
-        capsys.readouterr()
+        assert len(calls) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert json.dumps(payload["system"], indent=2, sort_keys=True) + "\n" == text
 
 
 class TestColdStart:

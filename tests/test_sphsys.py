@@ -14,7 +14,6 @@ from wondersys import (
     SphericalSystem,
     build_root_system,
     localize,
-    spherical_lattice_rank,
     validate_system,
 )
 from wondersys.catalog import catalog_entries
@@ -22,7 +21,12 @@ from wondersys.sphsys import assign_types, coroot_table
 
 from mutations import mutation_cases
 from randsys import random_systems, wide_systems
-from validateoracle import oracle_types, oracle_violations, restricted_coroot
+from validateoracle import (
+    oracle_types,
+    oracle_violations,
+    restricted_coroot,
+    spherical_lattice_rank,
+)
 
 
 def lv(**coeffs):
@@ -488,6 +492,25 @@ class TestSimpleRootIndex:
         for s in systems:
             assert s.type_map == oracle_types(s), s
             assert s.simple_labels == tuple(map(s.rs.as_simple_label, s.psi)), s
+
+    def test_psi_index_is_the_last_equal_root(self):
+        systems = [entry.system for entry in catalog_entries()]
+        systems += random_systems(5, 300, 8)
+        for s in list(systems):
+            labels = frozenset(s.rs.simple_roots)
+            systems += [localize(s, labels - {lab}) for lab in s.rs.simple_roots]
+        systems += [system for system, _, _ in _index_edge_cases()]
+        absent = 0
+        for s in systems:
+            reference = {sigma: j for j, sigma in enumerate(s.psi)}
+            probes = list(s.psi) + [LatticeVector(), lv(b99=1)]
+            for lab in s.rs.simple_roots:
+                alpha = s.rs.simple_root(lab)
+                probes += [alpha, 2 * alpha]
+            for v in probes:
+                assert s.psi_index(v) == reference.get(v), (s, v)
+                absent += v not in reference
+        assert absent > len(systems)
 
 
 class TestMutations:

@@ -4,15 +4,16 @@ The restricted coroots are paired through `cartan_integer` for every simple
 root and spherical root, the BASE Cartan numbers go through `RootSystem.form`
 for every pair of spherical roots and print through `Fraction`, and P3
 visits every pair of simple roots, asking `_sum_in_psi` whether their sum is
-in the spherical roots or twice one (Luna's axiom, read literally).
-`oracle_types` types each simple root by looking its vector and twice it up
-among the spherical roots.  P1 and P2 are the package's own: they walk no
-pairs.
+in the spherical roots or twice one (Luna's axiom, read literally), against
+one set of the spherical roots built per call.  `oracle_types` types each
+simple root by looking its vector and twice it up among the spherical roots.
+P1 and P2 are the package's own: they walk no pairs.  `spherical_lattice_rank`
+counts the independent spherical roots by fraction-free elimination.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import AbstractSet, Dict, List, Optional, Sequence, Tuple
 
 from wondersys import (
     Functional,
@@ -42,12 +43,48 @@ def oracle_types(system: SphericalSystem) -> Dict[str, str]:
     return out
 
 
-def _sum_in_psi(system: SphericalSystem, alpha: LatticeVector, beta: LatticeVector) -> bool:
+def halved(v: LatticeVector) -> Optional[LatticeVector]:
+    """Return v/2 if it stays integral, else None."""
+    if any(c % 2 for _, c in v.items()):
+        return None
+    return LatticeVector({lab: c // 2 for lab, c in v.items()})
+
+
+def _sum_in_psi(
+    psi_set: AbstractSet[LatticeVector], alpha: LatticeVector, beta: LatticeVector
+) -> bool:
     total = alpha + beta
-    if system.psi_index(total) is not None:
+    if total in psi_set:
         return True
-    half = total.halved()
-    return half is not None and system.psi_index(half) is not None
+    half = halved(total)
+    return half is not None and half in psi_set
+
+
+def spherical_lattice_rank(system: SphericalSystem) -> int:
+    """Rank of the lattice generated by the spherical roots.
+
+    Fraction-free (Bareiss) elimination over their integer coefficient
+    vectors, so dependent spherical roots are counted once.
+    """
+    labels = system.rs.simple_roots
+    rows = [[sigma.coeff(lab) for lab in labels] for sigma in system.psi]
+    rank, previous = 0, 1
+    for col in range(len(labels)):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        top = rows[rank]
+        p = top[col]
+        for r in range(rank + 1, len(rows)):
+            row = rows[r]
+            q = row[col]
+            # Bareiss: every entry is a minor of the input, so the division
+            # by the previous pivot is exact.
+            rows[r] = [(p * x - q * y) // previous for x, y in zip(row, top)]
+        previous = p
+        rank += 1
+    return rank
 
 
 def restricted_coroot(rs: RootSystem, alpha: str, psi: Sequence[LatticeVector]) -> Functional:
@@ -103,6 +140,7 @@ def oracle_check_p3(
     ids = {
         lab: frozenset(d.id for d in system.colors_moved_by(lab)) for lab in labels
     }
+    psi_set = set(system.psi)
     for i, la in enumerate(labels):
         da, ta = ids[la], types[la]
         for lb in labels[i + 1 :]:
@@ -132,7 +170,7 @@ def oracle_check_p3(
                                 "restricted coroots",
                             )
                         )
-                    if not _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb)):
+                    if not _sum_in_psi(psi_set, rs.simple_root(la), rs.simple_root(lb)):
                         out.append(
                             Violation(
                                 "P3",
@@ -151,7 +189,7 @@ def oracle_check_p3(
                 and da != db
                 and rs.cartan_entry(la, lb) == 0
                 and coroots[la] == coroots[lb]
-                and _sum_in_psi(system, rs.simple_root(la), rs.simple_root(lb))
+                and _sum_in_psi(psi_set, rs.simple_root(la), rs.simple_root(lb))
             ):
                 out.append(
                     Violation(
