@@ -26,7 +26,10 @@ def _induced_root_system(rs: RootSystem, subset: frozenset) -> RootSystem:
 
 
 def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
-    """Localize at a subset of simple roots; raises on labels outside the system."""
+    """Localize at a subset of simple roots; raises on labels outside the
+    system, and on a `str`, which would be read as its characters."""
+    if isinstance(subset, str):
+        raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
     sub = frozenset(subset)
     for lab in sub:
         if lab not in system.rs:

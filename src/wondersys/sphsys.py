@@ -436,6 +436,9 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
             )
         if not d.moved_by:
             out.append(Violation("P1", f"color {d.id} is moved by no simple root"))
+        unknown = [lab for lab in d.moved_by if lab not in system.rs]
+        for lab in sorted(unknown, key=repr):
+            out.append(Violation("P1", f"color {d.id} is moved by {lab!r}, not a simple root"))
     if any(len(d.phi) != len(system.psi) for d in system.colors):
         return ValidationReport(tuple(out))
     _check_p1(system, coroots, out)

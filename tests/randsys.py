@@ -18,16 +18,7 @@ from wondersys import (
     SphericalSystem,
     validate_system,
 )
-from wondersys.catalog import (
-    diagonal_a1a1,
-    double_middle_chain_c,
-    full_support_chain_a,
-    g2_long_plus_double_short,
-    g2_long_plus_short,
-    group_compactification_a1a1,
-    projective_line,
-    short_chain_sum_b,
-)
+from wondersys.catalog import catalog_entry
 from wondersys import build_root_system
 
 
@@ -59,18 +50,18 @@ def b2_colored_tail() -> SphericalSystem:
 
 
 PRIMITIVES: List[Tuple[str, Callable[[], SphericalSystem]]] = [
-    ("p1", projective_line),
+    ("p1", lambda: catalog_entry("p1").system),
     ("doubled", doubled_root_a1),
-    ("group", group_compactification_a1a1),
-    ("diag", diagonal_a1a1),
-    ("a2full", lambda: full_support_chain_a(2)),
-    ("a3full", lambda: full_support_chain_a(3)),
-    ("b2sum", lambda: short_chain_sum_b(2)),
-    ("b3sum", lambda: short_chain_sum_b(3)),
+    ("group", lambda: catalog_entry("group-a1a1").system),
+    ("diag", lambda: catalog_entry("diag-a1a1").system),
+    ("a2full", lambda: catalog_entry("a2-full-support").system),
+    ("a3full", lambda: catalog_entry("a3-full-support").system),
+    ("b2sum", lambda: catalog_entry("b2-short-sum").system),
+    ("b3sum", lambda: catalog_entry("b3-chain-sum").system),
     ("b2tail", b2_colored_tail),
-    ("c3mid", lambda: double_middle_chain_c(3)),
-    ("g2sum", g2_long_plus_short),
-    ("g2dbl", g2_long_plus_double_short),
+    ("c3mid", lambda: catalog_entry("c3-double-middle").system),
+    ("g2sum", lambda: catalog_entry("g2-long-plus-short").system),
+    ("g2dbl", lambda: catalog_entry("g2-long-plus-double-short").system),
     ("flag-a1", lambda: colored_flag("A", 1, [])),
     ("flag-a1c", lambda: colored_flag("A", 1, [1])),
     ("flag-a2c", lambda: colored_flag("A", 2, [1])),
@@ -132,7 +123,7 @@ def random_system(rng: random.Random, max_rank: int = 6) -> SphericalSystem:
         parts.append(part)
         total += part.rs.rank
     if not parts:
-        parts = [projective_line()]
+        parts = [catalog_entry("p1").system]
     system = direct_sum(parts)
     report = validate_system(system)
     assert report.ok, [str(v) for v in report.violations]

@@ -3,6 +3,7 @@ from __future__ import annotations
 import pytest
 
 from wondersys import (
+    SphericalSystem,
     critical_roots_oracle,
     distinguished_elements,
     validate_system,
@@ -26,6 +27,20 @@ class TestCatalog:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             catalog_entry("no-such-system")
+
+    def test_a_lookup_builds_one_system(self, monkeypatch):
+        for entry in catalog_entries():
+            assert catalog_entry(entry.name) == entry, entry.name
+        built = []
+        init = SphericalSystem.__init__
+
+        def counting(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(SphericalSystem, "__init__", counting)
+        catalog_entry("p1")
+        assert len(built) == 1
 
     def test_expected_type_maps(self):
         for entry in catalog_entries():

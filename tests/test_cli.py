@@ -10,12 +10,7 @@ from pathlib import Path
 import pytest
 
 from wondersys import dumps, loads, localize
-from wondersys.catalog import (
-    catalog_entries,
-    catalog_entry,
-    group_compactification_a1a1,
-    projective_line,
-)
+from wondersys.catalog import catalog_entries, catalog_entry
 import wondersys.cli
 from wondersys.cli import main
 
@@ -260,7 +255,8 @@ class TestOrbits:
         assert dot.read_text().startswith("digraph orbits {")
 
     def test_rank_above_the_limit_exits_two(self, tmp_path, capsys):
-        system = direct_sum([group_compactification_a1a1()] * 8 + [projective_line()])
+        group, p1 = catalog_entry("group-a1a1").system, catalog_entry("p1").system
+        system = direct_sum([group] * 8 + [p1])
         path = tmp_path / "rank17.json"
         path.write_text(dumps(system))
         dot = tmp_path / "poset.dot"
@@ -289,7 +285,7 @@ class TestOrbits:
 
     def test_rank_twelve_counts_and_dot(self, tmp_path, capsys):
         path = tmp_path / "rank12.json"
-        path.write_text(dumps(direct_sum([group_compactification_a1a1()] * 6)))
+        path.write_text(dumps(direct_sum([catalog_entry("group-a1a1").system] * 6)))
         dot = tmp_path / "poset.dot"
         assert main(["--format", "json", "orbits", str(path), "--dot", str(dot)]) == 0
         payload = json.loads(capsys.readouterr().out)

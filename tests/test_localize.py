@@ -6,8 +6,10 @@ import pytest
 
 from wondersys import (
     Color,
+    Component,
     Functional,
     LatticeVector,
+    RootSystem,
     RootSystemError,
     SphericalSystem,
     build_root_system,
@@ -15,12 +17,7 @@ from wondersys import (
     type_a_roots,
     validate_system,
 )
-from wondersys.catalog import (
-    catalog_entries,
-    full_support_chain_a,
-    group_compactification_a1a1,
-    short_chain_sum_b,
-)
+from wondersys.catalog import catalog_entries, catalog_entry
 
 from randsys import random_systems
 
@@ -32,7 +29,7 @@ class TestLocalize:
             assert localize(s, s.rs.simple_roots) == s, entry.name
 
     def test_dropping_the_support(self):
-        s = full_support_chain_a(2)
+        s = catalog_entry("a2-full-support").system
         sub = localize(s, {"a1"})
         assert sub.psi == ()
         assert len(sub.colors) == 1
@@ -40,7 +37,7 @@ class TestLocalize:
         assert sub.colors[0].phi == Functional([])
 
     def test_group_compactification_projection(self):
-        s = group_compactification_a1a1()
+        s = catalog_entry("group-a1a1").system
         sub = localize(s, {"a1"})
         assert [str(x) for x in sub.psi] == ["a1"]
         assert [(c.id, c.phi.values) for c in sub.colors] == [
@@ -49,14 +46,21 @@ class TestLocalize:
         ]
 
     def test_unknown_label_rejected(self):
-        s = full_support_chain_a(2)
+        s = catalog_entry("a2-full-support").system
         with pytest.raises(RootSystemError):
             localize(s, {"a7"})
+
+    def test_str_subset_rejected(self):
+        # With one-letter labels, "ab" would silently read as {a, b}.
+        s = SphericalSystem(RootSystem([Component("A", 2, ("a", "b"))]), [], [])
+        for system, subset in [(s, "ab"), (catalog_entry("group-a1a1").system, "a1")]:
+            with pytest.raises(RootSystemError, match=f"subset is a str, not a set of labels: '{subset}'"):
+                localize(system, subset)
 
     def test_duplicate_parent_data_stays_distinct(self):
         # Both colors of a type-b root restrict to identical data but must
         # remain two distinct colors.
-        s = group_compactification_a1a1()
+        s = catalog_entry("group-a1a1").system
         sub = localize(s, {"a1"})
         assert len(sub.colors) == 2
         assert sub.colors[0].phi == sub.colors[1].phi
@@ -96,10 +100,10 @@ class TestLocalize:
 
 class TestTypeARoots:
     def test_group_compactification_has_none(self):
-        assert type_a_roots(group_compactification_a1a1()) == frozenset()
+        assert type_a_roots(catalog_entry("group-a1a1").system) == frozenset()
 
     def test_b2_tail(self):
-        assert type_a_roots(short_chain_sum_b(2)) == {"a2"}
+        assert type_a_roots(catalog_entry("b2-short-sum").system) == {"a2"}
 
     def test_empty_psi_no_colors(self):
         s = SphericalSystem(build_root_system([("A", 2)]), [], [])

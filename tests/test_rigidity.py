@@ -15,54 +15,47 @@ from wondersys import (
     localize,
     validate_system,
 )
-from wondersys.catalog import (
-    catalog_entries,
-    full_support_chain_a,
-    g2_long_plus_double_short,
-    group_compactification_a1a1,
-    projective_line,
-    short_chain_sum_b,
-)
+from wondersys.catalog import catalog_entries, catalog_entry
 
 from randsys import direct_sum, random_systems
 
 
 class TestDistinguished:
     def test_condition1_equal_colors(self):
-        report = distinguished_elements(projective_line())
+        report = distinguished_elements(catalog_entry("p1").system)
         assert not report.rigid
         assert report.distinguished[0].condition == 1
 
     def test_condition2_b_chain(self):
-        report = distinguished_elements(short_chain_sum_b(2))
+        report = distinguished_elements(catalog_entry("b2-short-sum").system)
         assert report.distinguished[0].condition == 2
 
     def test_condition3_g2(self):
-        report = distinguished_elements(g2_long_plus_double_short())
+        report = distinguished_elements(catalog_entry("g2-long-plus-double-short").system)
         assert report.distinguished[0].condition == 3
 
     def test_a2_chain_not_distinguished(self):
-        assert distinguished_elements(full_support_chain_a(2)).rigid
+        assert distinguished_elements(catalog_entry("a2-full-support").system).rigid
 
     def test_is_rigid(self):
-        assert not is_rigid(projective_line())
-        assert is_rigid(group_compactification_a1a1())
+        assert not is_rigid(catalog_entry("p1").system)
+        assert is_rigid(catalog_entry("group-a1a1").system)
         assert is_rigid(SphericalSystem(build_root_system([("A", 1)]), [], []))
 
 
 class TestCriticality:
     def test_vacuous_when_support_is_everything(self):
-        report = critical_roots_oracle(full_support_chain_a(2))
+        report = critical_roots_oracle(catalog_entry("a2-full-support").system)
         (entry,) = report.entries
         assert entry.critical and entry.vacuous and not entry.distinguished
 
     def test_distinguished_roots_are_not_critical(self):
-        report = critical_roots_oracle(projective_line())
+        report = critical_roots_oracle(catalog_entry("p1").system)
         (entry,) = report.entries
         assert entry.distinguished and not entry.critical
 
     def test_group_compactification_both_critical(self):
-        report = critical_roots_oracle(group_compactification_a1a1())
+        report = critical_roots_oracle(catalog_entry("group-a1a1").system)
         assert all(e.critical and not e.vacuous for e in report.entries)
 
     def test_reduced_matches_oracle_on_catalog(self):
@@ -79,7 +72,7 @@ class TestCriticality:
 
     def test_reduced_matches_oracle_at_rank_24(self):
         # Every root fails at its first coatom, so the oracle stays cheap.
-        s = direct_sum([group_compactification_a1a1()] * 12)
+        s = direct_sum([catalog_entry("group-a1a1").system] * 12)
         assert s.rs.rank == 24
         entries = critical_roots(s).entries
         assert entries == critical_roots_oracle(s).entries
@@ -95,7 +88,7 @@ class TestCriticality:
             return original(system, subset)
 
         monkeypatch.setattr(wondersys.rigidity, "localize", counting)
-        s = direct_sum([group_compactification_a1a1()] * 3)
+        s = direct_sum([catalog_entry("group-a1a1").system] * 3)
         entries = compute(s).entries
         assert sum(not e.distinguished and not e.vacuous for e in entries) == 6
         assert len(calls) == len(set(calls)) == 3

@@ -215,6 +215,30 @@ class TestViolationTexts:
             "P1: color E is moved by no simple root"
         ]
 
+    def test_color_moved_by_a_label_outside_the_root_system(self):
+        rs = build_root_system([("A", 1)])
+        split = [
+            Color("Dp", ["a1", "b7"], Functional([1])),
+            Color("Dm", ["a1"], Functional([1])),
+        ]
+        typed_c = [Color("D", [1], Functional([1]))]
+        mixed = [Color("D", [2, "b7", "a0"], Functional([]))]
+        cases = [
+            (SphericalSystem(rs, [lv(a1=1)], split),
+             ["P1: color Dp is moved by 'b7', not a simple root"]),
+            (SphericalSystem(rs, [lv(a1=2)], typed_c),
+             ["P1: color D is moved by 1, not a simple root",
+              "P1: type-c root a1 has 0 colors, expected 1"]),
+            # Sorted by repr, so labels of mixed types sort too.
+            (SphericalSystem(rs, [], mixed),
+             ["P1: color D is moved by 'a0', not a simple root",
+              "P1: color D is moved by 'b7', not a simple root",
+              "P1: color D is moved by 2, not a simple root"]),
+        ]
+        for system, texts in cases:
+            assert [str(v) for v in validate_system(system).violations] == texts
+            assert [str(v) for v in oracle_violations(system)] == texts
+
     def test_functional_length_mismatch_stops_validation(self):
         # Without the stop, the type-b check would add functionals of
         # different lengths.
