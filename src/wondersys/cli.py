@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Any, Dict, List, Optional
 
-from .catalog import catalog_entries, catalog_entry
+from .catalog import CATALOG, catalog_entry
 from .localize import localize
 from .orbits import emit_graph, orbit_poset
 from .rigidity import critical_roots, critical_roots_oracle, distinguished_elements
@@ -118,7 +118,10 @@ def _cmd_critical(args) -> tuple:
     system = _load_system(args.input)
     _require_valid(system)
     compute = critical_roots_oracle if args.oracle else critical_roots
-    report = compute(system)
+    try:
+        report = compute(system)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_USAGE)
     lines = []
     payload = {"oracle": bool(args.oracle), "entries": []}
     for i, e in enumerate(report.entries):
@@ -178,10 +181,11 @@ def _cmd_orbits(args) -> tuple:
 
 def _cmd_catalog(args) -> tuple:
     if args.action == "list":
-        entries = catalog_entries()
-        lines = [f"{e.name}: {e.description}" for e in entries]
+        # Names and descriptions are read off the table; no system is built.
+        rows = [(name, row[0]) for name, row in CATALOG.items()]
+        lines = [f"{name}: {description}" for name, description in rows]
         payload = {
-            "entries": [{"name": e.name, "description": e.description} for e in entries]
+            "entries": [{"name": name, "description": description} for name, description in rows]
         }
         return EXIT_OK, "\n".join(lines), payload
     try:

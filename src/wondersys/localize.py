@@ -5,23 +5,43 @@ spherical roots supported inside the subset, and restricts each surviving
 color's functional to the kept spherical roots.  Color ids are preserved,
 so the color correspondence with the parent system is the identity on ids
 and localization composes strictly.
+
+The induced root system reuses each ambient component that the subset
+covers as it is; only the labels the subset keeps of a cut component are
+typed again by `detect_subdiagram_type`.  Components are listed by their
+smallest label under `_label_key`, the order that function gives, whatever
+the ambient order; a system built with its components in another order is
+reordered by localizing at the full set.
 """
 from __future__ import annotations
 
 from typing import Iterable, List
 
-from .rootlat import Component, RootSystem, RootSystemError, detect_subdiagram_type
+from .rootlat import (
+    Component,
+    RootSystem,
+    RootSystemError,
+    _label_key,
+    detect_subdiagram_type,
+)
 from .sphsys import Color, SphericalSystem, TYPE_A
 
 
 def _induced_root_system(rs: RootSystem, subset: frozenset) -> RootSystem:
+    """The components of the sub-diagram on `subset`, by smallest label
+    under `_label_key`, as `detect_subdiagram_type` orders them.  An
+    ambient component the subset covers is reused verbatim, so localizing
+    at the full set is the identity when the ambient components are listed
+    in that order; only the part of a cut component that the subset keeps
+    is typed again."""
     comps: List[Component] = []
-    full = {frozenset(c.labels): c for c in rs.components}
-    for comp in detect_subdiagram_type(rs, subset):
-        original = full.get(frozenset(comp.labels))
-        # Reuse the ambient component verbatim when the subset covers it,
-        # so localizing at the full set is the identity.
-        comps.append(original if original is not None else comp)
+    for comp in rs.components:
+        kept = [lab for lab in comp.labels if lab in subset]
+        if len(kept) == len(comp.labels):
+            comps.append(comp)
+        elif kept:
+            comps.extend(detect_subdiagram_type(rs, kept))
+    comps.sort(key=lambda comp: min(map(_label_key, comp.labels)))
     return RootSystem(comps)
 
 

@@ -8,17 +8,25 @@ when it becomes distinguished in every proper localization containing the
 type-a roots and its support.
 
 Both criticality functions run one loop over the spherical roots and differ
-only in the subsets they try.  A subset is localized at most once per call;
-the roots distinguished there are shared by every root that tries it.
+only in the subsets they try.  A subset is localized at most once per call
+and its localization kept for every root that tries it; there only the root
+trying it is checked.  The oracle tries up to 2^k - 1 subsets for a root
+with k simple roots outside its base, so it refuses k above
+MAX_ORACLE_FREE_LABELS.
 """
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .localize import localize, type_a_roots
 from .rootlat import LatticeVector, Record, _set, detect_subdiagram_type
 from .sphsys import SphericalSystem, TYPE_A
+
+
+# Most simple roots outside a spherical root's base that the oracle searches
+# over: up to 2^24 - 1 subsets per root, where MAX_RANK alone allows 2^63.
+MAX_ORACLE_FREE_LABELS = 24
 
 
 class DistinguishedWitness(Record):
@@ -118,11 +126,14 @@ def is_rigid(system: SphericalSystem) -> bool:
     return distinguished_elements(system).rigid
 
 
-def _coatoms(labels: Tuple[str, ...], base: frozenset) -> List[frozenset]:
+def _coatoms(labels: Tuple[str, ...], base: frozenset):
     """All labels but one x outside `base`, in the order `_proper_supersets`
-    yields them, so both report the same `failing_subset`."""
+    yields them, so both report the same `failing_subset`; each is built
+    only when the search reaches it."""
     full = frozenset(labels)
-    return [full - {x} for x in reversed(labels) if x not in base]
+    for x in reversed(labels):
+        if x not in base:
+            yield full - {x}
 
 
 def _proper_supersets(labels: Tuple[str, ...], base: frozenset):
@@ -136,15 +147,19 @@ def _proper_supersets(labels: Tuple[str, ...], base: frozenset):
 def _criticality(system: SphericalSystem, subsets) -> CriticalityReport:
     """A root is critical when it is distinguished at every subset that
     `subsets(labels, base)` yields for its base (vacuously when the base is
-    every label and nothing is yielded); each subset is localized once."""
+    every label and nothing is yielded).  Each subset is localized once;
+    at each one only the root that tries it is asked about."""
     labels = tuple(system.rs.simple_roots)
     type_a = type_a_roots(system)
-    localized = {}  # subset -> roots distinguished in the localization
+    supports = [sigma.support for sigma in system.psi]
+    localized = {}  # subset -> the localization there
 
-    def distinguished_at(subset: frozenset) -> frozenset:
+    def distinguished_at(subset: frozenset, j: int) -> bool:
         if subset not in localized:
-            localized[subset] = distinguished_elements(localize(system, subset)).roots()
-        return localized[subset]
+            localized[subset] = localize(system, subset)
+        # psi[j] is kept, after every kept root before it.
+        k = sum(1 for supp in supports[:j] if supp <= subset)
+        return _distinguished_witness(localized[subset], k) is not None
 
     entries = []
     for j, sigma in enumerate(system.psi):
@@ -153,7 +168,7 @@ def _criticality(system: SphericalSystem, subsets) -> CriticalityReport:
             continue
         base = type_a | sigma.support
         failing = next(
-            (sub for sub in subsets(labels, base) if sigma not in distinguished_at(sub)),
+            (sub for sub in subsets(labels, base) if not distinguished_at(sub, j)),
             None,
         )
         entries.append(
@@ -169,7 +184,18 @@ def _criticality(system: SphericalSystem, subsets) -> CriticalityReport:
 
 
 def critical_roots_oracle(system: SphericalSystem) -> CriticalityReport:
-    """Brute-force criticality: quantify over every admissible proper subset."""
+    """Brute-force criticality: quantify over every admissible proper subset.
+
+    Raises ValueError, before anything is localized, when a spherical root
+    has more than MAX_ORACLE_FREE_LABELS simple roots outside its base."""
+    type_a = type_a_roots(system)
+    for j, sigma in enumerate(system.psi):
+        free = system.rs.rank - len(type_a | sigma.support)
+        if free > MAX_ORACLE_FREE_LABELS:
+            raise ValueError(
+                f"oracle search at s{j + 1}: {free} simple roots outside its base "
+                f"exceed the limit {MAX_ORACLE_FREE_LABELS}"
+            )
     return _criticality(system, _proper_supersets)
 
 
@@ -178,7 +204,9 @@ def critical_roots(system: SphericalSystem) -> CriticalityReport:
 
     By monotonicity of distinguishedness under localization it suffices to
     test the maximal proper subsets containing the base: all simple roots
-    but one.  Roots share these coatoms, and each is localized once per
-    call; agreement with the oracle is enforced by the test suite.
+    but one, tried from the last label back until one fails.  Roots share
+    these coatoms: each is localized once per call, and at each only the
+    root trying it is checked.  Agreement with the oracle is enforced by
+    the test suite.
     """
     return _criticality(system, _coatoms)

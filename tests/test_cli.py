@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from wondersys import dumps, loads, localize
+from wondersys import SphericalSystem, dumps, loads, localize
 from wondersys.catalog import catalog_entries, catalog_entry
 import wondersys.cli
 from wondersys.cli import main
@@ -245,6 +245,20 @@ class TestCritical:
         payload = json.loads(capsys.readouterr().out)
         assert [e["failing_subset"] for e in payload["entries"]] == [expected, expected]
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oracle_above_the_limit_exits_two(self, tmp_path, capsys, fmt):
+        # s1 = a1 has 25 colored labels outside its base.
+        flags = [colored_flag("A", 1, [1])] * 2
+        system = direct_sum([catalog_entry("group-a1a1").system] * 12 + flags)
+        path = tmp_path / "rank26.json"
+        path.write_text(dumps(system))
+        assert _run(fmt, ["critical", str(path), "--oracle"], capsys) == (
+            2,
+            "oracle search at s1: 25 simple roots outside its base exceed the limit 24",
+        )
+        assert main(["critical", str(path)]) == 0
+        assert "s1 = a1: not critical" in capsys.readouterr().out
+
 
 class TestOrbits:
     def test_counts_and_dot(self, tmp_path, capsys):
@@ -302,6 +316,31 @@ class TestCatalogVerb:
         out = capsys.readouterr().out
         for entry in catalog_entries():
             assert entry.name in out
+
+    def test_list_builds_no_system(self, capsys, monkeypatch):
+        entries = catalog_entries()
+        text = "".join(f"{e.name}: {e.description}\n" for e in entries)
+        payload = {
+            "command": "catalog",
+            "ok": True,
+            "entries": [{"name": e.name, "description": e.description} for e in entries],
+        }
+        built = []
+        init = SphericalSystem.__init__
+
+        def counting_init(self, *args):
+            built.append(args)
+            init(self, *args)
+
+        monkeypatch.setattr(SphericalSystem, "__init__", counting_init)
+        assert main(["catalog", "list"]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["--format", "json", "catalog", "list"]) == 0
+        assert capsys.readouterr().out == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        assert built == []
+        # The counter sees a construction.
+        catalog_entry("p1")
+        assert len(built) == 1
 
     def test_show_round_trips(self, capsys):
         for entry in catalog_entries():

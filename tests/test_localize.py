@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -13,13 +14,16 @@ from wondersys import (
     RootSystemError,
     SphericalSystem,
     build_root_system,
+    dumps,
     localize,
     type_a_roots,
     validate_system,
 )
 from wondersys.catalog import catalog_entries, catalog_entry
+from wondersys.rootlat import _label_key
 
-from randsys import random_systems
+from inducedoracle import reference_localize
+from randsys import random_systems, wide_system
 
 
 class TestLocalize:
@@ -96,6 +100,91 @@ class TestLocalize:
                 assert union_supp <= sub
             if union_supp <= sub:
                 assert len(loc.psi) == len(s.psi)
+
+
+def _api_built(components) -> SphericalSystem:
+    """Components as given, one simple spherical root at the first label of
+    each and one color on it; validity does not matter here."""
+    rs = RootSystem([Component(series, len(labels), labels) for series, labels in components])
+    firsts = [labels[0] for _, labels in components]
+    psi = [LatticeVector({lab: 1}) for lab in firsts]
+    colors = [
+        Color(f"D{k}", {lab}, Functional([int(i == k) for i in range(len(firsts))]))
+        for k, lab in enumerate(firsts)
+    ]
+    return SphericalSystem(rs, psi, colors)
+
+
+# Components listed out of label order, and components whose labels
+# interleave, so a cut piece can sort before a component listed earlier.
+API_BUILT = [
+    _api_built([("B", ("a4", "a5", "a6")), ("A", ("a1", "a2", "a3")), ("G", ("a8", "a7"))]),
+    _api_built([("A", ("a9", "a1", "a8")), ("D", ("a2", "a4", "a6", "a10")), ("C", ("a3", "a5", "a7"))]),
+    _api_built([("E", ("e6", "e1", "e4", "e2", "e3", "e5")), ("F", ("x", "a1", "y", "b10"))]),
+    _api_built([("D", ("a12", "a3", "a7", "a1", "a11")), ("A", ("a2", "a9")), ("B", ("a10", "a4", "a8"))]),
+]
+
+
+def _in_label_order(components) -> bool:
+    firsts = [min(map(_label_key, comp.labels)) for comp in components]
+    return firsts == sorted(firsts)
+
+
+def _induced_inputs() -> list:
+    systems = [e.system for e in catalog_entries()] + random_systems(5, 300, 8)
+    wide = wide_system(random.Random(43), 43)
+    assert wide.rs.rank == 43
+    return systems + [wide] + API_BUILT
+
+
+class TestInducedRootSystem:
+    """Against the reference that types the whole subset at once."""
+
+    def test_every_coatom_matches_the_reference(self):
+        for s in _induced_inputs():
+            labels = frozenset(s.rs.simple_roots)
+            for lab in s.rs.simple_roots:
+                got = localize(s, labels - {lab})
+                want = reference_localize(s, labels - {lab})
+                assert got.rs.components == want.rs.components, (s, lab)
+                assert got == want
+                assert dumps(got) == dumps(want)
+
+    def test_every_subset_of_the_api_built_systems(self):
+        for s in API_BUILT:
+            labels = s.rs.simple_roots
+            for size in range(len(labels) + 1):
+                for combo in itertools.combinations(labels, size):
+                    got, want = localize(s, combo), reference_localize(s, combo)
+                    assert got.rs.components == want.rs.components, (s, combo)
+                    assert dumps(got) == dumps(want)
+
+    def test_full_set_is_the_identity(self):
+        ordered = [s for s in _induced_inputs() if _in_label_order(s.rs.components)]
+        assert len(ordered) > 300 and API_BUILT[1] in ordered and API_BUILT[3] in ordered
+        for s in ordered:
+            assert localize(s, s.rs.simple_roots) == s
+
+    def test_full_set_sorts_components_listed_out_of_label_order(self):
+        # Components always come out by smallest label, so a system built
+        # with them out of that order is reordered once, then kept.
+        for s in (API_BUILT[0], API_BUILT[2]):
+            assert not _in_label_order(s.rs.components)
+            full = localize(s, s.rs.simple_roots)
+            assert full == reference_localize(s, s.rs.simple_roots)
+            assert _in_label_order(full.rs.components)
+            assert sorted(full.rs.components, key=repr) == sorted(s.rs.components, key=repr)
+            assert localize(full, full.rs.simple_roots) == full
+
+    def test_a_cut_piece_sorts_before_a_component_listed_earlier(self):
+        s = API_BUILT[1]
+        got = localize(s, frozenset(s.rs.simple_roots) - {"a1"})
+        assert [c.labels for c in got.rs.components] == [
+            ("a2", "a4", "a6", "a10"),
+            ("a3", "a5", "a7"),
+            ("a8",),
+            ("a9",),
+        ]
 
 
 class TestTypeARoots:

@@ -1,23 +1,32 @@
 from __future__ import annotations
 
+import importlib
 import itertools
+from pathlib import Path
 
 import pytest
 
 import wondersys.rigidity
 from wondersys import (
+    Color,
+    Functional,
+    LatticeVector,
     SphericalSystem,
     build_root_system,
     critical_roots,
     critical_roots_oracle,
+    detect_subdiagram_type,
     distinguished_elements,
     is_rigid,
+    loads,
     localize,
+    type_a_roots,
     validate_system,
 )
 from wondersys.catalog import catalog_entries, catalog_entry
+from wondersys.rigidity import MAX_ORACLE_FREE_LABELS
 
-from randsys import direct_sum, random_systems
+from randsys import colored_flag, direct_sum, random_systems
 
 
 class TestDistinguished:
@@ -97,6 +106,128 @@ class TestCriticality:
         for s in random_systems(seed=37, count=40):
             for e in critical_roots_oracle(s).entries:
                 assert not (e.distinguished and e.critical)
+
+
+def _induced_pair_on_a_chain(series: str, n: int) -> SphericalSystem:
+    """The rank-2 group system on a1 and an of one chain, with every inner
+    simple root colored: a coatom that drops an inner root cuts the chain
+    into two pieces."""
+    rs = build_root_system([(series, n)])
+    last = f"a{n}"
+    colors = [
+        Color("Dp", {"a1", last}, Functional([1, 1])),
+        Color("D1m", {"a1"}, Functional([1, -1])),
+        Color("Dnm", {last}, Functional([-1, 1])),
+    ]
+    for i in range(2, n):
+        lab = f"a{i}"
+        phi = [rs.cartan_entry(lab, "a1"), rs.cartan_entry(lab, last)]
+        colors.append(Color(f"D{i}", {lab}, Functional(phi)))
+    return SphericalSystem(rs, [LatticeVector({"a1": 1}), LatticeVector({last: 1})], colors)
+
+
+class TestCoatomWork:
+    """Each coatom the search reaches is localized once, and only the root
+    that tries it is checked there, never every root of the localization."""
+
+    def _systems(self, monkeypatch) -> list:
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        corpus = importlib.import_module("corpus")
+        systems = [e.system for e in catalog_entries()]
+        systems += [loads(case.text) for case in corpus.batch_small(301)]
+        return [s for s in systems if validate_system(s).ok]
+
+    @staticmethod
+    def _coatoms_tried(system, report) -> set:
+        labels = system.rs.simple_roots
+        type_a = type_a_roots(system)
+        tried = set()
+        for e in report.entries:
+            if e.distinguished:
+                continue
+            base = type_a | e.root.support
+            for x in reversed(labels):
+                if x in base:
+                    continue
+                sub = frozenset(labels) - {x}
+                tried.add(sub)
+                if sub == e.failing_subset:
+                    break
+        return tried
+
+    def test_one_localization_per_coatom_tried(self, monkeypatch):
+        systems = self._systems(monkeypatch)
+        localized, asked = [], []
+        localize_, distinguished = wondersys.rigidity.localize, wondersys.rigidity.distinguished_elements
+
+        def counting_localize(system, subset):
+            localized.append(frozenset(subset))
+            return localize_(system, subset)
+
+        def counting_distinguished(system):
+            asked.append(system)
+            return distinguished(system)
+
+        monkeypatch.setattr(wondersys.rigidity, "localize", counting_localize)
+        monkeypatch.setattr(wondersys.rigidity, "distinguished_elements", counting_distinguished)
+        total = 0
+        for s in systems:
+            localized.clear()
+            report = critical_roots(s)
+            tried = self._coatoms_tried(s, report)
+            assert len(localized) == len(set(localized)) == len(tried)
+            assert set(localized) == tried
+            total += len(tried)
+        assert len(systems) > 700 and total > 500
+        assert asked == []
+
+    @pytest.mark.parametrize("series", ["A", "B"])
+    def test_a_coatom_that_cuts_one_long_chain(self, series):
+        s = _induced_pair_on_a_chain(series, 7)
+        assert validate_system(s).ok
+        entries = critical_roots(s).entries
+        assert entries == critical_roots_oracle(s).entries
+        for e in entries:
+            assert not e.distinguished and not e.critical
+            assert e.failing_subset == frozenset(s.rs.simple_roots) - {"a6"}
+            pieces = detect_subdiagram_type(s.rs, e.failing_subset)
+            assert [(c.series, c.labels) for c in pieces] == [
+                ("A", ("a1", "a2", "a3", "a4", "a5")),
+                ("A", ("a7",)),
+            ]
+
+
+class TestOracleLimit:
+    """The oracle refuses a root with too many labels outside its base
+    before localizing anything."""
+
+    @staticmethod
+    def _with_free_labels(free: int) -> SphericalSystem:
+        # s1 = a1 has base {a1}: the 24 group labels and the flags are all
+        # colored, none of type a.
+        flags = [colored_flag("A", 1, [1])] * (free - 23)
+        s = direct_sum([catalog_entry("group-a1a1").system] * 12 + flags)
+        assert validate_system(s).ok and not type_a_roots(s)
+        assert s.rs.rank - 1 == free
+        return s
+
+    def test_at_the_limit(self):
+        s = self._with_free_labels(MAX_ORACLE_FREE_LABELS)
+        entries = critical_roots_oracle(s).entries
+        assert entries == critical_roots(s).entries
+        assert all(e.failing_subset is not None for e in entries)
+
+    def test_just_above_the_limit(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(wondersys.rigidity, "localize", lambda *args: calls.append(args))
+        s = self._with_free_labels(MAX_ORACLE_FREE_LABELS + 1)
+        message = (
+            f"oracle search at s1: {MAX_ORACLE_FREE_LABELS + 1} simple roots outside "
+            f"its base exceed the limit {MAX_ORACLE_FREE_LABELS}"
+        )
+        with pytest.raises(ValueError, match=message):
+            critical_roots_oracle(s)
+        assert calls == []
 
 
 class TestMonotonicity:
