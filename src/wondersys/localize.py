@@ -8,10 +8,9 @@ and localization composes strictly.
 
 The induced root system reuses each ambient component that the subset
 covers as it is; only the labels the subset keeps of a cut component are
-typed again by `detect_subdiagram_type`.  Components are listed by their
-smallest label under `_label_key`, the order that function gives, whatever
-the ambient order; a system built with its components in another order is
-reordered by localizing at the full set.
+typed again by `detect_subdiagram_type`.  `RootSystem` lists the
+components by smallest label, so localizing at the full set is the
+identity.
 """
 from __future__ import annotations
 
@@ -21,19 +20,17 @@ from .rootlat import (
     Component,
     RootSystem,
     RootSystemError,
-    _label_key,
     detect_subdiagram_type,
 )
 from .sphsys import Color, SphericalSystem, TYPE_A
 
 
 def _induced_root_system(rs: RootSystem, subset: frozenset) -> RootSystem:
-    """The components of the sub-diagram on `subset`, by smallest label
-    under `_label_key`, as `detect_subdiagram_type` orders them.  An
-    ambient component the subset covers is reused verbatim, so localizing
-    at the full set is the identity when the ambient components are listed
-    in that order; only the part of a cut component that the subset keeps
-    is typed again."""
+    """The components of the sub-diagram on `subset`, listed by smallest
+    label as `RootSystem` lists every component.  An ambient component the
+    subset covers is reused verbatim, so localizing at the full set is the
+    identity; only the part of a cut component that the subset keeps is
+    typed again."""
     comps: List[Component] = []
     for comp in rs.components:
         kept = [lab for lab in comp.labels if lab in subset]
@@ -41,13 +38,14 @@ def _induced_root_system(rs: RootSystem, subset: frozenset) -> RootSystem:
             comps.append(comp)
         elif kept:
             comps.extend(detect_subdiagram_type(rs, kept))
-    comps.sort(key=lambda comp: min(map(_label_key, comp.labels)))
     return RootSystem(comps)
 
 
 def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
     """Localize at a subset of simple roots; raises on labels outside the
-    system, and on a `str`, which would be read as its characters."""
+    system, and on a `str`, which would be read as its characters.  At the
+    full set it gives back the system itself, components in the same
+    order, since `RootSystem` lists them by smallest label."""
     if isinstance(subset, str):
         raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
     sub = frozenset(subset)

@@ -158,7 +158,8 @@ class LatticeVector(Record):
 
 def _label_key(item) -> Tuple[int, str]:
     label = item[0] if isinstance(item, tuple) else item
-    digits = "".join(c for c in label if c.isdigit())
+    # Decimal digits only: `int` refuses other digits, such as "²".
+    digits = "".join(filter(str.isdecimal, label))
     return (int(digits) if digits else 0, label)
 
 
@@ -308,13 +309,25 @@ class RootSystem:
     form on simple roots is (alpha_i, alpha_j) = d_i a_ij, so no Gram matrix
     is stored.  Nothing of size n x n is built.  The total rank may not
     exceed MAX_RANK.  Immutable after construction; safe for concurrent use.
+
+    Components are listed by their smallest label under `_label_key`,
+    whatever order they are given in, so two root systems with the same
+    components are equal and hash equal; every label must be a `str`.
     """
 
     def __init__(self, components: Sequence[Component]):
-        self.components: Tuple[Component, ...] = tuple(components)
-        n = sum(len(comp.labels) for comp in self.components)
+        components = tuple(components)
+        n = sum(len(comp.labels) for comp in components)
         if n > MAX_RANK:
             raise RootSystemError(f"total rank {n} exceeds the limit {MAX_RANK}")
+        for comp in components:
+            for lab in comp.labels:
+                if not isinstance(lab, str):
+                    raise RootSystemError(f"simple-root label {lab!r} is not a str")
+        # A component without labels is refused below, with its own message.
+        self.components: Tuple[Component, ...] = tuple(
+            sorted(components, key=lambda comp: min(map(_label_key, comp.labels), default=()))
+        )
         self.simple_roots: Tuple[str, ...] = tuple(
             lab for comp in self.components for lab in comp.labels
         )

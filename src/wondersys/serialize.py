@@ -162,32 +162,29 @@ def dumps(system: SphericalSystem) -> str:
     document with `indent=2, sort_keys=True`, plus a newline.  A label
     outside the root system raises RootSystemError."""
     rs = system.rs
-    index = {lab: i for i, lab in enumerate(rs.simple_roots)}
-    names = [f'"a{i + 1}"' for i in range(len(index))]
+    index = rs.index
+    names = [f'"a{i + 1}"' for i in range(rs.rank)]
     components = [
         f'{{\n        "rank": {c.rank},\n        "series": "{c.series}"\n      }}'
         for c in rs.components
     ]
     pad = " " * 6
-    try:
-        colors = [
-            '{\n      "id": %s,\n      "moved_by": %s,\n      "phi": %s\n    }'
-            % (
-                encode_basestring_ascii(d.id),
-                _nest([names[i] for i in sorted([index[lab] for lab in d.moved_by])], pad),
-                _nest([f'"{half_text(t)}"' if t % 2 else half_text(t) for t in d.phi.twice], pad),
-            )
-            for d in system.colors
-        ]
-        roots = []
-        for sigma in system.psi:
-            coeffs = [f"{names[index[lab]]}: {v}" for lab, v in sigma._coeffs.items()]
-            # The closing quote sorts before every digit, so the entries sort
-            # as their keys do: "a1" < "a10" < "a2".
-            coeffs.sort()
-            roots.append('{\n      "coeffs": ' + _nest(coeffs, pad, "{}") + "\n    }")
-    except KeyError as exc:
-        raise RootSystemError(f"unknown simple-root label {exc.args[0]!r}") from None
+    colors = [
+        '{\n      "id": %s,\n      "moved_by": %s,\n      "phi": %s\n    }'
+        % (
+            encode_basestring_ascii(d.id),
+            _nest([names[i] for i in sorted(map(index, d.moved_by))], pad),
+            _nest([f'"{half_text(t)}"' if t % 2 else half_text(t) for t in d.phi.twice], pad),
+        )
+        for d in system.colors
+    ]
+    roots = []
+    for sigma in system.psi:
+        coeffs = [f"{names[index(lab)]}: {v}" for lab, v in sigma._coeffs.items()]
+        # The closing quote sorts before every digit, so the entries sort
+        # as their keys do: "a1" < "a10" < "a2".
+        coeffs.sort()
+        roots.append('{\n      "coeffs": ' + _nest(coeffs, pad, "{}") + "\n    }")
     return (
         '{\n  "colors": '
         + _nest(colors, "  ")

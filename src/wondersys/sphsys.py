@@ -268,32 +268,20 @@ def _check_p1(
                             f"type-b root {lab}: <phi({d.id}), {lab}> = {half_text(value)} != 1",
                         )
                     )
-        elif kind == TYPE_C:
+        elif kind in (TYPE_C, TYPE_D):
+            # One color, whose functional is the half coroot (c) or the coroot (d).
+            want, name = (half, "half coroot") if kind == TYPE_C else (coroot, "coroot")
             if len(moved) != 1:
                 out.append(
-                    Violation("P1", f"type-c root {lab} has {len(moved)} colors, expected 1")
+                    Violation("P1", f"type-{kind} root {lab} has {len(moved)} colors, expected 1")
                 )
             for d in moved:
-                if d.phi != half:
+                if d.phi != want:
                     out.append(
                         Violation(
                             "P1",
-                            f"type-c root {lab}: phi({d.id}) = {d.phi} differs from "
-                            f"half coroot {half}",
-                        )
-                    )
-        elif kind == TYPE_D:
-            if len(moved) != 1:
-                out.append(
-                    Violation("P1", f"type-d root {lab} has {len(moved)} colors, expected 1")
-                )
-            for d in moved:
-                if d.phi != coroot:
-                    out.append(
-                        Violation(
-                            "P1",
-                            f"type-d root {lab}: phi({d.id}) = {d.phi} differs from "
-                            f"coroot {coroot}",
+                            f"type-{kind} root {lab}: phi({d.id}) = {d.phi} differs from "
+                            f"{name} {want}",
                         )
                     )
 

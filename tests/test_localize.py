@@ -160,21 +160,25 @@ class TestInducedRootSystem:
                     assert dumps(got) == dumps(want)
 
     def test_full_set_is_the_identity(self):
-        ordered = [s for s in _induced_inputs() if _in_label_order(s.rs.components)]
-        assert len(ordered) > 300 and API_BUILT[1] in ordered and API_BUILT[3] in ordered
-        for s in ordered:
-            assert localize(s, s.rs.simple_roots) == s
+        inputs = _induced_inputs()
+        assert len(inputs) > 300
+        for s in inputs:
+            full = localize(s, s.rs.simple_roots)
+            assert full == s
+            assert dumps(full) == dumps(s)
 
     def test_full_set_sorts_components_listed_out_of_label_order(self):
-        # Components always come out by smallest label, so a system built
-        # with them out of that order is reordered once, then kept.
+        # Both were built with their components out of label order, and
+        # RootSystem lists them by smallest label whatever order they are
+        # given in, so localizing at the full set gives the system back.
         for s in (API_BUILT[0], API_BUILT[2]):
-            assert not _in_label_order(s.rs.components)
+            comps = s.rs.components
+            assert _in_label_order(comps)
+            assert RootSystem(comps[::-1]).components == comps
             full = localize(s, s.rs.simple_roots)
             assert full == reference_localize(s, s.rs.simple_roots)
-            assert _in_label_order(full.rs.components)
-            assert sorted(full.rs.components, key=repr) == sorted(s.rs.components, key=repr)
-            assert localize(full, full.rs.simple_roots) == full
+            assert full.rs.components == comps
+            assert full == s
 
     def test_a_cut_piece_sorts_before_a_component_listed_earlier(self):
         s = API_BUILT[1]

@@ -20,7 +20,7 @@ from wondersys import (
     positive_roots,
 )
 
-from wondersys.rootlat import MAX_RANK, component_cartan
+from wondersys.rootlat import MAX_RANK, _label_key, component_cartan
 
 from dynkinoracle import oracle_subdiagram_type
 from randsys import wide_systems
@@ -126,6 +126,64 @@ class TestBuildRootSystem:
                 vb = rs.simple_root(b)
                 expected = 2 * rs.form(va, vb) / rs.form(va, va)
                 assert Fraction(rs.cartan_entry(a, b)) == expected
+
+
+class TestComponentOrder:
+    """Components are listed by smallest label, whatever order they are given in."""
+
+    A3 = Component("A", 3, ("a1", "a2", "a3"))
+    B3 = Component("B", 3, ("a4", "a5", "a6"))
+
+    def test_order_given_does_not_matter(self):
+        swapped, ordered = RootSystem([self.B3, self.A3]), RootSystem([self.A3, self.B3])
+        assert swapped == ordered and hash(swapped) == hash(ordered)
+        assert swapped.components == (self.A3, self.B3)
+        assert swapped.simple_roots == ("a1", "a2", "a3", "a4", "a5", "a6")
+        assert swapped.cartan_entry("a5", "a6") == ordered.cartan_entry("a5", "a6") == -1
+
+    def test_smallest_label_by_label_key(self):
+        # a10 sorts after a9, though not as text; a label without digits reads 0.
+        g2 = Component("G", 2, ("a10", "a11"))
+        a1, x = Component("A", 1, ("a9",)), Component("A", 1, ("x",))
+        assert RootSystem([g2, a1, x]).components == (x, a1, g2)
+
+    @pytest.mark.parametrize("label", [7, None, b"a1", ("a1",)])
+    def test_a_label_that_is_not_a_str_is_refused(self, label):
+        comp = Component("A", 2, ("a1", label))
+        with pytest.raises(RootSystemError, match=f"^simple-root label {re.escape(repr(label))} is not a str$"):
+            RootSystem([self.B3, comp])
+
+    @pytest.mark.parametrize(
+        "comp,message",
+        [
+            (Component("A", 0, ()), "invalid component A0"),
+            (Component("A", 1, ()), "component label count mismatch"),
+            (Component("Z", 1, ("a7",)), "invalid component Z1"),
+            (Component("A", 2, ("a7",)), "component label count mismatch"),
+        ],
+    )
+    def test_component_errors_keep_their_text(self, comp, message):
+        for comps in ([comp], [self.A3, comp], [comp, self.A3]):
+            with pytest.raises(RootSystemError, match=f"^{message}$"):
+                RootSystem(comps)
+
+    def test_label_key_matches_the_generator_form(self):
+        def generator_key(item):
+            label = item[0] if isinstance(item, tuple) else item
+            digits = "".join(c for c in label if c.isdigit())
+            return (int(digits) if digits else 0, label)
+
+        labels = [f"a{i}" for i in range(1, 65)] + ["x", "b10", "e6", "a1b2", "", "a\u0663"]
+        for label in labels:
+            assert _label_key(label) == generator_key(label)
+            assert _label_key((label, 1)) == generator_key((label, 1))
+        assert _label_key("a\u0663") == (3, "a\u0663")
+
+    def test_a_digit_that_int_refuses_does_not_stop_the_sort(self):
+        # "²" is a digit but not a decimal one; the generator form raised here.
+        sq, a1 = Component("A", 1, ("a\u00b2",)), Component("A", 1, ("a1",))
+        assert _label_key("a1\u00b2") == (1, "a1\u00b2")
+        assert RootSystem([a1, sq]).components == (sq, a1)
 
 
 class TestCartanAgainstComponentBlocks:

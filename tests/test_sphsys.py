@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import random
 from fractions import Fraction
+from pathlib import Path
 from typing import List
 
 import pytest
@@ -13,12 +15,14 @@ from wondersys import (
     RootSystemError,
     SphericalSystem,
     build_root_system,
+    loads,
     localize,
     validate_system,
 )
 from wondersys.catalog import catalog_entries
 from wondersys.sphsys import assign_types, coroot_table
 
+from documentoracle import writer_edge_cases
 from mutations import mutation_cases
 from randsys import random_systems, wide_systems
 from validateoracle import (
@@ -334,6 +338,24 @@ class TestLatticeRank:
             ]
             s = SphericalSystem(rs, psi, [])
             assert spherical_lattice_rank(s) == _rational_rank(rs.simple_roots, psi), psi
+
+    def test_base_passing_systems_have_full_lattice_rank(self, monkeypatch):
+        # BASE makes the spherical roots a basis of the lattice they span.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+        corpus = importlib.import_module("corpus")
+        systems = [e.system for e in catalog_entries()] + random_systems(5, 600, 8)
+        systems += [system for _, system, _ in mutation_cases()]
+        for seed in (301, 302):
+            for make in (corpus.batch_small, corpus.wide_sums, corpus.big_components):
+                systems += [loads(case.text) for case in make(seed)]
+        systems += [system for _, system in writer_edge_cases()]
+        passing = 0
+        for s in systems:
+            if any(v.axiom == "BASE" for v in validate_system(s).violations):
+                continue
+            passing += 1
+            assert spherical_lattice_rank(s) == len(s.psi), s
+        assert passing > 2800
 
 
 def _rational_rank(labels, psi):
