@@ -6,39 +6,18 @@ color's functional to the kept spherical roots.  Color ids are preserved,
 so the color correspondence with the parent system is the identity on ids
 and localization composes strictly.
 
-The induced root system reuses each ambient component that the subset
-covers as it is; only the labels the subset keeps of a cut component are
-typed again by `detect_subdiagram_type`.  `RootSystem` lists the
-components by smallest label, so localizing at the full set is the
-identity.
+The induced root system is `RootSystem.induced`: derived from the ambient
+one, it reuses each component that the subset covers as it is, and only
+the labels the subset keeps of a cut component are typed again.  It lists
+the components by smallest label, as `RootSystem` does, so localizing at
+the full set is the identity.
 """
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
-from .rootlat import (
-    Component,
-    RootSystem,
-    RootSystemError,
-    detect_subdiagram_type,
-)
+from .rootlat import RootSystemError
 from .sphsys import Color, SphericalSystem, TYPE_A
-
-
-def _induced_root_system(rs: RootSystem, subset: frozenset) -> RootSystem:
-    """The components of the sub-diagram on `subset`, listed by smallest
-    label as `RootSystem` lists every component.  An ambient component the
-    subset covers is reused verbatim, so localizing at the full set is the
-    identity; only the part of a cut component that the subset keeps is
-    typed again."""
-    comps: List[Component] = []
-    for comp in rs.components:
-        kept = [lab for lab in comp.labels if lab in subset]
-        if len(kept) == len(comp.labels):
-            comps.append(comp)
-        elif kept:
-            comps.extend(detect_subdiagram_type(rs, kept))
-    return RootSystem(comps)
 
 
 def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
@@ -52,7 +31,7 @@ def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
     for lab in sub:
         if lab not in system.rs:
             raise RootSystemError(f"label {lab!r} is not a simple root of the system")
-    rs = _induced_root_system(system.rs, sub)
+    rs = system.rs.induced(sub)
     kept = [i for i, sigma in enumerate(system.psi) if sigma.support <= sub]
     psi = [system.psi[i] for i in kept]
     colors = []

@@ -8,11 +8,15 @@ when it becomes distinguished in every proper localization containing the
 type-a roots and its support.
 
 Both criticality functions run one loop over the spherical roots and differ
-only in the subsets they try.  A subset is localized at most once per call
-and its localization kept for every root that tries it; there only the root
-trying it is checked.  The oracle tries up to 2^k - 1 subsets for a root
-with k simple roots outside its base, so it refuses k above
-MAX_ORACLE_FREE_LABELS.
+only in the subsets they try and in what they ask there.  A subset is
+localized at most once per call and its localization kept for every root
+that tries it; there only the root trying it is checked.  A localization
+that keeps a root's support keeps the root, the induced diagram on its
+support and the type map there, so conditions 2 and 3 read there as they
+read in the system itself; `critical_roots` asks only condition 1 at each
+coatom, while the oracle asks every condition at every subset.  The oracle
+tries up to 2^k - 1 subsets for a root with k simple roots outside its
+base, so it refuses k above MAX_ORACLE_FREE_LABELS.
 """
 from __future__ import annotations
 
@@ -78,18 +82,26 @@ class CriticalityReport(Record):
         _set(self, "entries", entries)
 
 
-def _distinguished_witness(system: SphericalSystem, j: int) -> Optional[DistinguishedWitness]:
-    """The witness that psi[j] is distinguished, or None."""
-    sigma = system.psi[j]
-    # Condition 1: a simple spherical root with two equal color functionals.
+def _equal_colors_witness(system: SphericalSystem, j: int) -> Optional[DistinguishedWitness]:
+    """The witness of condition 1 for psi[j], or None: psi[j] is a simple
+    root with two colors whose functionals are equal."""
     label = system.simple_labels[j]
     if label is not None:
         moved = system.colors_moved_by(label)
         for d1, d2 in itertools.combinations(moved, 2):
             if d1.phi == d2.phi:
                 return DistinguishedWitness(
-                    sigma, 1, f"colors {d1.id}, {d2.id} of {label} have equal phi"
+                    system.psi[j], 1, f"colors {d1.id}, {d2.id} of {label} have equal phi"
                 )
+    return None
+
+
+def _distinguished_witness(system: SphericalSystem, j: int) -> Optional[DistinguishedWitness]:
+    """The witness that psi[j] is distinguished, or None."""
+    found = _equal_colors_witness(system, j)
+    if found is not None:
+        return found
+    sigma = system.psi[j]
     supp = sigma.support
     if len(supp) < 2:
         return None
@@ -144,11 +156,12 @@ def _proper_supersets(labels: Tuple[str, ...], base: frozenset):
             yield base | frozenset(extra)
 
 
-def _criticality(system: SphericalSystem, subsets) -> CriticalityReport:
+def _criticality(system: SphericalSystem, subsets, witness) -> CriticalityReport:
     """A root is critical when it is distinguished at every subset that
     `subsets(labels, base)` yields for its base (vacuously when the base is
     every label and nothing is yielded).  Each subset is localized once;
-    at each one only the root that tries it is asked about."""
+    at each one only the root that tries it is asked about, by
+    `witness(localization, index)`."""
     labels = tuple(system.rs.simple_roots)
     type_a = type_a_roots(system)
     supports = [sigma.support for sigma in system.psi]
@@ -159,7 +172,7 @@ def _criticality(system: SphericalSystem, subsets) -> CriticalityReport:
             localized[subset] = localize(system, subset)
         # psi[j] is kept, after every kept root before it.
         k = sum(1 for supp in supports[:j] if supp <= subset)
-        return _distinguished_witness(localized[subset], k) is not None
+        return witness(localized[subset], k) is not None
 
     entries = []
     for j, sigma in enumerate(system.psi):
@@ -196,7 +209,7 @@ def critical_roots_oracle(system: SphericalSystem) -> CriticalityReport:
                 f"oracle search at s{j + 1}: {free} simple roots outside its base "
                 f"exceed the limit {MAX_ORACLE_FREE_LABELS}"
             )
-    return _criticality(system, _proper_supersets)
+    return _criticality(system, _proper_supersets, _distinguished_witness)
 
 
 def critical_roots(system: SphericalSystem) -> CriticalityReport:
@@ -206,7 +219,9 @@ def critical_roots(system: SphericalSystem) -> CriticalityReport:
     test the maximal proper subsets containing the base: all simple roots
     but one, tried from the last label back until one fails.  Roots share
     these coatoms: each is localized once per call, and at each only the
-    root trying it is checked.  Agreement with the oracle is enforced by
-    the test suite.
+    root trying it is checked, for condition 1 alone, since a root that
+    conditions 2 and 3 leave undistinguished in the system stays so in
+    every localization that keeps its support.  Agreement with the oracle,
+    which asks every condition, is enforced by the test suite.
     """
-    return _criticality(system, _coatoms)
+    return _criticality(system, _coatoms, _equal_colors_witness)

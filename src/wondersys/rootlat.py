@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from operator import add, attrgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 # Largest total rank a root system may have.  It is checked before anything
@@ -208,8 +208,10 @@ class Functional(Record):
         return Functional._of_twice(tuple(a + b for a, b in zip(self.twice, other.twice)))
 
     def restrict(self, indices: Sequence[int]) -> "Functional":
-        twice = self.twice
-        return Functional._of_twice(tuple(twice[i] for i in indices))
+        """The functional on the spherical roots at `indices`, in that order."""
+        if len(indices) > 1:
+            return Functional._of_twice(itemgetter(*indices)(self.twice))
+        return Functional._of_twice((self.twice[indices[0]],) if indices else ())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Functional) and self.twice == other.twice
@@ -313,6 +315,9 @@ class RootSystem:
     Components are listed by their smallest label under `_label_key`,
     whatever order they are given in, so two root systems with the same
     components are equal and hash equal; every label must be a `str`.
+    Each component's smallest key is kept with it, so `induced` merges the
+    components it reuses with the pieces it cuts without computing their
+    keys again.
     """
 
     def __init__(self, components: Sequence[Component]):
@@ -325,30 +330,99 @@ class RootSystem:
                 if not isinstance(lab, str):
                     raise RootSystemError(f"simple-root label {lab!r} is not a str")
         # A component without labels is refused below, with its own message.
-        self.components: Tuple[Component, ...] = tuple(
-            sorted(components, key=lambda comp: min(map(_label_key, comp.labels), default=()))
+        keyed = sorted(
+            ((min(map(_label_key, comp.labels), default=()), comp) for comp in components),
+            key=itemgetter(0),
         )
-        self.simple_roots: Tuple[str, ...] = tuple(
-            lab for comp in self.components for lab in comp.labels
-        )
-        if len(set(self.simple_roots)) != n:
+        if len({lab for comp in components for lab in comp.labels}) != n:
             raise RootSystemError("duplicate simple-root labels")
-        self._index = {lab: i for i, lab in enumerate(self.simple_roots)}
-        half_lengths: list = []
+        half_norms: list = []
         columns = {}
         offset = 0
-        for comp in self.components:
+        for _, comp in keyed:
             if len(comp.labels) != comp.rank:
                 raise RootSystemError("component label count mismatch")
             cmat, lens = component_cartan(comp.series, comp.rank)
-            half_lengths.extend(length // 2 for length in lens)
+            half_norms.extend(length // 2 for length in lens)
             for c, label in enumerate(comp.labels):
                 columns[label] = tuple(
                     (offset + r, row[c]) for r, row in enumerate(cmat) if row[c]
                 )
             offset += comp.rank
-        self._d: Tuple[int, ...] = tuple(half_lengths)
+        self._assign(keyed, half_norms, columns)
+
+    def _assign(self, keyed: Sequence[Tuple[tuple, Component]], half_norms: Sequence[int],
+                columns: dict) -> None:
+        """Set every field from the (smallest key, component) pairs in key
+        order, the half-norms in label order and the columns by label."""
+        self.components: Tuple[Component, ...] = tuple(comp for _, comp in keyed)
+        self._keys: Tuple[tuple, ...] = tuple(key for key, _ in keyed)
+        self.simple_roots: Tuple[str, ...] = tuple(
+            lab for comp in self.components for lab in comp.labels
+        )
+        self._index = {lab: i for i, lab in enumerate(self.simple_roots)}
+        self._d: Tuple[int, ...] = tuple(half_norms)
         self._columns = columns
+
+    def induced(self, subset: Iterable[str]) -> "RootSystem":
+        """The root system on the sub-diagram of a set of simple-root labels.
+
+        Equal to `RootSystem` of the typed components of that sub-diagram,
+        but derived from this one: a component the subset covers is reused
+        with its key, its columns shifted to its new offset and its
+        half-norms as they are; only the part of a cut component that the
+        subset keeps is typed again by `detect_subdiagram_type`.  A cut
+        piece keeps the Cartan entries between its labels, re-indexed and
+        i ascending, and its half-norms divided by their least, so its short
+        roots have d = 1 again.  A label outside the system raises
+        RootSystemError.
+        """
+        subset = frozenset(subset)
+        keyed = []
+        starts = {}  # key of a reused component -> its offset in this system
+        start = found = 0
+        for key, comp in zip(self._keys, self.components):
+            kept = [lab for lab in comp.labels if lab in subset]
+            found += len(kept)
+            if len(kept) == comp.rank:
+                keyed.append((key, comp))
+                starts[key] = start
+            elif kept:
+                keyed.extend(
+                    (min(map(_label_key, piece.labels)), piece)
+                    for piece in detect_subdiagram_type(self, kept)
+                )
+            start += comp.rank
+        if found != len(subset):
+            unknown = next(lab for lab in subset if lab not in self._index)
+            raise RootSystemError(f"unknown simple-root label {unknown!r}")
+        keyed.sort(key=itemgetter(0))
+        index, d, old_columns = self._index, self._d, self._columns
+        half_norms: list = []
+        columns = {}
+        offset = 0
+        for key, comp in keyed:
+            labels = comp.labels
+            start = starts.get(key)
+            if start is None:
+                at = {index[lab]: offset + p for p, lab in enumerate(labels)}
+                norms = [d[index[lab]] for lab in labels]
+                least = min(norms)
+                half_norms.extend(x // least for x in norms)
+                for lab in labels:
+                    columns[lab] = tuple(
+                        sorted((at[i], a) for i, a in old_columns[lab] if i in at)
+                    )
+            else:
+                half_norms.extend(d[start : start + comp.rank])
+                shift = offset - start
+                for lab in labels:
+                    column = old_columns[lab]
+                    columns[lab] = tuple((i + shift, a) for i, a in column) if shift else column
+            offset += comp.rank
+        rs = object.__new__(RootSystem)
+        rs._assign(keyed, half_norms, columns)
+        return rs
 
     @property
     def rank(self) -> int:

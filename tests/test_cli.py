@@ -416,7 +416,7 @@ class TestColdStart:
 
     def test_only_rootlat_reads_what_root_system_keeps_privately(self):
         # How RootSystem stores the Cartan matrix stays behind one module.
-        private = {"_cartan", "_columns", "_d", "_index"}
+        private = {"_cartan", "_columns", "_d", "_index", "_keys"}
         package = Path(wondersys.cli.__file__).resolve().parent
         readers = []
         for path in sorted(package.glob("*.py")):

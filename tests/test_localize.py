@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import importlib
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,7 @@ from wondersys import (
     SphericalSystem,
     build_root_system,
     dumps,
+    loads,
     localize,
     type_a_roots,
     validate_system,
@@ -22,7 +25,7 @@ from wondersys import (
 from wondersys.catalog import catalog_entries, catalog_entry
 from wondersys.rootlat import _label_key
 
-from inducedoracle import reference_localize
+from inducedoracle import induced_root_system, reference_localize
 from randsys import random_systems, wide_system
 
 
@@ -189,6 +192,62 @@ class TestInducedRootSystem:
             ("a8",),
             ("a9",),
         ]
+
+
+def _corpus_systems(monkeypatch) -> list:
+    """The seed-301 wide-sums and batch-small cases of the benchmark."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    corpus = importlib.import_module("corpus")
+    return [loads(case.text) for make in (corpus.wide_sums, corpus.batch_small) for case in make(301)]
+
+
+class TestInducedFields:
+    """`RootSystem.induced` against `RootSystem` of the reference components,
+    field by field: `==` compares the components alone."""
+
+    @staticmethod
+    def _assert_fields(s: SphericalSystem, sub: frozenset) -> None:
+        got, want = s.rs.induced(sub), induced_root_system(s.rs, sub)
+        assert got.components == want.components, (s, sub)
+        assert got.simple_roots == want.simple_roots
+        for lab in want.simple_roots:
+            assert got.index(lab) == want.index(lab)
+            assert got.column(lab) == want.column(lab), (s, sub, lab)
+            assert got.half_norm(lab) == want.half_norm(lab), (s, sub, lab)
+        kept = [sigma for sigma in s.psi if sigma.support <= sub]
+        for sigma, tau in itertools.product(kept, repeat=2):
+            assert got.form(sigma, tau) == want.form(sigma, tau)
+
+    def test_every_coatom(self, monkeypatch):
+        systems = _induced_inputs() + _corpus_systems(monkeypatch)
+        assert len(systems) > 1300
+        for s in systems:
+            labels = frozenset(s.rs.simple_roots)
+            for lab in labels:
+                self._assert_fields(s, labels - {lab})
+
+    def test_every_subset_of_the_api_built_systems(self):
+        for s in API_BUILT:
+            labels = s.rs.simple_roots
+            for size in range(len(labels) + 1):
+                for combo in itertools.combinations(labels, size):
+                    self._assert_fields(s, frozenset(combo))
+
+    def test_a_cut_piece_gets_its_own_half_norms(self):
+        # Cut off its short root, B3 leaves an A2 of long roots: d = 1 there.
+        rs = build_root_system([("B", 3), ("G", 2)])
+        assert [rs.half_norm(lab) for lab in ("a1", "a2", "a4")] == [2, 2, 3]
+        sub = rs.induced({"a1", "a2", "a4"})
+        assert [(c.series, c.labels) for c in sub.components] == [
+            ("A", ("a1", "a2")),
+            ("A", ("a4",)),
+        ]
+        assert [sub.half_norm(lab) for lab in sub.simple_roots] == [1, 1, 1]
+
+    def test_unknown_label_raises(self):
+        rs = build_root_system([("A", 2)])
+        with pytest.raises(RootSystemError, match="^unknown simple-root label 'b7'$"):
+            rs.induced({"a1", "b7"})
 
 
 class TestTypeARoots:

@@ -11,8 +11,10 @@ from wondersys import (
     Color,
     Functional,
     LatticeVector,
+    RootSystem,
     SphericalSystem,
     build_root_system,
+    cartan_integer,
     critical_roots,
     critical_roots_oracle,
     detect_subdiagram_type,
@@ -26,7 +28,7 @@ from wondersys import (
 from wondersys.catalog import catalog_entries, catalog_entry
 from wondersys.rigidity import MAX_ORACLE_FREE_LABELS
 
-from randsys import colored_flag, direct_sum, random_systems
+from randsys import b2_colored_tail, colored_flag, direct_sum, random_systems
 
 
 class TestDistinguished:
@@ -156,9 +158,13 @@ class TestCoatomWork:
         return tried
 
     def test_one_localization_per_coatom_tried(self, monkeypatch):
+        # Each coatom is localized once, the localization builds no
+        # RootSystem through __init__, and the recognizer only ever reads
+        # the system itself: the part a coatom cuts is typed there.
         systems = self._systems(monkeypatch)
-        localized, asked = [], []
+        localized, asked, built, typed = [], [], [], []
         localize_, distinguished = wondersys.rigidity.localize, wondersys.rigidity.distinguished_elements
+        init, detect = RootSystem.__init__, wondersys.rootlat.detect_subdiagram_type
 
         def counting_localize(system, subset):
             localized.append(frozenset(subset))
@@ -168,18 +174,33 @@ class TestCoatomWork:
             asked.append(system)
             return distinguished(system)
 
+        def counting_init(rs, components):
+            built.append(components)
+            init(rs, components)
+
+        def recording_detect(rs, sigma):
+            typed.append(rs)
+            return detect(rs, sigma)
+
         monkeypatch.setattr(wondersys.rigidity, "localize", counting_localize)
         monkeypatch.setattr(wondersys.rigidity, "distinguished_elements", counting_distinguished)
-        total = 0
+        monkeypatch.setattr(RootSystem, "__init__", counting_init)
+        monkeypatch.setattr(wondersys.rootlat, "detect_subdiagram_type", recording_detect)
+        monkeypatch.setattr(wondersys.rigidity, "detect_subdiagram_type", recording_detect)
+        total = cuts = 0
         for s in systems:
             localized.clear()
+            typed.clear()
             report = critical_roots(s)
             tried = self._coatoms_tried(s, report)
             assert len(localized) == len(set(localized)) == len(tried)
             assert set(localized) == tried
+            assert all(rs is s.rs for rs in typed)
             total += len(tried)
-        assert len(systems) > 700 and total > 500
+            cuts += len(typed)
+        assert len(systems) > 700 and total > 500 and cuts > 500
         assert asked == []
+        assert built == []
 
     @pytest.mark.parametrize("series", ["A", "B"])
     def test_a_coatom_that_cuts_one_long_chain(self, series):
@@ -195,6 +216,77 @@ class TestCoatomWork:
                 ("A", ("a1", "a2", "a3", "a4", "a5")),
                 ("A", ("a7",)),
             ]
+
+
+def _b3_colored_tail() -> SphericalSystem:
+    """B_3 chain sum whose short root a3 carries a color: type d in the
+    tail, so condition 2 fails."""
+    rs = build_root_system([("B", 3)])
+    colors = [
+        Color("D1", {"a1"}, Functional([1])),
+        Color("D3", {"a3"}, Functional([0])),
+    ]
+    return SphericalSystem(rs, [LatticeVector({"a1": 1, "a2": 1, "a3": 1})], colors)
+
+
+def _simple_root_beside_a_long_chain(n: int, tail: int) -> SphericalSystem:
+    """sigma = a1 and tau = a2+...+an on A_{n+tail}, every label after an
+    colored.  The two colors of a1 differ on tau alone, whose support holds
+    every label outside sigma's base but the `tail` ones."""
+    rs = build_root_system([("A", n + tail)])
+    tau = LatticeVector({f"a{i}": 1 for i in range(2, n + 1)})
+    colors = [
+        Color("D1p", {"a1"}, Functional([1, 0])),
+        Color("D1m", {"a1"}, Functional([1, -1])),
+        Color("D2", {"a2"}, Functional([-1, 1])),
+        Color(f"D{n}", {f"a{n}"}, Functional([0, 1])),
+    ]
+    for i in range(n + 1, n + tail + 1):
+        lab = f"a{i}"
+        phi = [rs.cartan_entry(lab, "a1"), cartan_integer(rs, lab, tau)]
+        colors.append(Color(f"D{i}", {lab}, Functional(phi)))
+    return SphericalSystem(rs, [LatticeVector({"a1": 1}), tau], colors)
+
+
+class TestOracleAgreementBeyondConditionOne:
+    """The coatom search asks only condition 1 in a localization; the oracle
+    asks all three at every subset.  These systems have roots that
+    conditions 2 and 3 decide, and a differing functional on a long chain."""
+
+    @staticmethod
+    def _agree(s: SphericalSystem) -> tuple:
+        assert validate_system(s).ok
+        entries = critical_roots(s).entries
+        assert entries == critical_roots_oracle(s).entries
+        return entries
+
+    @pytest.mark.parametrize("tail", [_b3_colored_tail, b2_colored_tail])
+    def test_b_chain_sum_with_a_type_d_tail(self, tail):
+        group = catalog_entry("group-a1a1").system
+        s = direct_sum([tail(), group, colored_flag("A", 2, [1])])
+        chain = self._agree(s)[0]
+        assert not chain.distinguished and not chain.critical
+        # The first coatom drops the flag's colored root; its last is of type a.
+        assert chain.failing_subset == frozenset(s.rs.simple_roots) - {s.rs.simple_roots[-2]}
+
+    def test_g2_sum_beside_the_distinguished_g2_pattern(self):
+        parts = ["g2-long-plus-short", "g2-long-plus-double-short", "group-a1a1"]
+        s = direct_sum([catalog_entry(name).system for name in parts])
+        plain, pattern = self._agree(s)[:2]
+        assert plain.root == LatticeVector({"a1": 1, "a2": 1})
+        assert not plain.distinguished and not plain.critical and not plain.vacuous
+        assert pattern.root == LatticeVector({"a3": 1, "a4": 2}) and pattern.distinguished
+
+    @pytest.mark.parametrize("tail", [0, 1, 2])
+    def test_colors_that_differ_on_a_long_chain(self, tail):
+        s = _simple_root_beside_a_long_chain(7, tail)
+        sigma = self._agree(s)[0]
+        assert not sigma.distinguished and not sigma.vacuous
+        labels = frozenset(s.rs.simple_roots)
+        if tail:
+            assert sigma.failing_subset == labels - {f"a{7 + tail}"}
+        else:
+            assert sigma.critical
 
 
 class TestOracleLimit:

@@ -428,6 +428,18 @@ class TestFunctional:
             f + Functional([1])
 
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[], [5], [7, 2], [4, 4], list(range(37, -1, -1)),
+         [random.Random(38).randrange(40) for _ in range(38)]],
+    )
+    def test_restrict_matches_the_generator_form(self, indices):
+        f = Functional([Fraction(k - 20, 2) for k in range(40)])
+        got = f.restrict(indices)
+        assert got.twice == tuple(f.twice[i] for i in indices)
+        assert type(got.twice) is tuple
+
+
 class TestSupport:
     def test_single(self):
         assert lv(a2=1).support == {"a2"}
