@@ -302,15 +302,17 @@ class Component(Record):
 class RootSystem:
     """Semisimple root system with exact Cartan and form data.
 
-    The Cartan matrix a_ij = <alpha_i^vee, alpha_j> is stored once, as an
-    index of its columns by their nonzero entries: `column(b)` is the pairs
-    (i, a_ib) with a_ib != 0, read off b's own component block, so every
-    column holds at most four entries and pairing a coroot with a vector
-    costs its support times the few neighbours of each label.  With it comes
-    d_i = |alpha_i|^2 / 2, which is 1, 2 or 3 (`half_norm`).  The invariant
-    form on simple roots is (alpha_i, alpha_j) = d_i a_ij, so no Gram matrix
-    is stored.  Nothing of size n x n is built.  The total rank may not
-    exceed MAX_RANK.  Immutable after construction; safe for concurrent use.
+    The Cartan matrix a_ab = <alpha_a^vee, alpha_b> is stored once, as an
+    index of its columns by their nonzero entries, keyed by label:
+    `column(b)` is the frozenset of pairs (a, a_ab) with a_ab != 0, read off
+    b's own component block, so every column holds at most four entries and
+    pairing a coroot with a vector costs its support times the few
+    neighbours of each label.  With it comes d_a = |alpha_a|^2 / 2, which is
+    1, 2 or 3 (`half_norm`).  The invariant form on simple roots is
+    (alpha_a, alpha_b) = d_a a_ab, so no Gram matrix is stored.  Nothing of
+    size n x n is built.  Only `index` knows where a label stands; no other
+    data depends on positions.  The total rank may not exceed MAX_RANK.
+    Immutable after construction; safe for concurrent use.
 
     Components are listed by their smallest label under `_label_key`,
     whatever order they are given in, so two root systems with the same
@@ -336,90 +338,74 @@ class RootSystem:
         )
         if len({lab for comp in components for lab in comp.labels}) != n:
             raise RootSystemError("duplicate simple-root labels")
-        half_norms: list = []
+        half_norms = {}
         columns = {}
-        offset = 0
         for _, comp in keyed:
             if len(comp.labels) != comp.rank:
                 raise RootSystemError("component label count mismatch")
             cmat, lens = component_cartan(comp.series, comp.rank)
-            half_norms.extend(length // 2 for length in lens)
-            for c, label in enumerate(comp.labels):
-                columns[label] = tuple(
-                    (offset + r, row[c]) for r, row in enumerate(cmat) if row[c]
+            labels = comp.labels
+            for c, label in enumerate(labels):
+                half_norms[label] = lens[c] // 2
+                columns[label] = frozenset(
+                    (labels[r], row[c]) for r, row in enumerate(cmat) if row[c]
                 )
-            offset += comp.rank
         self._assign(keyed, half_norms, columns)
 
-    def _assign(self, keyed: Sequence[Tuple[tuple, Component]], half_norms: Sequence[int],
+    def _assign(self, keyed: Sequence[Tuple[tuple, Component]], half_norms: dict,
                 columns: dict) -> None:
         """Set every field from the (smallest key, component) pairs in key
-        order, the half-norms in label order and the columns by label."""
+        order and the half-norms and columns by label."""
         self.components: Tuple[Component, ...] = tuple(comp for _, comp in keyed)
         self._keys: Tuple[tuple, ...] = tuple(key for key, _ in keyed)
         self.simple_roots: Tuple[str, ...] = tuple(
             lab for comp in self.components for lab in comp.labels
         )
         self._index = {lab: i for i, lab in enumerate(self.simple_roots)}
-        self._d: Tuple[int, ...] = tuple(half_norms)
+        self._d = half_norms
         self._columns = columns
 
     def induced(self, subset: Iterable[str]) -> "RootSystem":
         """The root system on the sub-diagram of a set of simple-root labels.
 
         Equal to `RootSystem` of the typed components of that sub-diagram,
-        but derived from this one: a component the subset covers is reused
-        with its key, its columns shifted to its new offset and its
-        half-norms as they are; only the part of a cut component that the
-        subset keeps is typed again by `detect_subdiagram_type`.  A cut
-        piece keeps the Cartan entries between its labels, re-indexed and
-        i ascending, and its half-norms divided by their least, so its short
-        roots have d = 1 again.  A label outside the system raises
-        RootSystemError.
+        but derived from this one in one pass: columns are keyed by label,
+        so a component the subset covers keeps its key, columns and
+        half-norms as they are.  A cut component's kept labels are typed
+        again by `detect_subdiagram_type`; each keeps the column entries
+        whose label is in the subset, and each piece's half-norms are divided
+        by their least, so its short roots have d = 1 again.  A label outside
+        the system, or a `str` (read as its characters), raises RootSystemError.
         """
+        if isinstance(subset, str):
+            raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
         subset = frozenset(subset)
+        d, old_columns = self._d, self._columns
         keyed = []
-        starts = {}  # key of a reused component -> its offset in this system
-        start = found = 0
+        half_norms = {}
+        columns = {}
+        found = 0
         for key, comp in zip(self._keys, self.components):
             kept = [lab for lab in comp.labels if lab in subset]
             found += len(kept)
             if len(kept) == comp.rank:
                 keyed.append((key, comp))
-                starts[key] = start
+                for lab in kept:
+                    half_norms[lab] = d[lab]
+                    columns[lab] = old_columns[lab]
             elif kept:
-                keyed.extend(
-                    (min(map(_label_key, piece.labels)), piece)
-                    for piece in detect_subdiagram_type(self, kept)
-                )
-            start += comp.rank
+                for piece in detect_subdiagram_type(self, kept):
+                    keyed.append((min(map(_label_key, piece.labels)), piece))
+                    least = min(d[lab] for lab in piece.labels)
+                    for lab in piece.labels:
+                        half_norms[lab] = d[lab] // least
+                        columns[lab] = frozenset(
+                            entry for entry in old_columns[lab] if entry[0] in subset
+                        )
         if found != len(subset):
             unknown = next(lab for lab in subset if lab not in self._index)
             raise RootSystemError(f"unknown simple-root label {unknown!r}")
         keyed.sort(key=itemgetter(0))
-        index, d, old_columns = self._index, self._d, self._columns
-        half_norms: list = []
-        columns = {}
-        offset = 0
-        for key, comp in keyed:
-            labels = comp.labels
-            start = starts.get(key)
-            if start is None:
-                at = {index[lab]: offset + p for p, lab in enumerate(labels)}
-                norms = [d[index[lab]] for lab in labels]
-                least = min(norms)
-                half_norms.extend(x // least for x in norms)
-                for lab in labels:
-                    columns[lab] = tuple(
-                        sorted((at[i], a) for i, a in old_columns[lab] if i in at)
-                    )
-            else:
-                half_norms.extend(d[start : start + comp.rank])
-                shift = offset - start
-                for lab in labels:
-                    column = old_columns[lab]
-                    columns[lab] = tuple((i + shift, a) for i, a in column) if shift else column
-            offset += comp.rank
         rs = object.__new__(RootSystem)
         rs._assign(keyed, half_norms, columns)
         return rs
@@ -429,6 +415,7 @@ class RootSystem:
         return len(self.simple_roots)
 
     def index(self, label: str) -> int:
+        """The position of a label in `simple_roots`."""
         try:
             return self._index[label]
         except KeyError:
@@ -437,25 +424,27 @@ class RootSystem:
     def __contains__(self, label: str) -> bool:
         return label in self._index
 
-    def column(self, label: str) -> Tuple[Tuple[int, int], ...]:
-        """The nonzero entries (i, a_ib) of the Cartan column of b = label,
-        i ascending."""
+    def column(self, label: str) -> frozenset:
+        """The nonzero entries (a, a_ab) of the Cartan column of b = label."""
         try:
             return self._columns[label]
         except KeyError:
             raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
     def cartan_entry(self, a: str, b: str) -> int:
-        """a_ab = <alpha_a^vee, alpha_b>, found in the column of b."""
-        i = self.index(a)
-        for r, x in self.column(b):
-            if r == i:
+        """a_ab = <alpha_a^vee, alpha_b>, found by label a in the column of b."""
+        self.index(a)  # raises on an unknown label
+        for row, x in self.column(b):
+            if row == a:
                 return x
         return 0
 
     def half_norm(self, label: str) -> int:
         """d_a = (alpha_a, alpha_a) / 2 of the simple root a = label: 1, 2 or 3."""
-        return self._d[self.index(label)]
+        try:
+            return self._d[label]
+        except KeyError:
+            raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
     def simple_root(self, label: str) -> LatticeVector:
         self.index(label)
@@ -471,21 +460,20 @@ class RootSystem:
         return None
 
     def form(self, v: LatticeVector, w: LatticeVector) -> int:
-        """The invariant form (v, w) = sum_i x_i d_i sum_j a_ij y_j, an int.
+        """The invariant form (v, w) = sum_a x_a d_a sum_b a_ab y_b, an int.
 
         Integer arithmetic along the columns of w's support: the form is
         integral on the root lattice.
         """
         if not v._coeffs:
             return 0
-        pairings: dict = {}  # i -> <alpha_i^vee, w>
+        pairings: dict = {}  # a -> <alpha_a^vee, w>
         for b, y in w._coeffs.items():
-            for i, a in self.column(b):
-                pairings[i] = pairings.get(i, 0) + a * y
+            for a, x in self.column(b):
+                pairings[a] = pairings.get(a, 0) + x * y
         total = 0
         for a, x in v._coeffs.items():
-            i = self.index(a)
-            total += x * self._d[i] * pairings.get(i, 0)
+            total += x * self.half_norm(a) * pairings.get(a, 0)
         return total
 
     def __eq__(self, other: object) -> bool:
@@ -531,19 +519,23 @@ def detect_subdiagram_type(rs: RootSystem, sigma: Iterable[str]) -> list:
     it depends only on the labels and their Cartan entries, never on the
     ambient indexing, so repeated localization is stable.  Each component is
     recognized from its node degrees, branch arms and multiple bond, read off
-    the Cartan columns of its labels, at most four entries per label.
+    the Cartan columns of its labels, at most four entries per label, in
+    whatever order a column lists them.  A label outside the system, or a
+    `str` (which would be read as its characters), raises RootSystemError.
     """
+    if isinstance(sigma, str):
+        raise RootSystemError(f"subset is a str, not a set of labels: {sigma!r}")
     labels = sorted(set(sigma), key=_label_key)
-    # Nodes are positions in `labels`; `at` maps an ambient index to one.
-    at = {rs.index(lab): p for p, lab in enumerate(labels)}
+    # Nodes are positions in `labels`; `at` maps a label of the set to one.
+    at = {lab: p for p, lab in enumerate(labels)}
     nbrs = []
     bonds = {}  # short node -> (short, long, multiplicity) of a multiple bond
     for q, lab in enumerate(labels):
         near = []
-        for i, a in rs._columns[lab]:
+        for other, a in rs.column(lab):
             # Off the diagonal every nonzero entry is negative.
-            if a < 0 and i in at:
-                p = at[i]
+            if a < 0 and other in at:
+                p = at[other]
                 near.append(p)
                 if a < -1:
                     bonds[p] = (p, q, -a)

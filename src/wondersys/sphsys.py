@@ -15,7 +15,8 @@ and reads its type map off both then; P1, P2 and distinguishedness read the
 second index.  `validate_system` first builds the coroot table, the value
 of every simple root's restricted coroot on every spherical root, by
 walking the Cartan matrix's nonzero entries: each coefficient v of b in a
-spherical root adds v * a_ib to row i for the few i in `RootSystem.column(b)`.
+spherical root adds v * a_ab to the row of label a for the few pairs
+(a, a_ab) in `RootSystem.column(b)`.
 The checks read that table.  The BASE form is read off it too, since
 (sigma, tau) is the sum over a in the support of sigma of
 sigma_a * d_a * <alpha_a^vee, tau>.  P3 visits only the pairs of simple
@@ -172,18 +173,19 @@ def assign_types(system: SphericalSystem) -> Dict[str, str]:
 
 def coroot_table(system: SphericalSystem) -> Dict[str, Tuple[int, ...]]:
     """The values of every simple root's restricted coroot on the spherical
-    roots, as integers, keyed in simple-root order.
+    roots, as integers, keyed by label in simple-root order.
 
-    Built along the nonzero Cartan entries of each spherical root's support;
-    a label outside the root system raises RootSystemError.
+    Built along the nonzero Cartan entries of each spherical root's support,
+    each entry (a, a_ab) of a column adding to the row of label a; a label
+    outside the root system raises RootSystemError.
     """
     rs = system.rs
-    rows = [[0] * len(system.psi) for _ in rs.simple_roots]
+    rows = {lab: [0] * len(system.psi) for lab in rs.simple_roots}
     for j, sigma in enumerate(system.psi):
         for b, v in sigma._coeffs.items():
-            for i, a in rs.column(b):
-                rows[i][j] += v * a
-    return dict(zip(rs.simple_roots, map(tuple, rows)))
+            for a, x in rs.column(b):
+                rows[a][j] += v * x
+    return {lab: tuple(row) for lab, row in rows.items()}
 
 
 def _ratio_text(num: int, den: int) -> str:

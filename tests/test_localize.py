@@ -248,6 +248,10 @@ class TestInducedFields:
         rs = build_root_system([("A", 2)])
         with pytest.raises(RootSystemError, match="^unknown simple-root label 'b7'$"):
             rs.induced({"a1", "b7"})
+        # With one-letter labels, "xz" would silently read as {x, z}.
+        xyz = RootSystem([Component("A", 3, ("x", "y", "z"))])
+        with pytest.raises(RootSystemError, match="^subset is a str, not a set of labels: 'xz'$"):
+            xyz.induced("xz")
 
 
 class TestTypeARoots:

@@ -83,8 +83,8 @@ class TestBuildRootSystem:
             reference = block_cartan(rs)
             labels = rs.simple_roots
             for b in labels:
-                assert rs.column(b) == tuple(
-                    (i, reference[a, b]) for i, a in enumerate(labels) if (a, b) in reference
+                assert rs.column(b) == frozenset(
+                    (a, reference[a, b]) for a in labels if (a, b) in reference
                 ), b
         with pytest.raises(RootSystemError, match="^unknown simple-root label 'b1'$"):
             rs.column("b1")
@@ -96,9 +96,16 @@ class TestBuildRootSystem:
             lambda: rs.cartan_entry("a1", "b1"),
             lambda: rs.half_norm("b1"),
             lambda: cartan_integer(rs, "b1", LatticeVector()),
+            lambda: rs.form(lv(b1=1), lv(a1=1)),
+            lambda: rs.form(lv(a1=1), lv(b1=1)),
+            lambda: detect_subdiagram_type(rs, {"a1", "b1"}),
         ):
             with pytest.raises(RootSystemError, match="^unknown simple-root label 'b1'$"):
                 call()
+        # With one-letter labels, "xy" would silently read as {x, y}.
+        xyz = RootSystem([Component("A", 3, ("x", "y", "z"))])
+        with pytest.raises(RootSystemError, match="^subset is a str, not a set of labels: 'xy'$"):
+            detect_subdiagram_type(xyz, "xy")
 
     @pytest.mark.parametrize("series,rank", [("D", 2), ("G", 3), ("F", 3), ("E", 5), ("B", 1), ("Z", 1)])
     def test_invalid_components_rejected(self, series, rank):
@@ -551,6 +558,32 @@ class TestRecognizerAgainstPermutationSearch:
             ours = [(c.series, c.rank, c.labels) for c in detect_subdiagram_type(rs, subset)]
             oracle = [(c.series, c.rank, c.labels) for c in oracle_subdiagram_type(rs, subset)]
             assert ours == oracle, x
+
+    def test_column_order_does_not_matter(self, monkeypatch):
+        # A column is a frozenset, iterated in an order that PYTHONHASHSEED
+        # sets; the recognizer must give the same answer in every order.
+        types = (
+            [("A", k) for k in range(1, 9)] + [("B", k) for k in range(2, 9)]
+            + [("C", k) for k in range(3, 9)] + [("D", k) for k in range(4, 9)]
+            + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+        )
+        column = RootSystem.column
+        cases = [
+            (rs, subset)
+            for rs in (build_root_system([t]) for t in types)
+            for size in range(1, rs.rank + 1)
+            for subset in itertools.combinations(rs.simple_roots, size)
+        ]
+        assert len(cases) == 2455
+        answers = []
+        for order in (None, False, True):
+            if order is not None:
+                monkeypatch.setattr(
+                    RootSystem, "column",
+                    lambda rs, label, rev=order: sorted(column(rs, label), reverse=rev),
+                )
+            answers.append([detect_subdiagram_type(rs, subset) for rs, subset in cases])
+        assert answers[0] == answers[1] == answers[2]
 
 
 class TestPositiveRoots:
