@@ -53,9 +53,6 @@ class RigidityReport(Record):
     def rigid(self) -> bool:
         return not self.distinguished
 
-    def roots(self) -> frozenset:
-        return frozenset(w.root for w in self.distinguished)
-
 
 class CriticalityEntry(Record):
     __slots__ = ("root", "distinguished", "critical", "vacuous", "failing_subset")

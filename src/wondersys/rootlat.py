@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from operator import add, attrgetter, itemgetter
+from operator import attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 # Largest total rank a root system may have.  It is checked before anything
@@ -209,9 +209,7 @@ class Functional(Record):
 
     def restrict(self, indices: Sequence[int]) -> "Functional":
         """The functional on the spherical roots at `indices`, in that order."""
-        if len(indices) > 1:
-            return Functional._of_twice(itemgetter(*indices)(self.twice))
-        return Functional._of_twice((self.twice[indices[0]],) if indices else ())
+        return Functional._of_twice(tuple([self.twice[i] for i in indices]))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Functional) and self.twice == other.twice
@@ -617,61 +615,49 @@ def _recognize(members: list, nbrs: list, bonds: dict, labels: list) -> Componen
 
 
 def _component_positive_roots(block: Sequence[Sequence[int]]) -> list:
-    """Positive roots of one simple component, each packed into an int key.
+    """Positive roots of one simple component, as coefficient tuples.
 
-    Root-string closure, one height at a time (Humphreys, Introduction to Lie
-    Algebras and Representation Theory, 9.4 and 10.2): beta + alpha_i is a root
-    exactly when q_i > <beta, alpha_i^vee>, where q_i counts how far the
-    alpha_i-string through beta reaches down.  Each root carries both
-    numbers for every i, so nothing is summed again: beta + alpha_i pairs
-    as beta plus column i of the Cartan block, and its q_j is one more than
-    the q_j of beta + alpha_i - alpha_j when that is a root, else 0.
-
-    A key holds coefficient j of the root in byte j, so adding alpha_i is
-    adding one int and `int.to_bytes` reads the coefficients back.  A byte
-    is wide enough: no coefficient of a positive root exceeds 6 (the highest
-    root of E8).  A key minus alpha_j where the coefficient of j is 0
-    borrows, leaving a byte of 255 or a negative int, which is no root's key.
-    The pairing and string records live only while the closure runs.
+    Closure of the simple roots under height-raising simple reflections
+    (Humphreys, Introduction to Lie Algebras and Representation Theory,
+    10.2): s_i permutes the positive roots other than alpha_i, and a
+    positive root beta that is not simple pairs positively with some coroot
+    alpha_i^vee, so s_i(beta) is a lower positive root.  Hence reflecting
+    beta at each i with c = <beta, alpha_i^vee> < 0, which adds -c to
+    coefficient i, reaches every positive root and nothing else.  Each root
+    carries its pairings with every coroot, and s_i(beta) pairs as beta
+    minus c times column i of the Cartan block.
     """
     k = len(block)
-    unit = [1 << (8 * i) for i in range(k)]
     column = [tuple(row[i] for row in block) for i in range(k)]
     span = range(k)
-    # key -> (pairings <beta, alpha_j^vee>, string depths q_j), over every j
-    layer = {unit[i]: (column[i], (0,) * k) for i in span}
+    # root -> its pairings <beta, alpha_j^vee>, over every j
+    layer = {tuple(int(j == i) for j in span): column[i] for i in span}
     roots = dict(layer)
     while layer:
         above = {}
-        for key, (pairing, depth) in layer.items():
+        for root, pairing in layer.items():
             for i in span:
-                if depth[i] > pairing[i]:
-                    up = key + unit[i]
-                    if up not in above:
-                        up_depth = [0] * k
-                        for j in span:
-                            below = roots.get(up - unit[j])
-                            if below is not None:
-                                up_depth[j] = below[1][j] + 1
-                        above[up] = (tuple(map(add, pairing, column[i])), up_depth)
-        roots.update(above)
+                c = pairing[i]
+                if c < 0:
+                    up = root[:i] + (root[i] - c,) + root[i + 1 :]
+                    if up not in roots:
+                        pairing_up = tuple(p - c * q for p, q in zip(pairing, column[i]))
+                        roots[up] = above[up] = pairing_up
         layer = above
     return list(roots)
 
 
 def positive_roots(rs: RootSystem) -> frozenset:
-    """All positive roots, generated by root-string closure from the simple ones.
+    """All positive roots, generated by simple reflections from the simple ones.
 
     Every root lies in one simple component, so the closure runs per
-    component on packed int keys over its Cartan block, each root carrying
-    its coroot pairings and string depths; the keys become LatticeVector
-    only at the end, one component at a time.
+    component on coefficient tuples over its Cartan block; the tuples become
+    LatticeVector only at the end, one component at a time.
     """
     out = []
     for comp in rs.components:
         block, _ = component_cartan(comp.series, comp.rank)
         labels = comp.labels
-        for key in _component_positive_roots(block):
-            coeffs = key.to_bytes(comp.rank, "little")
+        for coeffs in _component_positive_roots(block):
             out.append(LatticeVector._of_ints(dict(compress(zip(labels, coeffs), coeffs))))
     return frozenset(out)

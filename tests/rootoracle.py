@@ -2,7 +2,11 @@
 
 `reflection_positive_roots` generates the full root set as the closure of
 the simple roots under the simple reflections, then keeps the nonnegative
-ones.  This shares no code path with the root-string closure in the package.
+ones.  The package also reflects, but differently: it takes only the
+height-raising reflections, on coefficient tuples over each component's
+standard Cartan block, while this oracle takes the whole W-orbit of the
+simple roots as LatticeVector, pairing through `cartan_integer`, and keeps
+the positive roots at the end.
 `block_cartan` and `block_pairing` read the Cartan matrix straight off each
 component's standard block, not through the column index a `RootSystem`
 keeps.

@@ -108,11 +108,12 @@ def test_criterion_4_monotonicity_of_distinguishedness():
         s = entry.system
         labels = list(s.rs.simple_roots)
         assert len(labels) <= 5  # exhaustive coverage over all subsets
-        dist = distinguished_elements(s).roots()
+        dist = frozenset(w.root for w in distinguished_elements(s).distinguished)
         for r in range(len(labels) + 1):
             for combo in itertools.combinations(labels, r):
                 sub = frozenset(combo)
-                local_dist = distinguished_elements(localize(s, sub)).roots()
+                local_report = distinguished_elements(localize(s, sub))
+                local_dist = frozenset(w.root for w in local_report.distinguished)
                 for sigma in dist:
                     if sigma.support <= sub:
                         assert sigma in local_dist
@@ -124,7 +125,7 @@ def test_criterion_4_monotonicity_of_distinguishedness():
             if s.rs.as_simple_label(sigma) is None:
                 continue
             loc = localize(s, sigma.support)
-            assert sigma in distinguished_elements(loc).roots()
+            assert sigma in frozenset(w.root for w in distinguished_elements(loc).distinguished)
             self_checked += 1
     _report(4, f"monotonicity over all subsets ({checked} instances), "
                f"self-localization for {self_checked} simple spherical roots")

@@ -329,12 +329,12 @@ class TestMonotonicity:
             labels = list(s.rs.simple_roots)
             if len(labels) > 5:
                 continue
-            dist = distinguished_elements(s).roots()
+            dist = frozenset(w.root for w in distinguished_elements(s).distinguished)
             for r in range(len(labels) + 1):
                 for combo in itertools.combinations(labels, r):
                     sub = frozenset(combo)
                     loc = localize(s, sub)
-                    local_dist = distinguished_elements(loc).roots()
+                    local_dist = frozenset(w.root for w in distinguished_elements(loc).distinguished)
                     for sigma in dist:
                         if sigma.support <= sub:
                             assert sigma in local_dist, (entry.name, str(sigma), sub)
@@ -347,7 +347,7 @@ class TestMonotonicity:
                 if s.rs.as_simple_label(sigma) is None:
                     continue
                 loc = localize(s, sigma.support)
-                assert sigma in distinguished_elements(loc).roots()
+                assert sigma in frozenset(w.root for w in distinguished_elements(loc).distinguished)
 
 
 class TestRankTwoSplitColors:

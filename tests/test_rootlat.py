@@ -757,6 +757,24 @@ class TestPositiveRootsEverySeries:
         assert ours == reflection_positive_roots(rs)
         assert len(ours) == formula_count(rs)
 
+    @pytest.mark.parametrize("series,rank", SERIES_SPECS, ids=lambda x: str(x))
+    def test_root_strings(self, series, rank):
+        # Humphreys 9.4: for beta != alpha_i, the alpha_i-string through beta
+        # runs from beta - r*alpha_i to beta + q*alpha_i with
+        # r - q = <beta, alpha_i^vee>.  So beta + alpha_i is a root exactly when
+        # r exceeds that pairing.  This checks the output without generating
+        # roots, by reflections or otherwise.
+        rs = build_root_system([(series, rank)])
+        ours = positive_roots(rs)
+        for beta in ours:
+            for lab in rs.simple_roots:
+                alpha = rs.simple_root(lab)
+                r = 0
+                while beta - (r + 1) * alpha in ours:
+                    r += 1
+                expected = beta != alpha and r > cartan_integer(rs, lab, beta)
+                assert (beta + alpha in ours) == expected, (str(beta), lab)
+
     def test_exceptional_components_with_interleaved_labels(self):
         rs = RootSystem(
             [
