@@ -157,17 +157,11 @@ def _cmd_orbits(args) -> tuple:
         poset = orbit_poset(system)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    lines = [
-        f"rank: {poset.rank}",
-        f"nodes: {len(poset.nodes)}",
-        f"edges: {len(poset.edges)}",
-    ]
-    payload: Dict[str, Any] = {
-        "rank": poset.rank,
-        "nodes": len(poset.nodes),
-        "edges": len(poset.edges),
-        "dot_path": None,
-    }
+    # The Boolean lattice of rank r has 2^r nodes and r * 2^(r-1) covers.
+    rank = poset.rank
+    nodes, edges = 1 << rank, (rank << rank) >> 1
+    lines = [f"rank: {rank}", f"nodes: {nodes}", f"edges: {edges}"]
+    payload: Dict[str, Any] = {"rank": rank, "nodes": nodes, "edges": edges, "dot_path": None}
     if args.dot:
         try:
             with open(args.dot, "w", encoding="utf-8") as fh:

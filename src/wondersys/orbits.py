@@ -1,7 +1,9 @@
 """Orbit poset of a rank-r system: the Boolean lattice of spherical-root
 subsets, with covering edges and a deterministic DOT emitter.
 
-Nodes are named s1..sr after the spherical roots.  The poset has 2^r
+Nodes are named s1..sr after the spherical roots.  Everything about the
+lattice is a function of r, so an `OrbitPoset` stores only its rank; its
+nodes and edges are built each time they are read.  The lattice has 2^r
 nodes, so r may not exceed MAX_ORBIT_RANK.
 
 The DOT text depends only on r.  A node's label lists its names in text
@@ -17,22 +19,45 @@ from typing import Tuple
 from .rootlat import Record, _set
 from .sphsys import SphericalSystem
 
-# Largest rank whose poset is built: 2^16 nodes and 16 * 2^15 edges.
+# Largest rank an OrbitPoset accepts: 2^16 nodes and 16 * 2^15 edges when
+# the lattice is read or emitted.
 MAX_ORBIT_RANK = 16
 
 
 class OrbitPoset(Record):
-    __slots__ = ("rank", "nodes", "edges")
+    """The Boolean lattice of rank `rank`.  Raises ValueError for a rank
+    that is not an int (a bool included), is negative or is above
+    MAX_ORBIT_RANK."""
 
-    def __init__(
-        self,
-        rank: int,
-        nodes: Tuple[frozenset, ...],
-        edges: Tuple[Tuple[frozenset, frozenset], ...],
-    ):
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        if type(rank) is not int:
+            raise ValueError(f"orbit poset rank {rank!r} is not an int")
+        if rank < 0:
+            raise ValueError(f"orbit poset rank {rank} is negative")
+        if rank > MAX_ORBIT_RANK:
+            raise ValueError(f"orbit poset rank {rank} exceeds the limit {MAX_ORBIT_RANK}")
         _set(self, "rank", rank)
-        _set(self, "nodes", nodes)
-        _set(self, "edges", edges)
+
+    @property
+    def nodes(self) -> Tuple[frozenset, ...]:
+        """Every subset of range(rank), by size, then in
+        `itertools.combinations` order."""
+        indices = range(self.rank)
+        return tuple(
+            frozenset(combo)
+            for size in range(self.rank + 1)
+            for combo in itertools.combinations(indices, size)
+        )
+
+    @property
+    def edges(self) -> Tuple[Tuple[frozenset, frozenset], ...]:
+        """Every cover (node, node | {i}), by source node in `nodes` order,
+        then by i."""
+        return tuple(
+            (node, node | {i}) for node in self.nodes for i in range(self.rank) if i not in node
+        )
 
     def node_label(self, node: frozenset) -> str:
         return "{" + ",".join(sorted(f"s{i + 1}" for i in node)) + "}"
@@ -41,45 +66,14 @@ class OrbitPoset(Record):
         return self.rank - len(node)
 
 
-def _check_rank(rank: int) -> None:
-    if type(rank) is not int:
-        raise ValueError(f"orbit poset rank {rank!r} is not an int")
-    if rank < 0:
-        raise ValueError(f"orbit poset rank {rank} is negative")
-    if rank > MAX_ORBIT_RANK:
-        raise ValueError(f"orbit poset rank {rank} exceeds the limit {MAX_ORBIT_RANK}")
-
-
 def poset_of_rank(rank: int) -> OrbitPoset:
-    """Nodes by size, then in `itertools.combinations` order; edges by
-    source node, then by the index of the root added.  Each node is built
-    once, and every edge reuses the node objects.  Raises ValueError for a
-    rank that is not an int (a bool included), is negative or is above
-    MAX_ORBIT_RANK, before anything is built."""
-    _check_rank(rank)
-    # by_mask[m] is the node of the roots whose bits are set in m.
-    by_mask = [frozenset()]
-    for i in range(rank):
-        single = frozenset((i,))
-        by_mask += [node | single for node in by_mask]
-    bits = [1 << i for i in range(rank)]
-    masks = [
-        sum(combo)
-        for size in range(rank + 1)
-        for combo in itertools.combinations(bits, size)
-    ]
-    edges = [
-        (by_mask[mask], by_mask[mask | bit])
-        for mask in masks
-        for bit in bits
-        if not mask & bit
-    ]
-    return OrbitPoset(rank, tuple([by_mask[mask] for mask in masks]), tuple(edges))
+    """The same as `OrbitPoset(rank)`."""
+    return OrbitPoset(rank)
 
 
 def orbit_poset(system: SphericalSystem) -> OrbitPoset:
     """Poset of boundary strata: one node per subset of the spherical roots."""
-    return poset_of_rank(len(system.psi))
+    return OrbitPoset(len(system.psi))
 
 
 def emit_graph(poset: OrbitPoset) -> str:
@@ -87,11 +81,8 @@ def emit_graph(poset: OrbitPoset) -> str:
 
     Nodes are ordered by size, then by label text ("{s10}" before "{s2}");
     edges by source node, then by target label text.  Only the rank is
-    read, not `nodes` or `edges`, so the text depends on the rank alone.
-    Raises ValueError for a rank that `poset_of_rank` refuses, before
-    anything is built."""
+    read; `OrbitPoset` has already refused a rank above MAX_ORBIT_RANK."""
     rank = poset.rank
-    _check_rank(rank)
     # Bit j of a mask stands for the j-th name in text order, so each label
     # is its mask's label without the top bit plus one name.  Every label
     # starts with a comma, dropped when it is quoted.
