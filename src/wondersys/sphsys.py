@@ -289,10 +289,16 @@ def _check_p1(
 
 
 def _check_p2(system: SphericalSystem, out: List[Violation]) -> None:
+    # A color moved by two type-b roots is checked once, at the first; colors
+    # are told apart by identity, since ids may repeat before validation.
+    seen = set()
     for lab in system.rs.simple_roots:
         if lab not in system._simple:
             continue
         for d in system.colors_moved_by(lab):
+            if id(d) in seen:
+                continue
+            seen.add(id(d))
             for j, sigma in enumerate(system.psi):
                 value = d.phi.twice[j]  # doubled: 2 stands for 1
                 sigma_label = system.simple_labels[j]
@@ -412,11 +418,13 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
     coroots = coroot_table(system)
     _check_base(system, coroots, out)
     seen_ids = set()
+    lengths_match = True
     for d in system.colors:
         if d.id in seen_ids:
             out.append(Violation("P1", f"color id {d.id} is used by more than one color"))
         seen_ids.add(d.id)
         if len(d.phi) != len(system.psi):
+            lengths_match = False
             out.append(
                 Violation(
                     "P1",
@@ -429,7 +437,7 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
         unknown = [lab for lab in d.moved_by if lab not in system.rs]
         for lab in sorted(unknown, key=repr):
             out.append(Violation("P1", f"color {d.id} is moved by {lab!r}, not a simple root"))
-    if any(len(d.phi) != len(system.psi) for d in system.colors):
+    if not lengths_match:
         return ValidationReport(tuple(out))
     _check_p1(system, coroots, out)
     _check_p2(system, out)

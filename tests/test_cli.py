@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -308,6 +309,34 @@ class TestOrbits:
         lines = dot.read_text().splitlines()
         assert sum("[boundary_rank=" in line for line in lines) == 4096
         assert sum(" -> " in line for line in lines) == 24576
+
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_rank_sixteen_counts_without_building_the_lattice(self, tmp_path, capsys, fmt):
+        path = tmp_path / "rank16.json"
+        path.write_text(dumps(direct_sum([catalog_entry("p1").system] * 16)))
+        tracemalloc.start()
+        try:
+            assert main(["--format", fmt, "orbits", str(path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out = capsys.readouterr().out
+        if fmt == "json":
+            payload = json.loads(out)
+            assert (payload["rank"], payload["nodes"], payload["edges"]) == (16, 65536, 524288)
+        else:
+            assert out == "rank: 16\nnodes: 65536\nedges: 524288\n"
+        # The lattice itself, 2^16 frozensets and 16 * 2^15 edges, would
+        # take tens of megabytes.
+        assert peak < 2 * 1024 * 1024
+
+    def test_rank_zero_counts(self, capsys):
+        assert main(["orbits", "flag-a2"]) == 0
+        assert capsys.readouterr().out == "rank: 0\nnodes: 1\nedges: 0\n"
+        assert main(["--format", "json", "orbits", "flag-a2"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert (payload["rank"], payload["nodes"], payload["edges"]) == (0, 1, 0)
 
 
 class TestCatalogVerb:

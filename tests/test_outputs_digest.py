@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = (
     "34534 results sha256 "
-    "ded1d353fa91612a2af8da118db9e35c492e4e9b64d34c39e7d7e361910dc206"
+    "485c23de5f9d4da3f048cb66ec48ae7042df3952cdf12a076f8b5b55fbc6aa28"
 )
 
 

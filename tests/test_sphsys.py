@@ -19,7 +19,7 @@ from wondersys import (
     localize,
     validate_system,
 )
-from wondersys.catalog import catalog_entries
+from wondersys.catalog import catalog_entries, catalog_entry
 from wondersys.sphsys import assign_types, coroot_table
 
 from documentoracle import writer_edge_cases
@@ -126,6 +126,24 @@ class TestValidateSystem:
         s = SphericalSystem(rs, [lv(a1=1), lv(a2=1)], colors)
         # Dp takes value 1 on a2 but is not moved by a2.
         assert "P2" in validate_system(s).axiom_ids()
+
+    def test_p2_checks_a_color_of_two_type_b_roots_once(self):
+        group = catalog_entry("group-a1a1").system
+        assert group.colors[0].id == "Dp" and group.colors[0].moved_by == {"a1", "a2"}
+        texts = []
+        for twice in ((4, 2), (0, 2)):
+            colors = [Color("Dp", {"a1", "a2"}, Functional._of_twice(twice))]
+            bumped = SphericalSystem(group.rs, group.psi, colors + list(group.colors[1:]))
+            texts.append([str(v) for v in validate_system(bumped).violations if v.axiom == "P2"])
+        assert texts == [
+            ["P2: <phi(Dp), a1> = 2 > 1 (color of a1)"],
+            ["P2: <phi(Dp), a1> = 0 != 1 although a1 is a simple root moving Dp"],
+        ]
+
+    def test_p2_repeats_no_text_on_the_mutations(self):
+        for desc, mutated, _ in mutation_cases():
+            texts = [str(v) for v in validate_system(mutated).violations if v.axiom == "P2"]
+            assert len(texts) == len(set(texts)), (desc, texts)
 
     def test_p3_mixed_types_sharing_color(self):
         rs = build_root_system([("A", 1), ("A", 2)])

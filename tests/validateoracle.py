@@ -7,8 +7,12 @@ visits every pair of simple roots, asking `_sum_in_psi` whether their sum is
 in the spherical roots or twice one (Luna's axiom, read literally), against
 one set of the spherical roots built per call.  `oracle_types` types each
 simple root by looking its vector and twice it up among the spherical roots.
-P1 and P2 are the package's own: they walk no pairs.  `spherical_lattice_rank`
-counts the independent spherical roots by fraction-free elimination.
+`oracle_check_p2` finds, for each color in turn, the first type-b root of
+`oracle_types` in its `moved_by`, and compares its `Fraction` values with
+the simple roots it is moved by; it reads neither `colors_moved_by` nor
+the package's index of simple spherical roots.  P1 is the package's own: it
+walks no pairs.  `spherical_lattice_rank` counts the independent spherical
+roots by fraction-free elimination.
 """
 from __future__ import annotations
 
@@ -23,7 +27,7 @@ from wondersys import (
     Violation,
     cartan_integer,
 )
-from wondersys.sphsys import TYPE_A, TYPE_B, TYPE_C, TYPE_D, _check_p1, _check_p2
+from wondersys.sphsys import TYPE_A, TYPE_B, TYPE_C, TYPE_D, _check_p1
 
 
 def oracle_types(system: SphericalSystem) -> Dict[str, str]:
@@ -131,6 +135,44 @@ def oracle_check_base(system: SphericalSystem, out: List[Violation]) -> None:
                 )
 
 
+def oracle_check_p2(system: SphericalSystem, out: List[Violation]) -> None:
+    """Each color moved by a type-b root, checked once, at the first such root
+    in simple-root order: no value exceeds 1, and the value is 1 exactly on
+    the spherical roots that are simple roots moving the color."""
+    rs = system.rs
+    labels = rs.simple_roots
+    types = oracle_types(system)
+    todo = []
+    for k, d in enumerate(system.colors):
+        firsts = [i for i, lab in enumerate(labels) if types[lab] == TYPE_B and lab in d.moved_by]
+        if firsts:
+            todo.append((firsts[0], k))
+    for i, k in sorted(todo):
+        d = system.colors[k]
+        moving = {rs.simple_root(lab) for lab in d.moved_by if lab in rs}
+        for sigma, value in zip(system.psi, d.phi.values):
+            if value > 1:
+                out.append(
+                    Violation("P2", f"<phi({d.id}), {sigma}> = {value} > 1 (color of {labels[i]})")
+                )
+            elif value == 1 and sigma not in moving:
+                out.append(
+                    Violation(
+                        "P2",
+                        f"<phi({d.id}), {sigma}> = 1 but {sigma} is not a simple "
+                        f"root moving {d.id}",
+                    )
+                )
+            elif value != 1 and sigma in moving:
+                out.append(
+                    Violation(
+                        "P2",
+                        f"<phi({d.id}), {sigma}> = {value} != 1 although "
+                        f"{sigma} is a simple root moving {d.id}",
+                    )
+                )
+
+
 def oracle_check_p3(
     system: SphericalSystem, coroots: Dict[str, Tuple[int, ...]], out: List[Violation]
 ) -> None:
@@ -226,6 +268,6 @@ def oracle_violations(system: SphericalSystem) -> List[Violation]:
         return out
     coroots = oracle_coroot_table(system)
     _check_p1(system, coroots, out)
-    _check_p2(system, out)
+    oracle_check_p2(system, out)
     oracle_check_p3(system, coroots, out)
     return out
