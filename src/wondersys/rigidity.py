@@ -99,10 +99,19 @@ def _distinguished_witness(system: SphericalSystem, j: int) -> Optional[Distingu
     if found is not None:
         return found
     sigma = system.psi[j]
-    supp = sigma.support
-    if len(supp) < 2:
+    coeffs = sigma._coeffs
+    # The shape guard: condition 2 needs every coefficient 1 and every label
+    # but the chain's first of type a, condition 3 the coefficients 1 and 2
+    # on two labels; any other root is left without asking the recognizer.
+    if len(coeffs) < 2:
         return None
-    comps = detect_subdiagram_type(system.rs, supp)
+    if all(c == 1 for c in coeffs.values()):
+        types = system.type_map
+        if sum(types.get(lab) != TYPE_A for lab in coeffs) > 1:
+            return None
+    elif len(coeffs) != 2 or sorted(coeffs.values()) != [1, 2]:
+        return None
+    comps = detect_subdiagram_type(system.rs, sigma.support)
     if len(comps) != 1:
         return None
     comp = comps[0]
@@ -135,17 +144,16 @@ def is_rigid(system: SphericalSystem) -> bool:
     return distinguished_elements(system).rigid
 
 
-def _coatoms(labels: Tuple[str, ...], base: frozenset):
+def _coatoms(labels: Tuple[str, ...], full: frozenset, base: frozenset):
     """All labels but one x outside `base`, in the order `_proper_supersets`
     yields them, so both report the same `failing_subset`; each is built
-    only when the search reaches it."""
-    full = frozenset(labels)
+    only when the search reaches it.  `full` is the set of `labels`."""
     for x in reversed(labels):
         if x not in base:
             yield full - {x}
 
 
-def _proper_supersets(labels: Tuple[str, ...], base: frozenset):
+def _proper_supersets(labels: Tuple[str, ...], full: frozenset, base: frozenset):
     """Proper subsets of the labels containing `base`, largest first."""
     free = [lab for lab in labels if lab not in base]
     for size in range(len(free) - 1, -1, -1):
@@ -155,11 +163,12 @@ def _proper_supersets(labels: Tuple[str, ...], base: frozenset):
 
 def _criticality(system: SphericalSystem, subsets, witness) -> CriticalityReport:
     """A root is critical when it is distinguished at every subset that
-    `subsets(labels, base)` yields for its base (vacuously when the base is
+    `subsets(labels, full, base)` yields for its base (vacuously when the base is
     every label and nothing is yielded).  Each subset is localized once;
     at each one only the root that tries it is asked about, by
     `witness(localization, index)`."""
     labels = tuple(system.rs.simple_roots)
+    full = frozenset(labels)
     type_a = type_a_roots(system)
     supports = [sigma.support for sigma in system.psi]
     localized = {}  # subset -> the localization there
@@ -176,9 +185,9 @@ def _criticality(system: SphericalSystem, subsets, witness) -> CriticalityReport
         if _distinguished_witness(system, j) is not None:
             entries.append(CriticalityEntry(sigma, distinguished=True, critical=False))
             continue
-        base = type_a | sigma.support
+        base = type_a | supports[j]
         failing = next(
-            (sub for sub in subsets(labels, base) if not distinguished_at(sub, j)),
+            (sub for sub in subsets(labels, full, base) if not distinguished_at(sub, j)),
             None,
         )
         entries.append(
@@ -186,7 +195,7 @@ def _criticality(system: SphericalSystem, subsets, witness) -> CriticalityReport
                 sigma,
                 distinguished=False,
                 critical=failing is None,
-                vacuous=base >= frozenset(labels),
+                vacuous=base >= full,
                 failing_subset=failing,
             )
         )

@@ -258,6 +258,8 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
     root is last, in G_2 it is the second one.  Short roots have squared
     length 2.  A rank that is not an `int` (a bool included) raises
     RootSystemError, so every component's rank is written as a JSON number.
+    Each call builds fresh lists; `RootSystem` reads the same data from the
+    table `_COMPONENT_COLUMNS`, built once per (series, rank).
     """
     if type(rank) is not int:
         raise RootSystemError(f"invalid component {series}{rank}: rank is not an int")
@@ -284,6 +286,37 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
     if series == "G" and n == 2:
         return [[2, -1], [-3, 2]], [6, 2]
     raise RootSystemError(f"invalid component {series}{rank}")
+
+
+# (series, rank) -> (half-norms, columns) of one simple component, by
+# position: columns[c] lists the pairs (r, a_rc) with a_rc != 0.  Filled from
+# `component_cartan` on first use, only for valid components of rank at most
+# MAX_RANK, so it never holds more than 7 * MAX_RANK entries.
+_COMPONENT_COLUMNS: dict = {}
+
+
+def _component_columns(series: str, rank: int) -> Tuple[tuple, tuple]:
+    """The half-norms and sparse Cartan columns of one component, by position.
+
+    Invalid data raises as in `component_cartan`, and a rank above MAX_RANK
+    raises before anything is built.  The table is read only for a `str`
+    series and an `int` rank: a dict finds 2.0 and True under the keys 2 and 1.
+    """
+    key = (series, rank)
+    if type(series) is str and type(rank) is int:
+        if key in _COMPONENT_COLUMNS:
+            return _COMPONENT_COLUMNS[key]
+        if rank > MAX_RANK:
+            raise RootSystemError(f"component {series}{rank} exceeds the limit {MAX_RANK}")
+    cartan, lengths = component_cartan(series, rank)
+    entry = _COMPONENT_COLUMNS[key] = (
+        tuple(x // 2 for x in lengths),
+        tuple(
+            tuple((r, row[c]) for r, row in enumerate(cartan) if row[c])
+            for c in range(rank)
+        ),
+    )
+    return entry
 
 
 class Component(Record):
@@ -341,13 +374,11 @@ class RootSystem:
         for _, comp in keyed:
             if len(comp.labels) != comp.rank:
                 raise RootSystemError("component label count mismatch")
-            cmat, lens = component_cartan(comp.series, comp.rank)
+            norms, cols = _component_columns(comp.series, comp.rank)
             labels = comp.labels
-            for c, label in enumerate(labels):
-                half_norms[label] = lens[c] // 2
-                columns[label] = frozenset(
-                    (labels[r], row[c]) for r, row in enumerate(cmat) if row[c]
-                )
+            for label, d, col in zip(labels, norms, cols):
+                half_norms[label] = d
+                columns[label] = frozenset([(labels[r], x) for r, x in col])
         self._assign(keyed, half_norms, columns)
 
     def _assign(self, keyed: Sequence[Tuple[tuple, Component]], half_norms: dict,
@@ -493,7 +524,7 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
         # component_cartan refuses a rank that is not an int, before any sum.
         if type(rank) is int and next_i - 1 + rank > MAX_RANK:
             raise RootSystemError(f"total rank exceeds the limit {MAX_RANK}")
-        component_cartan(series, rank)  # raises on invalid data
+        _component_columns(series, rank)  # raises on invalid data
         labels = tuple(f"a{next_i + k}" for k in range(rank))
         comps.append(Component(series, rank, labels))
         next_i += rank

@@ -211,10 +211,20 @@ def _check_base(
                 out.append(
                     Violation("BASE", f"negative coefficient of {lab} in {sigma}")
                 )
+    # Nonzero vectors with nonnegative coefficients whose pairwise Cartan
+    # numbers are all <= 0 are linearly independent (Humphreys, Introduction
+    # to Lie Algebras and Representation Theory, 10.1).  So more spherical
+    # roots than the rank break BASE: that is reported once, and the pairwise
+    # loop, quadratic in their number, is skipped.
+    rs = system.rs
+    if len(system.psi) > rs.rank:
+        out.append(
+            Violation("BASE", f"{len(system.psi)} spherical roots exceed the rank {rs.rank}")
+        )
+        return
     # The form is integral and positive definite on the root lattice, so the
     # Cartan number 2(sigma, tau)/(sigma, sigma) is checked in integers.
     # (sigma, tau_j) = sum over a of sigma_a * d_a * coroots[a][j].
-    rs = system.rs
     for i, sigma in enumerate(system.psi):
         if sigma.is_zero():
             continue
@@ -241,11 +251,15 @@ def _check_p1(
 ) -> None:
     for lab in system.rs.simple_roots:
         kind = system.type_map[lab]
+        # A root that moves a color is never typed a (see assign_types), and
+        # P1 asks nothing of a type-a root: it is skipped before its half
+        # coroot and coroot are built.
+        if kind == TYPE_A:
+            continue
         moved = system.colors_moved_by(lab)
         # Doubled, the half coroot's values are the coroot's integers.
         half = Functional._of_twice(coroots[lab])
         coroot = half + half
-        # A root that moves a color is never typed a (see assign_types).
         if kind == TYPE_B:
             if len(moved) != 2:
                 out.append(
@@ -270,8 +284,8 @@ def _check_p1(
                             f"type-b root {lab}: <phi({d.id}), {lab}> = {half_text(value)} != 1",
                         )
                     )
-        elif kind in (TYPE_C, TYPE_D):
-            # One color, whose functional is the half coroot (c) or the coroot (d).
+        else:
+            # Type c or d: one color, whose functional is the half coroot (c) or the coroot (d).
             want, name = (half, "half coroot") if kind == TYPE_C else (coroot, "coroot")
             if len(moved) != 1:
                 out.append(

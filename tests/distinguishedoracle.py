@@ -1,0 +1,49 @@
+"""The distinguished-root test without its shape guard.
+
+`oracle_distinguished_witness` asks the recognizer about every spherical
+root whose support has two or more labels, as `_distinguished_witness` did
+before it learned to skip the roots whose coefficients or types already rule
+out conditions 2 and 3.  Both must give equal witnesses on every system.
+"""
+from __future__ import annotations
+
+from typing import Optional
+
+from wondersys.rigidity import DistinguishedWitness, _equal_colors_witness
+from wondersys.rootlat import detect_subdiagram_type
+from wondersys.sphsys import TYPE_A, SphericalSystem
+
+
+def oracle_distinguished_witness(
+    system: SphericalSystem, j: int
+) -> Optional[DistinguishedWitness]:
+    """The witness that psi[j] is distinguished, or None."""
+    found = _equal_colors_witness(system, j)
+    if found is not None:
+        return found
+    sigma = system.psi[j]
+    supp = sigma.support
+    if len(supp) < 2:
+        return None
+    comps = detect_subdiagram_type(system.rs, supp)
+    if len(comps) != 1:
+        return None
+    comp = comps[0]
+    # Condition 2: sigma is the full chain sum of a B_k sub-diagram whose
+    # roots after the first are all of type a.
+    if comp.series == "B" and all(sigma.coeff(lab) == 1 for lab in comp.labels):
+        tail = comp.labels[1:]
+        if all(system.type_map[lab] == TYPE_A for lab in tail):
+            return DistinguishedWitness(
+                sigma,
+                2,
+                f"B{comp.rank} chain {'+'.join(comp.labels)} with type-a tail",
+            )
+    # Condition 3: long + twice the short root of a G_2 sub-diagram.
+    if comp.series == "G":
+        long_root, short_root = comp.labels
+        if sigma.coeff(long_root) == 1 and sigma.coeff(short_root) == 2:
+            return DistinguishedWitness(
+                sigma, 3, f"G2 pair ({long_root} long, {short_root} short)"
+            )
+    return None

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -56,6 +57,26 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "violation P1" in out
+
+    def test_many_spherical_roots_finish_in_linear_time(self, tmp_path, capsys):
+        # A1 with 20,000 copies of 2*a1 (about 0.5 MB): more roots than the
+        # rank break BASE at once, and no pairwise loop runs over them.
+        n = 20000
+        doc = {
+            "root_system": {"components": [{"series": "A", "rank": 1}]},
+            "spherical_roots": [{"coeffs": {"a1": 2}}] * n,
+            "colors": [{"id": "D", "moved_by": ["a1"], "phi": [1] * n}],
+        }
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(doc))
+        start = time.perf_counter()
+        code = main(["--format", "json", "validate", str(path)])
+        elapsed = time.perf_counter() - start
+        violations = json.loads(capsys.readouterr().out)["violations"]
+        assert code == 1
+        assert {v["axiom"] for v in violations} == {"BASE", "P1"}
+        assert {"axiom": "BASE", "message": f"{n} spherical roots exceed the rank 1"} in violations
+        assert elapsed < 1.0
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

@@ -26,9 +26,11 @@ from wondersys import (
     validate_system,
 )
 from wondersys.catalog import catalog_entries, catalog_entry
-from wondersys.rigidity import MAX_ORACLE_FREE_LABELS
+from wondersys.rigidity import MAX_ORACLE_FREE_LABELS, _distinguished_witness
 
-from randsys import b2_colored_tail, colored_flag, direct_sum, random_systems
+from distinguishedoracle import oracle_distinguished_witness
+from mutations import mutation_cases
+from randsys import b2_colored_tail, colored_flag, direct_sum, random_systems, wide_systems
 
 
 class TestDistinguished:
@@ -366,3 +368,79 @@ class TestRankTwoSplitColors:
                 j = s.psi_index(tau)
                 dplus, dminus = s.colors_moved_by(lab)
                 assert dplus.phi[j] != dminus.phi[j], (entry.name, lab)
+
+
+def _guard_corpus():
+    """Catalog, random and wide systems, hand-made chains beside other
+    factors, every coatom localization of each, and every localization of
+    the catalog entries."""
+    systems = [e.system for e in catalog_entries()]
+    systems += random_systems(seed=47, count=200, max_rank=8) + wide_systems(seed=13, count=6)
+    systems += [_b3_colored_tail(), b2_colored_tail()]
+    systems += [_simple_root_beside_a_long_chain(7, tail) for tail in (0, 1, 2)]
+    for s in list(systems):
+        labels = frozenset(s.rs.simple_roots)
+        systems += [localize(s, labels - {lab}) for lab in s.rs.simple_roots]
+    for entry in catalog_entries():
+        labels = entry.system.rs.simple_roots
+        for r in range(len(labels)):
+            for combo in itertools.combinations(labels, r):
+                systems.append(localize(entry.system, combo))
+    return systems
+
+
+class TestShapeGuard:
+    """`_distinguished_witness` asks the recognizer only about roots whose
+    coefficients and types leave room for conditions 2 or 3; the unguarded
+    oracle asks it about every root with two or more labels."""
+
+    def test_witnesses_equal_the_unguarded_oracle(self):
+        count = conditions = 0
+        for s in _guard_corpus():
+            for j in range(len(s.psi)):
+                got = _distinguished_witness(s, j)
+                assert got == oracle_distinguished_witness(s, j), (s, j)
+                count += 1
+                conditions += got is not None and got.condition > 1
+        assert count > 2000 and conditions > 50
+
+    def test_mutations_agree_too(self):
+        for _, s, _ in mutation_cases():
+            for j in range(len(s.psi)):
+                assert _distinguished_witness(s, j) == oracle_distinguished_witness(s, j)
+
+    @staticmethod
+    def _recognizer_calls(monkeypatch, system) -> int:
+        calls = []
+        original = wondersys.rigidity.detect_subdiagram_type
+
+        def counting(rs, labels):
+            calls.append(frozenset(labels))
+            return original(rs, labels)
+
+        monkeypatch.setattr(wondersys.rigidity, "detect_subdiagram_type", counting)
+        distinguished_elements(system)
+        critical_roots(system)
+        return len(calls)
+
+    def test_a_coefficient_above_two_or_a_second_two_asks_nothing(self, monkeypatch):
+        rs = build_root_system([("A", 3)])
+        for coeffs in ({"a1": 1, "a2": 2, "a3": 1}, {"a1": 2, "a2": 2}, {"a1": 1, "a2": 3}):
+            s = SphericalSystem(rs, [LatticeVector(coeffs)], [])
+            assert self._recognizer_calls(monkeypatch, s) == 0
+
+    def test_two_labels_not_of_type_a_ask_nothing(self, monkeypatch):
+        rs = build_root_system([("B", 2)])
+        colors = [Color("D1", {"a1"}, Functional([1])), Color("D2", {"a2"}, Functional([1]))]
+        s = SphericalSystem(rs, [LatticeVector({"a1": 1, "a2": 1})], colors)
+        assert s.type_map == {"a1": "d", "a2": "d"}
+        assert self._recognizer_calls(monkeypatch, s) == 0
+
+    @pytest.mark.parametrize(
+        "name, condition", [("b2-short-sum", 2), ("b3-chain-sum", 2),
+                            ("g2-long-plus-double-short", 3)]
+    )
+    def test_b_chains_and_the_g2_pattern_still_ask(self, monkeypatch, name, condition):
+        s = catalog_entry(name).system
+        assert self._recognizer_calls(monkeypatch, s) > 0
+        assert [w.condition for w in distinguished_elements(s).distinguished] == [condition]

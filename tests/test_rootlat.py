@@ -20,6 +20,7 @@ from wondersys import (
     positive_roots,
 )
 
+from wondersys import rootlat
 from wondersys.rootlat import MAX_RANK, _label_key, component_cartan
 
 from dynkinoracle import oracle_subdiagram_type
@@ -807,3 +808,79 @@ class TestPositiveRootsEverySeries:
     def test_highest_root_matches_oracle(self, series, rank):
         oracle = reflection_positive_roots(build_root_system([(series, rank)]))
         assert max(oracle, key=_height) == _highest_root(series, rank)
+
+
+EVERY_COMPONENT = (
+    [("A", n) for n in range(1, MAX_RANK + 1)]
+    + [(series, n) for series in "BC" for n in range(2, MAX_RANK + 1)]
+    + [("D", n) for n in range(3, MAX_RANK + 1)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+class TestComponentColumnTable:
+    """`RootSystem` reads each component's columns and half-norms from one
+    table filled from `component_cartan`, once per (series, rank)."""
+
+    @staticmethod
+    def _expected(series, rank, labels):
+        cartan, lengths = component_cartan(series, rank)
+        columns = {
+            b: frozenset((labels[r], row[c]) for r, row in enumerate(cartan) if row[c])
+            for c, b in enumerate(labels)
+        }
+        return columns, {b: x // 2 for b, x in zip(labels, lengths)}
+
+    def test_every_component_reads_component_cartan(self):
+        for series, rank in EVERY_COMPONENT:
+            # The second build reads what the first put in the table.
+            for _ in range(2):
+                rs = build_root_system([(series, rank)])
+                columns, half_norms = self._expected(series, rank, rs.simple_roots)
+                assert {b: rs.column(b) for b in rs.simple_roots} == columns, (series, rank)
+                assert {b: rs.half_norm(b) for b in rs.simple_roots} == half_norms
+
+    def test_positions_map_to_each_systems_own_labels(self):
+        rs = RootSystem([Component("B", 3, ("x3", "x1", "x2")), Component("B", 3, ("y1", "y2", "y3"))])
+        for comp in rs.components:
+            columns, half_norms = self._expected("B", 3, comp.labels)
+            assert {b: rs.column(b) for b in comp.labels} == columns
+            assert {b: rs.half_norm(b) for b in comp.labels} == half_norms
+
+    def test_table_is_bounded(self):
+        for series, rank in EVERY_COMPONENT:
+            build_root_system([(series, rank)])
+        for spec in ([("A", 0)], [("E", 9)], [("A", MAX_RANK + 1)], [("Q", 2)], [("A", 2.0)]):
+            with pytest.raises(RootSystemError):
+                build_root_system(spec)
+        table = rootlat._COMPONENT_COLUMNS
+        assert len(table) <= 7 * MAX_RANK
+        assert set(table) <= set(EVERY_COMPONENT)
+
+    def test_refuses_a_rank_above_the_limit_before_building(self):
+        with pytest.raises(RootSystemError, match="exceeds the limit"):
+            rootlat._component_columns("A", 10**9)
+        assert ("A", 10**9) not in rootlat._COMPONENT_COLUMNS
+
+    @pytest.mark.parametrize("rank", [2.0, True])
+    def test_a_rank_equal_to_a_built_int_is_still_refused(self, rank):
+        # A dict finds 2.0 and True under the keys 2 and 1.
+        build_root_system([("A", 2)])
+        build_root_system([("A", 1)])
+        message = f"^invalid component A{rank}: rank is not an int$"
+        with pytest.raises(RootSystemError, match=message):
+            build_root_system([("A", rank)])
+        labels = tuple(f"x{k}" for k in range(int(rank)))
+        with pytest.raises(RootSystemError, match=message):
+            RootSystem([Component("A", rank, labels)])
+
+    def test_component_cartan_returns_fresh_lists(self):
+        build_root_system([("B", 3)])
+        first, first_lengths = component_cartan("B", 3)
+        second, second_lengths = component_cartan("B", 3)
+        assert first == second and first is not second and first_lengths is not second_lengths
+        assert all(a is not b for a, b in zip(first, second))
+        first[0][0] = 99
+        first_lengths[0] = 99
+        assert component_cartan("B", 3) == (second, second_lengths)
+        assert build_root_system([("B", 3)]).cartan_entry("a1", "a1") == 2

@@ -199,7 +199,8 @@ class TestViolationTexts:
     def test_duplicate_spherical_root(self):
         colors = [Color("D", frozenset({"a1"}), Functional([2, 2]))]
         assert _violations([("A", 1)], [lv(a1=2), lv(a1=2)], colors) == [
-            "BASE: duplicate spherical root 2*a1"
+            "BASE: duplicate spherical root 2*a1",
+            "BASE: 2 spherical roots exceed the rank 1",
         ]
 
     def test_empty_support(self):
@@ -475,6 +476,7 @@ def _index_edge_cases():
             {"a1": "b"},
             [
                 "BASE: duplicate spherical root a1",
+                "BASE: 2 spherical roots exceed the rank 1",
                 "P1: type-b root a1: <phi(Dp), a1> = 0 != 1",
                 "P1: type-b root a1: <phi(Dm), a1> = 2 != 1",
                 "P2: <phi(Dp), a1> = 0 != 1 although a1 is a simple root moving Dp",
@@ -485,8 +487,7 @@ def _index_edge_cases():
             SphericalSystem(a1, [lv(a1=1), lv(a1=2)], [color("Dp", ["a1"], [1, 1]), color("Dm", ["a1"], [1, 1])]),
             {"a1": "b"},
             [
-                "BASE: Cartan number of (a1, 2*a1) is 4, not a nonpositive integer",
-                "BASE: Cartan number of (2*a1, a1) is 1, not a nonpositive integer",
+                "BASE: 2 spherical roots exceed the rank 1",
                 "P1: type-b root a1: phi(Dp) + phi(Dm) = (2, 2) differs from coroot (2, 4)",
                 "P2: <phi(Dp), 2*a1> = 1 but 2*a1 is not a simple root moving Dp",
                 "P2: <phi(Dm), 2*a1> = 1 but 2*a1 is not a simple root moving Dm",

@@ -117,6 +117,11 @@ def oracle_check_base(system: SphericalSystem, out: List[Violation]) -> None:
                 out.append(
                     Violation("BASE", f"negative coefficient of {lab} in {sigma}")
                 )
+    # More roots than the rank cannot pass the pairwise test (Humphreys 10.1).
+    if len(system.psi) > system.rs.rank:
+        n, rank = len(system.psi), system.rs.rank
+        out.append(Violation("BASE", f"{n} spherical roots exceed the rank {rank}"))
+        return
     for i, sigma in enumerate(system.psi):
         if sigma.is_zero():
             continue
