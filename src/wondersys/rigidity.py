@@ -7,6 +7,13 @@ rigid when nothing is distinguished.  A non-distinguished root is critical
 when it becomes distinguished in every proper localization containing the
 type-a roots and its support.
 
+Conditions 2 and 3 are read off the typed sub-diagram on a root's support,
+but the recognizer is asked only when the root has a shape one of them can
+take: every coefficient 1 with at most one label of the support not of type
+a (a B_k chain's first root and its type-a tail), or the coefficients 1 and
+2 on two labels (the G_2 pattern).  Any other root is left undistinguished
+by both, as the recognizer's answer would leave it.
+
 Both criticality functions run one loop over the spherical roots and differ
 only in the subsets they try and in what they ask there.  A subset is
 localized at most once per call and its localization kept for every root
@@ -100,9 +107,9 @@ def _distinguished_witness(system: SphericalSystem, j: int) -> Optional[Distingu
         return found
     sigma = system.psi[j]
     coeffs = sigma._coeffs
-    # The shape guard: condition 2 needs every coefficient 1 and every label
-    # but the chain's first of type a, condition 3 the coefficients 1 and 2
-    # on two labels; any other root is left without asking the recognizer.
+    # The shape guard: condition 2 needs every coefficient 1 and at most one
+    # label (the chain's first) not of type a, condition 3 the coefficients
+    # 1 and 2 on two labels; no other root asks the recognizer.
     if len(coeffs) < 2:
         return None
     if all(c == 1 for c in coeffs.values()):

@@ -339,10 +339,14 @@ class RootSystem:
     b's own component block, so every column holds at most four entries and
     pairing a coroot with a vector costs its support times the few
     neighbours of each label.  With it comes d_a = |alpha_a|^2 / 2, which is
-    1, 2 or 3 (`half_norm`).  The invariant form on simple roots is
-    (alpha_a, alpha_b) = d_a a_ab, so no Gram matrix is stored.  Nothing of
-    size n x n is built.  Only `index` knows where a label stands; no other
-    data depends on positions.  The total rank may not exceed MAX_RANK.
+    1, 2 or 3 (`half_norm`).  Both are read, by position in the component,
+    from the table `_COMPONENT_COLUMNS`, which holds them once per (series,
+    rank) and at most 7 * MAX_RANK entries in all, so a new root system
+    builds no Cartan block and only maps positions to its labels.  The
+    invariant form on simple roots is (alpha_a, alpha_b) = d_a a_ab, so no
+    Gram matrix is stored.  Nothing of size n x n is built.  Only `index`
+    knows where a label stands in the system; no other field of it depends
+    on positions.  The total rank may not exceed MAX_RANK.
     Immutable after construction; safe for concurrent use.
 
     Components are listed by their smallest label under `_label_key`,

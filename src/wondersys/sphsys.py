@@ -19,11 +19,14 @@ spherical root adds v * a_ab to the row of label a for the few pairs
 (a, a_ab) in `RootSystem.column(b)`.
 The checks read that table.  The BASE form is read off it too, since
 (sigma, tau) is the sum over a in the support of sigma of
-sigma_a * d_a * <alpha_a^vee, tau>.  P3 visits only the pairs of simple
-roots that can break it: those moved by colors with one id, and type-d
-roots whose sum is a spherical root.  Localization builds systems that are
-never validated, so only validation pays for the coroot table.  No other
-index of the spherical roots is kept: `psi_index` scans them.
+sigma_a * d_a * <alpha_a^vee, tau>; more spherical roots than the rank
+break BASE by themselves, which is reported once instead of pairwise, so
+the BASE check stays linear in the number of spherical roots.  P3 visits
+only the pairs of simple roots that can break it: those moved by colors
+with one id, and type-d roots whose sum is a spherical root.  Localization
+builds systems that are never validated, so only validation pays for the
+coroot table.  No other index of the spherical roots is kept: `psi_index`
+scans them.
 """
 from __future__ import annotations
 
@@ -285,7 +288,8 @@ def _check_p1(
                         )
                     )
         else:
-            # Type c or d: one color, whose functional is the half coroot (c) or the coroot (d).
+            # Type c or d: one color, whose functional is the half coroot (c)
+            # or the coroot (d).
             want, name = (half, "half coroot") if kind == TYPE_C else (coroot, "coroot")
             if len(moved) != 1:
                 out.append(

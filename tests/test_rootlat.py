@@ -841,11 +841,28 @@ class TestComponentColumnTable:
                 assert {b: rs.half_norm(b) for b in rs.simple_roots} == half_norms
 
     def test_positions_map_to_each_systems_own_labels(self):
-        rs = RootSystem([Component("B", 3, ("x3", "x1", "x2")), Component("B", 3, ("y1", "y2", "y3"))])
+        rs = RootSystem(
+            [Component("B", 3, ("x3", "x1", "x2")), Component("B", 3, ("y1", "y2", "y3"))]
+        )
         for comp in rs.components:
             columns, half_norms = self._expected("B", 3, comp.labels)
             assert {b: rs.column(b) for b in comp.labels} == columns
             assert {b: rs.half_norm(b) for b in comp.labels} == half_norms
+
+    def test_each_block_is_built_once(self, monkeypatch):
+        calls = []
+        original = rootlat.component_cartan
+
+        def counting(series, rank):
+            calls.append((series, rank))
+            return original(series, rank)
+
+        monkeypatch.setattr(rootlat, "component_cartan", counting)
+        monkeypatch.setattr(rootlat, "_COMPONENT_COLUMNS", {})
+        build_root_system([("B", 3), ("B", 3), ("A", 2)])
+        build_root_system([("A", 2)])
+        RootSystem([Component("B", 3, ("x1", "x2", "x3"))])
+        assert calls == [("B", 3), ("A", 2)]
 
     def test_table_is_bounded(self):
         for series, rank in EVERY_COMPONENT:
