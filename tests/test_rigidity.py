@@ -423,7 +423,7 @@ class TestShapeGuard:
         critical_roots(system)
         return len(calls)
 
-    def test_a_coefficient_above_two_or_a_second_two_asks_nothing(self, monkeypatch):
+    def test_other_coefficient_shapes_ask_nothing(self, monkeypatch):
         rs = build_root_system([("A", 3)])
         for coeffs in ({"a1": 1, "a2": 2, "a3": 1}, {"a1": 2, "a2": 2}, {"a1": 1, "a2": 3}):
             s = SphericalSystem(rs, [LatticeVector(coeffs)], [])
