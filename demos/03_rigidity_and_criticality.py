@@ -1,11 +1,11 @@
 """Distinguished spherical roots, rigidity, criticality on the catalog."""
-from wondersys import critical_roots, distinguished_elements, is_rigid
+from wondersys import critical_roots, distinguished_elements
 from wondersys.catalog import catalog_entries
 
 for entry in catalog_entries():
     system = entry.system
     report = distinguished_elements(system)
-    print(f"{entry.name}: rigid={is_rigid(system)}")
+    print(f"{entry.name}: rigid={report.rigid}")
     for w in report.distinguished:
         print(f"  distinguished {w.root} (condition {w.condition}: {w.witness})")
     for e in critical_roots(system).entries:

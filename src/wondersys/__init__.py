@@ -13,7 +13,6 @@ from .rigidity import (
     critical_roots,
     critical_roots_oracle,
     distinguished_elements,
-    is_rigid,
 )
 from .rootlat import (
     Component,
@@ -68,7 +67,6 @@ __all__ = [
     "document_to_system",
     "dumps",
     "emit_graph",
-    "is_rigid",
     "loads",
     "localize",
     "orbit_poset",

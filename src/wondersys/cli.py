@@ -2,7 +2,9 @@
 
 Verbs: validate, localize, rigidity, critical, orbits, catalog.  Input is
 a spherical-system document path or a built-in catalog name.  Exit codes:
-0 success, 1 validation failure, 2 malformed input or arguments.
+0 success, 1 validation failure, 2 malformed input or arguments, checked in
+that order: the input is read, then validated (by every verb but `validate`)
+before a verb in `_VERBS` reads its own arguments.
 """
 from __future__ import annotations
 
@@ -54,47 +56,43 @@ def _invalid_text(report: ValidationReport) -> str:
     return "\n".join(["invalid"] + [f"violation {v}" for v in report.violations])
 
 
-def _require_valid(system: SphericalSystem) -> None:
-    report = validate_system(system)
-    if not report.ok:
-        raise CliError(_invalid_text(report), EXIT_INVALID)
-
-
-def _violations_json(report: ValidationReport) -> List[Dict[str, str]]:
-    return [{"axiom": v.axiom, "message": v.message} for v in report.violations]
-
-
-def _cmd_validate(args) -> tuple:
+def _input_system(args) -> SphericalSystem:
+    """The verb's input; for every verb but `validate` an invalid system exits 1."""
     system = _load_system(args.input)
+    if args.verb != "validate":
+        report = validate_system(system)
+        if not report.ok:
+            raise CliError(_invalid_text(report), EXIT_INVALID)
+    return system
+
+
+def _document(system: SphericalSystem, args, **payload) -> tuple:
+    """A system printed as its document, or put under "system" in JSON."""
+    if args.format == "json":
+        return EXIT_OK, "", dict(payload, system=json.loads(dumps(system)))
+    return EXIT_OK, dumps(system).rstrip("\n"), {}
+
+
+def _validate(system: SphericalSystem, args) -> tuple:
     report = validate_system(system)
     if report.ok:
         return EXIT_OK, "ok", {"ok": True, "violations": []}
-    payload = {"ok": False, "violations": _violations_json(report)}
-    return EXIT_INVALID, _invalid_text(report), payload
+    violations = [{"axiom": v.axiom, "message": v.message} for v in report.violations]
+    return EXIT_INVALID, _invalid_text(report), {"ok": False, "violations": violations}
 
 
-def _parse_subset(raw: str) -> List[str]:
-    labels = [part.strip() for part in raw.split(",") if part.strip()]
+def _localize(system: SphericalSystem, args) -> tuple:
+    labels = [part.strip() for part in args.subset.split(",") if part.strip()]
     if not labels:
         raise CliError("--subset must list at least one simple root", EXIT_USAGE)
-    return labels
-
-
-def _cmd_localize(args) -> tuple:
-    system = _load_system(args.input)
-    _require_valid(system)
     try:
-        sub = localize(system, _parse_subset(args.subset))
+        sub = localize(system, labels)
     except RootSystemError as exc:
         raise CliError(str(exc), EXIT_USAGE)
-    if args.format == "json":
-        return EXIT_OK, "", {"system": json.loads(dumps(sub))}
-    return EXIT_OK, dumps(sub).rstrip("\n"), {}
+    return _document(sub, args)
 
 
-def _cmd_rigidity(args) -> tuple:
-    system = _load_system(args.input)
-    _require_valid(system)
+def _rigidity(system: SphericalSystem, args) -> tuple:
     report = distinguished_elements(system)
     lines = [f"rigid: {'true' if report.rigid else 'false'}"]
     payload = {"rigid": report.rigid, "distinguished": []}
@@ -104,19 +102,12 @@ def _cmd_rigidity(args) -> tuple:
             f"distinguished: s{idx + 1} = {w.root} (condition {w.condition}: {w.witness})"
         )
         payload["distinguished"].append(
-            {
-                "index": idx,
-                "root": str(w.root),
-                "condition": w.condition,
-                "witness": w.witness,
-            }
+            {"index": idx, "root": str(w.root), "condition": w.condition, "witness": w.witness}
         )
     return EXIT_OK, "\n".join(lines), payload
 
 
-def _cmd_critical(args) -> tuple:
-    system = _load_system(args.input)
-    _require_valid(system)
+def _critical(system: SphericalSystem, args) -> tuple:
     compute = critical_roots_oracle if args.oracle else critical_roots
     try:
         report = compute(system)
@@ -150,9 +141,7 @@ def _cmd_critical(args) -> tuple:
     return EXIT_OK, "\n".join(lines), payload
 
 
-def _cmd_orbits(args) -> tuple:
-    system = _load_system(args.input)
-    _require_valid(system)
+def _orbits(system: SphericalSystem, args) -> tuple:
     try:
         poset = orbit_poset(system)
     except ValueError as exc:
@@ -173,22 +162,29 @@ def _cmd_orbits(args) -> tuple:
     return EXIT_OK, "\n".join(lines), payload
 
 
-def _cmd_catalog(args) -> tuple:
+def _catalog(args) -> tuple:
     if args.action == "list":
         # Names and descriptions are read off the table; no system is built.
         rows = [(name, row[0]) for name, row in CATALOG.items()]
         lines = [f"{name}: {description}" for name, description in rows]
-        payload = {
-            "entries": [{"name": name, "description": description} for name, description in rows]
-        }
+        payload = {"entries": [{"name": name, "description": text} for name, text in rows]}
         return EXIT_OK, "\n".join(lines), payload
     try:
         entry = catalog_entry(args.name)
     except KeyError as exc:
         raise CliError(str(exc.args[0]), EXIT_USAGE)
-    if args.format == "json":
-        return EXIT_OK, "", {"name": entry.name, "system": json.loads(dumps(entry.system))}
-    return EXIT_OK, dumps(entry.system).rstrip("\n"), {}
+    return _document(entry.system, args, name=entry.name)
+
+
+# The verbs that take an input, in the order `--help` lists them (before
+# `catalog`): verb -> (help text, function of the system and the arguments).
+_VERBS = {
+    "validate": ("check the axioms of a spherical system", _validate),
+    "localize": ("localize at a subset of simple roots", _localize),
+    "rigidity": ("list distinguished spherical roots", _rigidity),
+    "critical": ("per-root criticality report", _critical),
+    "orbits": ("orbit poset statistics and DOT output", _orbits),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,28 +197,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--format", choices=("text", "json"), default="text", help="report format"
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-
-    p = sub.add_parser("validate", help="check the axioms of a spherical system")
-    p.add_argument("input", help="document path or catalog name")
-
-    p = sub.add_parser("localize", help="localize at a subset of simple roots")
-    p.add_argument("input", help="document path or catalog name")
-    p.add_argument("--subset", required=True, help="comma-separated simple-root labels")
-
-    p = sub.add_parser("rigidity", help="list distinguished spherical roots")
-    p.add_argument("input", help="document path or catalog name")
-
-    p = sub.add_parser("critical", help="per-root criticality report")
-    p.add_argument("input", help="document path or catalog name")
-    p.add_argument(
+    verbs = {}
+    for verb, (help_text, _) in _VERBS.items():
+        verbs[verb] = sub.add_parser(verb, help=help_text)
+        verbs[verb].add_argument("input", help="document path or catalog name")
+    verbs["localize"].add_argument(
+        "--subset", required=True, help="comma-separated simple-root labels"
+    )
+    verbs["critical"].add_argument(
         "--oracle",
         action="store_true",
         help="enumerate every admissible subset instead of only the maximal ones",
     )
-
-    p = sub.add_parser("orbits", help="orbit poset statistics and DOT output")
-    p.add_argument("input", help="document path or catalog name")
-    p.add_argument("--dot", metavar="PATH", help="write the poset as a DOT digraph")
+    verbs["orbits"].add_argument("--dot", metavar="PATH", help="write the poset as a DOT digraph")
 
     p = sub.add_parser("catalog", help="built-in regression systems")
     cat_sub = p.add_subparsers(dest="action", required=True)
@@ -233,16 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_HANDLERS = {
-    "validate": _cmd_validate,
-    "localize": _cmd_localize,
-    "rigidity": _cmd_rigidity,
-    "critical": _cmd_critical,
-    "orbits": _cmd_orbits,
-    "catalog": _cmd_catalog,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -250,7 +227,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        code, text, payload = _HANDLERS[args.verb](args)
+        if args.verb == "catalog":
+            code, text, payload = _catalog(args)
+        else:
+            code, text, payload = _VERBS[args.verb][1](_input_system(args), args)
     except CliError as exc:
         if args.format == "json":
             print(json.dumps({"ok": False, "error": str(exc)}, sort_keys=True))
@@ -258,8 +238,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(str(exc), file=sys.stderr if exc.code == EXIT_USAGE else sys.stdout)
         return exc.code
     if args.format == "json":
-        envelope = {"command": args.verb, "ok": code == EXIT_OK}
-        envelope.update(payload)
+        envelope = {"command": args.verb, "ok": code == EXIT_OK, **payload}
         print(json.dumps(envelope, indent=2, sort_keys=True))
     else:
         print(text)

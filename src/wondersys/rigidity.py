@@ -147,10 +147,6 @@ def distinguished_elements(system: SphericalSystem) -> RigidityReport:
     return RigidityReport(tuple(w for w in found if w is not None))
 
 
-def is_rigid(system: SphericalSystem) -> bool:
-    return distinguished_elements(system).rigid
-
-
 def _coatoms(labels: Tuple[str, ...], full: frozenset, base: frozenset):
     """All labels but one x outside `base`, in the order `_proper_supersets`
     yields them, so both report the same `failing_subset`; each is built

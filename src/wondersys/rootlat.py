@@ -319,6 +319,16 @@ def _component_columns(series: str, rank: int) -> Tuple[tuple, tuple]:
     return entry
 
 
+def _place(comp: Component, half_norms: dict, columns: dict) -> None:
+    """Enter one component's half-norms and Cartan columns, read from
+    `_COMPONENT_COLUMNS` by position, under its labels."""
+    norms, cols = _component_columns(comp.series, comp.rank)
+    labels = comp.labels
+    for label, d, col in zip(labels, norms, cols):
+        half_norms[label] = d
+        columns[label] = frozenset([(labels[r], x) for r, x in col])
+
+
 class Component(Record):
     """One simple component: its series, rank and labels in canonical order."""
 
@@ -378,11 +388,7 @@ class RootSystem:
         for _, comp in keyed:
             if len(comp.labels) != comp.rank:
                 raise RootSystemError("component label count mismatch")
-            norms, cols = _component_columns(comp.series, comp.rank)
-            labels = comp.labels
-            for label, d, col in zip(labels, norms, cols):
-                half_norms[label] = d
-                columns[label] = frozenset([(labels[r], x) for r, x in col])
+            _place(comp, half_norms, columns)
         self._assign(keyed, half_norms, columns)
 
     def _assign(self, keyed: Sequence[Tuple[tuple, Component]], half_norms: dict,
@@ -405,10 +411,10 @@ class RootSystem:
         but derived from this one in one pass: columns are keyed by label,
         so a component the subset covers keeps its key, columns and
         half-norms as they are.  A cut component's kept labels are typed
-        again by `detect_subdiagram_type`; each keeps the column entries
-        whose label is in the subset, and each piece's half-norms are divided
-        by their least, so its short roots have d = 1 again.  A label outside
-        the system, or a `str` (read as its characters), raises RootSystemError.
+        again by `detect_subdiagram_type`, and each piece reads its columns
+        and half-norms from `_COMPONENT_COLUMNS`, as `__init__` does.  A
+        label outside the system, or a `str` (read as its characters),
+        raises RootSystemError.
         """
         if isinstance(subset, str):
             raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
@@ -429,12 +435,7 @@ class RootSystem:
             elif kept:
                 for piece in detect_subdiagram_type(self, kept):
                     keyed.append((min(map(_label_key, piece.labels)), piece))
-                    least = min(d[lab] for lab in piece.labels)
-                    for lab in piece.labels:
-                        half_norms[lab] = d[lab] // least
-                        columns[lab] = frozenset(
-                            entry for entry in old_columns[lab] if entry[0] in subset
-                        )
+                    _place(piece, half_norms, columns)
         if found != len(subset):
             unknown = next(lab for lab in subset if lab not in self._index)
             raise RootSystemError(f"unknown simple-root label {unknown!r}")

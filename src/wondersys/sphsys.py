@@ -6,8 +6,28 @@ system in their span) and a list of colors, each carrying the set of
 simple roots moving it and a functional on the spherical roots with values
 in (1/2)Z.  `Functional` enforces that rule on construction and stores the
 values doubled, so the checks compare ints (2 stands for the value 1).
-Validation checks the base property and the three color axioms; every
-violation is collected with a witness, nothing is thrown.
+Validation checks four axioms; every violation is collected with a
+witness, nothing is thrown.
+
+- BASE: the spherical roots are distinct, nonzero and nonnegative, at
+  most the rank in number, and pairwise of nonpositive integer Cartan
+  number.
+- P1: color ids are unique; a functional has one value per spherical
+  root; a color is moved by simple roots of the system; a type-b root has
+  two colors, summing to its restricted coroot and each 1 on it; a type-c
+  or type-d root has one, its half coroot or its coroot.
+- P2: a color of a type-b root is at most 1 on the spherical roots, and 1
+  exactly on the simple roots moving it.
+- P3: two simple roots share a color only if both are type b (sharing
+  one) or both are type d, orthogonal, with equal restricted coroots and
+  a spherical root as their sum; two such type-d roots share their color.
+
+Luna's axioms Sigma2 and S (Luna, Varietes spheriques de type A, Publ.
+IHES 94 (2001), section 2; Bravi-Luna, arXiv:0812.2340, section 1) are
+not checked yet.  Sigma2 asks orthogonal simple roots summing to a
+spherical root for coroots that agree on the spherical roots: Sigma =
+{a1+b2, b1+b3} on A1 x A3 breaks it and validates.  S puts every
+spherical root on Luna's list: Sigma = {3*a1} on A1 validates.
 
 Each system indexes its colors by the simple roots moving them, and its
 spherical roots that are a simple root or twice one, once on construction,
@@ -431,7 +451,8 @@ def _check_p3(
 
 
 def validate_system(system: SphericalSystem) -> ValidationReport:
-    """Check the base property and the three color axioms, exhaustively."""
+    """Check BASE, P1, P2 and P3 (see the module docstring), exhaustively;
+    Luna's axioms Sigma2 and S are not checked."""
     out: List[Violation] = []
     coroots = coroot_table(system)
     _check_base(system, coroots, out)

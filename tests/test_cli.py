@@ -38,6 +38,54 @@ def _run(fmt, argv, capsys):
     return code, err.rstrip("\n")
 
 
+VERBS = ["validate", "localize", "rigidity", "critical", "orbits", "catalog"]
+
+
+class TestArgparseSurface:
+    """`--help` and argparse's usage errors.  Help text is not pinned
+    verbatim, since its layout varies between Python versions."""
+
+    def test_help_lists_the_verbs_in_order(self, capsys):
+        assert main(["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: wondersys") and err == ""
+        assert "{" + ",".join(VERBS) + "}" in out
+        listed = [line.split()[0] for line in out.splitlines() if line.startswith("    ")]
+        assert [word for word in listed if word in VERBS] == VERBS
+
+    @pytest.mark.parametrize(
+        "argv", [[verb] for verb in VERBS] + [["catalog", "list"], ["catalog", "show"]]
+    )
+    def test_each_verb_has_help(self, argv, capsys):
+        assert main(argv + ["--help"]) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith(f"usage: wondersys {' '.join(argv)} ") and err == ""
+
+    def test_help_through_the_module(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+        child = subprocess.run(
+            [sys.executable, "-m", "wondersys.cli", "--help"],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert child.returncode == 0 and child.stderr == ""
+        assert "{" + ",".join(VERBS) + "}" in child.stdout
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["frobnicate", "p1"],
+            ["localize", "p1"],
+            ["--format", "xml", "validate", "p1"],
+            ["orbits", "p1", "--dot"],
+        ],
+    )
+    def test_usage_errors_exit_two(self, argv, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage: wondersys")
+
+
 class TestValidate:
     def test_valid_file(self, p1_path, capsys):
         assert main(["validate", p1_path]) == 0

@@ -19,7 +19,6 @@ from wondersys import (
     critical_roots_oracle,
     detect_subdiagram_type,
     distinguished_elements,
-    is_rigid,
     loads,
     localize,
     type_a_roots,
@@ -28,6 +27,7 @@ from wondersys import (
 from wondersys.catalog import catalog_entries, catalog_entry
 from wondersys.rigidity import MAX_ORACLE_FREE_LABELS, _distinguished_witness
 
+from criticalityrule import closed_form_critical_roots
 from distinguishedoracle import oracle_distinguished_witness
 from mutations import mutation_cases
 from randsys import b2_colored_tail, colored_flag, direct_sum, random_systems, wide_systems
@@ -51,9 +51,10 @@ class TestDistinguished:
         assert distinguished_elements(catalog_entry("a2-full-support").system).rigid
 
     def test_is_rigid(self):
-        assert not is_rigid(catalog_entry("p1").system)
-        assert is_rigid(catalog_entry("group-a1a1").system)
-        assert is_rigid(SphericalSystem(build_root_system([("A", 1)]), [], []))
+        assert not distinguished_elements(catalog_entry("p1").system).rigid
+        assert distinguished_elements(catalog_entry("group-a1a1").system).rigid
+        empty = SphericalSystem(build_root_system([("A", 1)]), [], [])
+        assert distinguished_elements(empty).rigid
 
 
 class TestCriticality:
@@ -352,13 +353,33 @@ class TestMonotonicity:
                 assert sigma in frozenset(w.root for w in distinguished_elements(loc).distinguished)
 
 
+class TestClosedFormRule:
+    """The closed-form rule of `tests/criticalityrule.py` equals the coatom
+    search on every field, over the catalog, random and wide systems and
+    every coatom localization of each."""
+
+    def test_rule_equals_critical_roots(self):
+        systems = [e.system for e in catalog_entries()]
+        systems += random_systems(seed=5, count=600, max_rank=8) + wide_systems(seed=7, count=30)
+        for s in list(systems):
+            labels = frozenset(s.rs.simple_roots)
+            systems += [localize(s, labels - {lab}) for lab in s.rs.simple_roots]
+        not_vacuous = 0
+        for s in systems:
+            report = critical_roots(s)
+            assert closed_form_critical_roots(s) == report, s
+            not_vacuous += sum(e.critical and not e.vacuous for e in report.entries)
+        # Pinned, so that a change in the generators shows.
+        assert (len(systems), not_vacuous) == (4076, 74)
+
+
 class TestRankTwoSplitColors:
     def test_rigid_rank2_simple_root_has_split_values(self):
         # For a rigid rank-2 system with a simple spherical root, the two
         # colors must differ on the other spherical root.
         for entry in catalog_entries():
             s = entry.system
-            if len(s.psi) != 2 or not is_rigid(s):
+            if len(s.psi) != 2 or not distinguished_elements(s).rigid:
                 continue
             for sigma in s.psi:
                 lab = s.rs.as_simple_label(sigma)
@@ -370,13 +391,22 @@ class TestRankTwoSplitColors:
                 assert dplus.phi[j] != dminus.phi[j], (entry.name, lab)
 
 
+def _chain_sum_across_two_factors() -> SphericalSystem:
+    """A1 x A1 with sigma = a1 + a2 and one color moved by a1, phi = (2):
+    valid, a1 of type d and a2 of type a, so the shape guard lets sigma
+    through, and the recognizer finds two components."""
+    rs = build_root_system([("A", 1), ("A", 1)])
+    color = Color("D", {"a1"}, Functional([2]))
+    return SphericalSystem(rs, [LatticeVector({"a1": 1, "a2": 1})], [color])
+
+
 def _guard_corpus():
     """Catalog, random and wide systems, hand-made chains beside other
     factors, every coatom localization of each, and every localization of
     the catalog entries."""
     systems = [e.system for e in catalog_entries()]
     systems += random_systems(seed=47, count=200, max_rank=8) + wide_systems(seed=13, count=6)
-    systems += [_b3_colored_tail(), b2_colored_tail()]
+    systems += [_b3_colored_tail(), b2_colored_tail(), _chain_sum_across_two_factors()]
     systems += [_simple_root_beside_a_long_chain(7, tail) for tail in (0, 1, 2)]
     for s in list(systems):
         labels = frozenset(s.rs.simple_roots)
@@ -410,7 +440,8 @@ class TestShapeGuard:
                 assert _distinguished_witness(s, j) == oracle_distinguished_witness(s, j)
 
     @staticmethod
-    def _recognizer_calls(monkeypatch, system) -> int:
+    def _recognizer_calls(monkeypatch, system,
+                          runs=(distinguished_elements, critical_roots)) -> int:
         calls = []
         original = wondersys.rigidity.detect_subdiagram_type
 
@@ -419,8 +450,8 @@ class TestShapeGuard:
             return original(rs, labels)
 
         monkeypatch.setattr(wondersys.rigidity, "detect_subdiagram_type", counting)
-        distinguished_elements(system)
-        critical_roots(system)
+        for run in runs:
+            run(system)
         return len(calls)
 
     def test_other_coefficient_shapes_ask_nothing(self, monkeypatch):
@@ -435,6 +466,15 @@ class TestShapeGuard:
         s = SphericalSystem(rs, [LatticeVector({"a1": 1, "a2": 1})], colors)
         assert s.type_map == {"a1": "d", "a2": "d"}
         assert self._recognizer_calls(monkeypatch, s) == 0
+
+    def test_a_support_over_two_components_is_not_distinguished(self, monkeypatch):
+        s = _chain_sum_across_two_factors()
+        assert validate_system(s).ok
+        assert s.type_map == {"a1": "d", "a2": "a"}
+        assert self._recognizer_calls(monkeypatch, s, (distinguished_elements,)) == 1
+        assert distinguished_elements(s).rigid
+        assert _distinguished_witness(s, 0) is None
+        assert oracle_distinguished_witness(s, 0) is None
 
     @pytest.mark.parametrize(
         "name, condition", [("b2-short-sum", 2), ("b3-chain-sum", 2),

@@ -108,6 +108,17 @@ class TestBuildRootSystem:
         with pytest.raises(RootSystemError, match="^subset is a str, not a set of labels: 'xy'$"):
             detect_subdiagram_type(xyz, "xy")
 
+    @pytest.mark.parametrize(
+        "components",
+        [
+            [Component("A", 1, ("x",)), Component("A", 1, ("x",))],
+            [Component("A", 2, ("x", "x"))],
+        ],
+    )
+    def test_duplicate_labels_rejected(self, components):
+        with pytest.raises(RootSystemError, match="^duplicate simple-root labels$"):
+            RootSystem(components)
+
     @pytest.mark.parametrize("series,rank", [("D", 2), ("G", 3), ("F", 3), ("E", 5), ("B", 1), ("Z", 1)])
     def test_invalid_components_rejected(self, series, rank):
         with pytest.raises(RootSystemError):
