@@ -7,12 +7,8 @@ rigid when nothing is distinguished.  A non-distinguished root is critical
 when it becomes distinguished in every proper localization containing the
 type-a roots and its support.
 
-Conditions 2 and 3 are read off the typed sub-diagram on a root's support,
-but the recognizer is asked only when the root has a shape one of them can
-take: every coefficient 1 with at most one label of the support not of type
-a (a B_k chain's first root and its type-a tail), or the coefficients 1 and
-2 on two labels (the G_2 pattern).  Any other root is left undistinguished
-by both, as the recognizer's answer would leave it.
+Conditions 2 and 3 are read off the Cartan entries on a root's support: a
+-3 between its two labels, or one -2 at the end of a path that covers it.
 
 Both criticality functions run one loop over the spherical roots and differ
 only in the subsets they try and in what they ask there.  A subset is
@@ -31,7 +27,7 @@ import itertools
 from typing import Optional, Tuple
 
 from .localize import localize, type_a_roots
-from .rootlat import LatticeVector, Record, _set, detect_subdiagram_type
+from .rootlat import LatticeVector, Record, _set
 from .sphsys import SphericalSystem, TYPE_A
 
 
@@ -107,39 +103,33 @@ def _distinguished_witness(system: SphericalSystem, j: int) -> Optional[Distingu
         return found
     sigma = system.psi[j]
     coeffs = sigma._coeffs
-    # The shape guard: condition 2 needs every coefficient 1 and at most one
-    # label (the chain's first) not of type a, condition 3 the coefficients
-    # 1 and 2 on two labels; no other root asks the recognizer.
-    if len(coeffs) < 2:
+    rs = system.rs
+    # Condition 3: long + twice the short root v of a G_2 pair, whose Cartan
+    # entry a_vu is -3.
+    if sorted(coeffs.values()) == [1, 2]:
+        u, v = sorted(coeffs, key=coeffs.get)
+        if rs.cartan_entry(v, u) == -3:
+            return DistinguishedWitness(sigma, 3, f"G2 pair ({u} long, {v} short)")
         return None
-    if all(c == 1 for c in coeffs.values()):
-        types = system.type_map
-        if sum(types.get(lab) != TYPE_A for lab in coeffs) > 1:
-            return None
-    elif len(coeffs) != 2 or sorted(coeffs.values()) != [1, 2]:
-        return None
-    comps = detect_subdiagram_type(system.rs, sigma.support)
-    if len(comps) != 1:
-        return None
-    comp = comps[0]
     # Condition 2: sigma is the full chain sum of a B_k sub-diagram whose
-    # roots after the first are all of type a.
-    if comp.series == "B" and all(sigma.coeff(lab) == 1 for lab in comp.labels):
-        tail = comp.labels[1:]
-        if all(system.type_map[lab] == TYPE_A for lab in tail):
-            return DistinguishedWitness(
-                sigma,
-                2,
-                f"B{comp.rank} chain {'+'.join(comp.labels)} with type-a tail",
-            )
-    # Condition 3: long + twice the short root of a G_2 sub-diagram.
-    if comp.series == "G":
-        long_root, short_root = comp.labels
-        if sigma.coeff(long_root) == 1 and sigma.coeff(short_root) == 2:
-            return DistinguishedWitness(
-                sigma, 3, f"G2 pair ({long_root} long, {short_root} short)"
-            )
-    return None
+    # roots after the first are all of type a.  The chain's one double bond
+    # puts a -2 in the row of its short root, the last; the walk from there
+    # must cover the support and ends at the first.
+    if len(coeffs) < 2 or any(c != 1 for c in coeffs.values()):
+        return None
+    chain = [r for c in coeffs for r, x in rs.column(c) if x == -2 and r in coeffs]
+    if len(chain) != 1:
+        return None
+    while len(chain) < len(coeffs):
+        step = [r for r, x in rs.column(chain[-1]) if x < 0 and r in coeffs and r not in chain]
+        if len(step) != 1:
+            return None
+        chain += step
+    if any(system.type_map[lab] != TYPE_A for lab in chain[:-1]):
+        return None
+    return DistinguishedWitness(
+        sigma, 2, f"B{len(chain)} chain {'+'.join(reversed(chain))} with type-a tail"
+    )
 
 
 def distinguished_elements(system: SphericalSystem) -> RigidityReport:

@@ -1,9 +1,10 @@
-"""The distinguished-root test without its shape guard.
+"""The distinguished-root test, reading conditions 2 and 3 off the recognizer.
 
-`oracle_distinguished_witness` asks the recognizer about every spherical
-root whose support has two or more labels, as `_distinguished_witness` did
-before it learned to skip the roots whose coefficients or types already rule
-out conditions 2 and 3.  Both must give equal witnesses on every system.
+`oracle_distinguished_witness` types the support of every spherical root
+with two or more labels by `detect_subdiagram_type` and reads the canonical
+B_k and G_2 orderings it returns.  `_distinguished_witness` reads the same
+conditions off the Cartan entries on the support; both must give equal
+witnesses on every system.
 """
 from __future__ import annotations
 

@@ -5,6 +5,7 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import wondersys.rigidity
 from wondersys import (
@@ -161,17 +162,23 @@ class TestCoatomWork:
         return tried
 
     def test_one_localization_per_coatom_tried(self, monkeypatch):
-        # Each coatom is localized once, the localization builds no
-        # RootSystem through __init__, and the recognizer only ever reads
-        # the system itself: the part a coatom cuts is typed there.
+        # Each coatom is localized once, through one RootSystem.induced, the
+        # localization builds no RootSystem through __init__, and the
+        # recognizer only ever reads the system itself: the part a coatom
+        # cuts is typed there.
         systems = self._systems(monkeypatch)
-        localized, asked, built, typed = [], [], [], []
+        localized, induced, asked, built, typed = [], [], [], [], []
         localize_, distinguished = wondersys.rigidity.localize, wondersys.rigidity.distinguished_elements
-        init, detect = RootSystem.__init__, wondersys.rootlat.detect_subdiagram_type
+        init, induce = RootSystem.__init__, RootSystem.induced
+        detect = wondersys.rootlat.detect_subdiagram_type
 
         def counting_localize(system, subset):
             localized.append(frozenset(subset))
             return localize_(system, subset)
+
+        def counting_induced(rs, subset):
+            induced.append(rs)
+            return induce(rs, subset)
 
         def counting_distinguished(system):
             asked.append(system)
@@ -186,22 +193,24 @@ class TestCoatomWork:
             return detect(rs, sigma)
 
         monkeypatch.setattr(wondersys.rigidity, "localize", counting_localize)
+        monkeypatch.setattr(RootSystem, "induced", counting_induced)
         monkeypatch.setattr(wondersys.rigidity, "distinguished_elements", counting_distinguished)
         monkeypatch.setattr(RootSystem, "__init__", counting_init)
         monkeypatch.setattr(wondersys.rootlat, "detect_subdiagram_type", recording_detect)
-        monkeypatch.setattr(wondersys.rigidity, "detect_subdiagram_type", recording_detect)
         total = cuts = 0
         for s in systems:
             localized.clear()
+            induced.clear()
             typed.clear()
             report = critical_roots(s)
             tried = self._coatoms_tried(s, report)
             assert len(localized) == len(set(localized)) == len(tried)
             assert set(localized) == tried
-            assert all(rs is s.rs for rs in typed)
+            assert len(induced) == len(localized)
+            assert all(rs is s.rs for rs in induced + typed)
             total += len(tried)
             cuts += len(typed)
-        assert len(systems) > 700 and total > 500 and cuts > 500
+        assert len(systems) > 700 and total > 500 and cuts > 400
         assert asked == []
         assert built == []
 
@@ -393,21 +402,58 @@ class TestRankTwoSplitColors:
 
 def _chain_sum_across_two_factors() -> SphericalSystem:
     """A1 x A1 with sigma = a1 + a2 and one color moved by a1, phi = (2):
-    valid, a1 of type d and a2 of type a, so the shape guard lets sigma
-    through, and the recognizer finds two components."""
+    valid, a1 of type d and a2 of type a, every coefficient 1, and no -2 on
+    the support, so no B_k chain; the recognizer finds two components."""
     rs = build_root_system([("A", 1), ("A", 1)])
     color = Color("D", {"a1"}, Functional([2]))
     return SphericalSystem(rs, [LatticeVector({"a1": 1, "a2": 1})], [color])
 
 
-def _guard_corpus():
+# Diagrams and spherical roots whose Cartan entries the reading of conditions
+# 2 and 3 must decide: B_k chains inside C_2, B_4 and F_4, chains with the
+# short root of the double bond inside, supports that skip a label or span
+# two components, a branch, and G_2 roots with coefficients (2, 1) and (1, 1).
+_CARTAN_SHAPES = [
+    ([("C", 2)], {"a1": 1, "a2": 1}),
+    ([("C", 3)], {"a1": 1, "a2": 1, "a3": 1}),
+    ([("F", 4)], {"a1": 1, "a2": 1, "a3": 1, "a4": 1}),
+    ([("F", 4)], {"a2": 1, "a3": 1}),
+    ([("F", 4)], {"a3": 1, "a4": 1}),
+    ([("F", 4)], {"a2": 1, "a3": 1, "a4": 1}),
+    ([("F", 4)], {"a1": 1, "a2": 1, "a3": 1}),
+    ([("B", 4)], {"a2": 1, "a3": 1, "a4": 1}),
+    ([("B", 4)], {"a1": 1, "a3": 1, "a4": 1}),
+    ([("D", 4)], {"a1": 1, "a2": 1, "a3": 1, "a4": 1}),
+    ([("B", 2), ("B", 2)], {"a1": 1, "a2": 1, "a3": 1, "a4": 1}),
+    ([("G", 2), ("B", 2)], {"a1": 1, "a2": 1, "a3": 1, "a4": 1}),
+    ([("B", 3), ("A", 1)], {"a2": 1, "a3": 1, "a4": 1}),
+    ([("G", 2)], {"a1": 2, "a2": 1}),
+    ([("G", 2)], {"a1": 1, "a2": 1}),
+]
+
+
+def _cartan_shape_systems() -> list:
+    """Each shape with no colors, and with a zero color on either end of its
+    support, which types that end d."""
+    systems = []
+    for components, coeffs in _CARTAN_SHAPES:
+        rs = build_root_system(components)
+        ends = sorted(coeffs, key=rs.index)
+        for colored in ((), ends[:1], ends[-1:]):
+            colors = [Color(f"D{lab}", {lab}, Functional([0])) for lab in colored]
+            systems.append(SphericalSystem(rs, [LatticeVector(coeffs)], colors))
+    return systems
+
+
+def _witness_corpus():
     """Catalog, random and wide systems, hand-made chains beside other
-    factors, every coatom localization of each, and every localization of
-    the catalog entries."""
+    factors and the Cartan shapes, every coatom localization of each, and
+    every localization of the catalog entries."""
     systems = [e.system for e in catalog_entries()]
     systems += random_systems(seed=47, count=200, max_rank=8) + wide_systems(seed=13, count=6)
     systems += [_b3_colored_tail(), b2_colored_tail(), _chain_sum_across_two_factors()]
     systems += [_simple_root_beside_a_long_chain(7, tail) for tail in (0, 1, 2)]
+    systems += _cartan_shape_systems()
     for s in list(systems):
         labels = frozenset(s.rs.simple_roots)
         systems += [localize(s, labels - {lab}) for lab in s.rs.simple_roots]
@@ -419,14 +465,42 @@ def _guard_corpus():
     return systems
 
 
-class TestShapeGuard:
-    """`_distinguished_witness` asks the recognizer only about roots whose
-    coefficients and types leave room for conditions 2 or 3; the unguarded
-    oracle asks it about every root with two or more labels."""
+# Small components for drawn diagrams: every series but E, with the double
+# bond's short root at the end of a chain (B) and inside it (C, F).
+_SMALL_COMPONENTS = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("B", 4),
+                     ("C", 3), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]
 
-    def test_witnesses_equal_the_unguarded_oracle(self):
+
+@st.composite
+def _drawn_roots(draw) -> SphericalSystem:
+    """One or two small components, one spherical root on a drawn support
+    (a run of labels of one component, or any labels) with every coefficient 1
+    or, on two labels, the coefficients 1 and 2, and a zero color on each
+    of at most two drawn labels."""
+    rs = build_root_system(draw(st.lists(st.sampled_from(_SMALL_COMPONENTS), min_size=1, max_size=2)))
+    labels = rs.simple_roots
+    if draw(st.booleans()):
+        comp = draw(st.sampled_from(rs.components))
+        start = draw(st.integers(0, comp.rank - 1))
+        support = comp.labels[start:draw(st.integers(min(start + 2, comp.rank), comp.rank))]
+    else:
+        support = draw(st.lists(st.sampled_from(labels), min_size=min(2, rs.rank), max_size=rs.rank, unique=True))
+    coeffs = dict.fromkeys(support, 1)
+    if len(support) == 2 and draw(st.booleans()):
+        coeffs[support[draw(st.integers(0, 1))]] = 2
+    colored = sorted(draw(st.sets(st.sampled_from(labels), max_size=2)), key=rs.index)
+    colors = [Color(f"D{lab}", {lab}, Functional([0])) for lab in colored]
+    return SphericalSystem(rs, [LatticeVector(coeffs)], colors)
+
+
+class TestCartanReading:
+    """`_distinguished_witness` reads conditions 2 and 3 off the Cartan
+    columns on a root's support, and gives the witnesses of the oracle,
+    which types every support of two or more labels with the recognizer."""
+
+    def test_witnesses_equal_the_recognizer_oracle(self):
         count = conditions = 0
-        for s in _guard_corpus():
+        for s in _witness_corpus():
             for j in range(len(s.psi)):
                 got = _distinguished_witness(s, j)
                 assert got == oracle_distinguished_witness(s, j), (s, j)
@@ -439,39 +513,42 @@ class TestShapeGuard:
             for j in range(len(s.psi)):
                 assert _distinguished_witness(s, j) == oracle_distinguished_witness(s, j)
 
-    @staticmethod
-    def _recognizer_calls(monkeypatch, system,
-                          runs=(distinguished_elements, critical_roots)) -> int:
+    @settings(max_examples=200, deadline=None)
+    @given(_drawn_roots())
+    def test_drawn_roots_agree_with_the_oracle(self, s):
+        assert _distinguished_witness(s, 0) == oracle_distinguished_witness(s, 0)
+
+    def test_the_recognizer_is_never_asked(self, monkeypatch):
+        systems = _witness_corpus()  # built first: localizing it types the cuts
         calls = []
-        original = wondersys.rigidity.detect_subdiagram_type
+        original = wondersys.rootlat.detect_subdiagram_type
 
         def counting(rs, labels):
             calls.append(frozenset(labels))
             return original(rs, labels)
 
-        monkeypatch.setattr(wondersys.rigidity, "detect_subdiagram_type", counting)
-        for run in runs:
-            run(system)
-        return len(calls)
+        monkeypatch.setattr(wondersys.rootlat, "detect_subdiagram_type", counting)
+        for s in systems:
+            distinguished_elements(s)
+        assert calls == []
 
-    def test_other_coefficient_shapes_ask_nothing(self, monkeypatch):
+    def test_other_coefficient_shapes_are_not_distinguished(self):
         rs = build_root_system([("A", 3)])
         for coeffs in ({"a1": 1, "a2": 2, "a3": 1}, {"a1": 2, "a2": 2}, {"a1": 1, "a2": 3}):
             s = SphericalSystem(rs, [LatticeVector(coeffs)], [])
-            assert self._recognizer_calls(monkeypatch, s) == 0
+            assert distinguished_elements(s).rigid
 
-    def test_two_labels_not_of_type_a_ask_nothing(self, monkeypatch):
+    def test_two_labels_not_of_type_a_are_not_distinguished(self):
         rs = build_root_system([("B", 2)])
         colors = [Color("D1", {"a1"}, Functional([1])), Color("D2", {"a2"}, Functional([1]))]
         s = SphericalSystem(rs, [LatticeVector({"a1": 1, "a2": 1})], colors)
         assert s.type_map == {"a1": "d", "a2": "d"}
-        assert self._recognizer_calls(monkeypatch, s) == 0
+        assert distinguished_elements(s).rigid
 
-    def test_a_support_over_two_components_is_not_distinguished(self, monkeypatch):
+    def test_a_support_over_two_components_is_not_distinguished(self):
         s = _chain_sum_across_two_factors()
         assert validate_system(s).ok
         assert s.type_map == {"a1": "d", "a2": "a"}
-        assert self._recognizer_calls(monkeypatch, s, (distinguished_elements,)) == 1
         assert distinguished_elements(s).rigid
         assert _distinguished_witness(s, 0) is None
         assert oracle_distinguished_witness(s, 0) is None
@@ -480,7 +557,6 @@ class TestShapeGuard:
         "name, condition", [("b2-short-sum", 2), ("b3-chain-sum", 2),
                             ("g2-long-plus-double-short", 3)]
     )
-    def test_b_chains_and_the_g2_pattern_still_ask(self, monkeypatch, name, condition):
+    def test_catalog_roots_distinguished(self, name, condition):
         s = catalog_entry(name).system
-        assert self._recognizer_calls(monkeypatch, s) > 0
         assert [w.condition for w in distinguished_elements(s).distinguished] == [condition]
