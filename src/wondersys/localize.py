@@ -2,15 +2,17 @@
 
 The localized system lives on the induced sub-root-system, keeps the
 spherical roots supported inside the subset, and restricts each surviving
-color's functional to the kept spherical roots.  Color ids are preserved,
+color's functional to the kept spherical roots.  When every spherical root
+is kept, a color moved only by labels of the subset is unchanged, and the
+localization holds the parent's own object.  Color ids are preserved,
 so the color correspondence with the parent system is the identity on ids
 and localization composes strictly.
 
-The induced root system is `RootSystem.induced`: derived from the ambient
-one, it reuses each component that the subset covers as it is, and only
-the labels the subset keeps of a cut component are typed again.  It lists
-the components by smallest label, as `RootSystem` does, so localizing at
-the full set is the identity.
+The induced root system is `RootSystem.induced`: derived from copies of
+the ambient tables, it reuses each component that the subset covers as it
+is, and only the labels the subset keeps of a cut component are typed
+again.  It lists the components by smallest label, as `RootSystem` does,
+so localizing at the full set is the identity.
 """
 from __future__ import annotations
 
@@ -28,18 +30,22 @@ def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
     if isinstance(subset, str):
         raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
     sub = frozenset(subset)
-    for lab in sub:
-        if lab not in system.rs:
-            raise RootSystemError(f"label {lab!r} is not a simple root of the system")
+    unknown = sub.difference(system.rs.simple_roots)
+    if unknown:
+        raise RootSystemError(f"label {next(iter(unknown))!r} is not a simple root of the system")
     rs = system.rs.induced(sub)
-    kept = [i for i, sigma in enumerate(system.psi) if sigma.support <= sub]
+    kept = [i for i, sigma in enumerate(system.psi) if sigma._coeffs.keys() <= sub]
     psi = [system.psi[i] for i in kept]
+    every_root = len(kept) == len(system.psi)
     colors = []
     for d in system.colors:
         moved = d.moved_by & sub
         if not moved:
             continue
-        colors.append(Color(d.id, moved, d.phi.restrict(kept)))
+        if every_root and len(moved) == len(d.moved_by):
+            colors.append(d)
+        else:
+            colors.append(Color(d.id, moved, d.phi.restrict(kept)))
     return SphericalSystem(rs, psi, colors)
 
 

@@ -94,20 +94,23 @@ def emit_graph(poset: OrbitPoset) -> str:
     for mask in range(len(quoted)):
         levels[mask.bit_count()].append(mask)
     bits = [1 << j for j in range(rank)]
-    # Visiting the targets in node order hands each source its edge lines
-    # already sorted by target label text.
+    # Visiting the targets in node order hands each source its targets
+    # already sorted by label text.
     lines = ["digraph orbits {"]
     covers = [[] for _ in quoted]
     for size, level in enumerate(levels):
         level.sort(key=quoted.__getitem__)
+        tail = f" [boundary_rank={rank - size}];"
         for target in level:
             label = quoted[target]
-            lines.append(f"  {label} [boundary_rank={rank - size}];")
+            lines.append(f"  {label}{tail}")
             for bit in bits:
                 if target & bit:
-                    covers[target ^ bit].append(f"  {quoted[target ^ bit]} -> {label};")
-    for level in levels:
-        for mask in level:
-            lines += covers[mask]
+                    covers[target ^ bit].append(label)
+    # Each source's edges are joined in one piece; the top node covers nothing.
+    for level in levels[:-1]:
+        for source in level:
+            head = f"  {quoted[source]} -> "
+            lines.append(head + (";\n" + head).join(covers[source]) + ";")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 # Largest total rank a root system may have.  It is checked before anything
@@ -158,6 +158,10 @@ class LatticeVector(Record):
 
 def _label_key(item) -> Tuple[int, str]:
     label = item[0] if isinstance(item, tuple) else item
+    # One character that is not a digit, then decimal digits, as in "a12".
+    tail = label[1:]
+    if tail.isdecimal() and not label[:1].isdecimal():
+        return (int(tail), label)
     # Decimal digits only: `int` refuses other digits, such as "²".
     digits = "".join(filter(str.isdecimal, label))
     return (int(digits) if digits else 0, label)
@@ -205,7 +209,7 @@ class Functional(Record):
     def __add__(self, other: "Functional") -> "Functional":
         if len(self.twice) != len(other.twice):
             raise ValueError("functional length mismatch")
-        return Functional._of_twice(tuple(a + b for a, b in zip(self.twice, other.twice)))
+        return Functional._of_twice(tuple(map(add, self.twice, other.twice)))
 
     def restrict(self, indices: Sequence[int]) -> "Functional":
         """The functional on the spherical roots at `indices`, in that order."""
@@ -362,9 +366,11 @@ class RootSystem:
     Components are listed by their smallest label under `_label_key`,
     whatever order they are given in, so two root systems with the same
     components are equal and hash equal; every label must be a `str`.
-    Each component's smallest key is kept with it, so `induced` merges the
-    components it reuses with the pieces it cuts without computing their
-    keys again.
+    Each component's smallest key is computed once and kept with it, so
+    `induced` merges the components it reuses with the pieces it cuts
+    without computing their keys again.  A document's components arrive in
+    this order already, and the sort then makes one comparison per
+    component; it needs no check of the order before it.
     """
 
     def __init__(self, components: Sequence[Component]):
@@ -408,37 +414,36 @@ class RootSystem:
         """The root system on the sub-diagram of a set of simple-root labels.
 
         Equal to `RootSystem` of the typed components of that sub-diagram,
-        but derived from this one in one pass: columns are keyed by label,
-        so a component the subset covers keeps its key, columns and
-        half-norms as they are.  A cut component's kept labels are typed
-        again by `detect_subdiagram_type`, and each piece reads its columns
-        and half-norms from `_COMPONENT_COLUMNS`, as `__init__` does.  A
-        label outside the system, or a `str` (read as its characters),
-        raises RootSystemError.
+        but derived from this one.  A label outside the system, or a `str`
+        (read as its characters), raises RootSystemError before anything
+        is built.  The half-norms and columns start as copies of this
+        system's tables, which are keyed by label, so a component the
+        subset covers keeps its key and entries as they are.  The labels of
+        every other component are deleted from the copies; what the subset
+        keeps of a cut component is typed again by
+        `detect_subdiagram_type`, and each piece enters its columns and
+        half-norms from `_COMPONENT_COLUMNS`, as `__init__` does.
         """
         if isinstance(subset, str):
             raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
         subset = frozenset(subset)
-        d, old_columns = self._d, self._columns
+        unknown = subset - self._index.keys()
+        if unknown:
+            raise RootSystemError(f"unknown simple-root label {next(iter(unknown))!r}")
+        half_norms = dict(self._d)
+        columns = dict(self._columns)
         keyed = []
-        half_norms = {}
-        columns = {}
-        found = 0
         for key, comp in zip(self._keys, self.components):
-            kept = [lab for lab in comp.labels if lab in subset]
-            found += len(kept)
-            if len(kept) == comp.rank:
+            if subset.issuperset(comp.labels):
                 keyed.append((key, comp))
-                for lab in kept:
-                    half_norms[lab] = d[lab]
-                    columns[lab] = old_columns[lab]
-            elif kept:
+                continue
+            for lab in comp.labels:
+                del half_norms[lab], columns[lab]
+            kept = [lab for lab in comp.labels if lab in subset]
+            if kept:
                 for piece in detect_subdiagram_type(self, kept):
                     keyed.append((min(map(_label_key, piece.labels)), piece))
                     _place(piece, half_norms, columns)
-        if found != len(subset):
-            unknown = next(lab for lab in subset if lab not in self._index)
-            raise RootSystemError(f"unknown simple-root label {unknown!r}")
         keyed.sort(key=itemgetter(0))
         rs = object.__new__(RootSystem)
         rs._assign(keyed, half_norms, columns)

@@ -4,11 +4,14 @@ A document is a single object with `root_system`, `spherical_roots` and
 `colors` fields.  Simple roots are labelled a1, a2, ... in the canonical
 order of the components; functionals are listed in spherical-root order,
 with halves written as "p/2" strings.  Each phi value is read straight into
-its doubled int: an int n gives 2n, "p/2" gives p and "p/1" gives 2p; any
-other spelling is a parsing error.  Parsing errors name the offending field
-and label; a top-level field other than those three (`FIELDS`), a root
-system of total rank above MAX_RANK, a color id used twice and a label
-listed twice in one `moved_by` are parsing errors too.
+its doubled int, one row at a time: the row pass doubles an int n to 2n in
+place, and only the other values reach the rational parser, where "p/2"
+gives p and "p/1" gives 2p; any other value or spelling is a parsing error.
+Labels are checked against one set of the system's simple roots.  Parsing
+errors name the offending field and label; a top-level field other than
+those three (`FIELDS`), a root system of total rank above MAX_RANK, a color
+id used twice and a label listed twice in one `moved_by` are parsing errors
+too.
 
 `dumps` is the one writer.  It writes the document text in one pass over
 the system, laid out as `json.dumps(doc, indent=2, sort_keys=True)` would
@@ -31,7 +34,6 @@ from .rootlat import (
     LatticeVector,
     RootSystemError,
     build_root_system,
-    half_text,
 )
 from .sphsys import Color, SphericalSystem
 
@@ -49,9 +51,7 @@ _RATIONAL = re.compile(r"(-?[0-9]+)/([1-9][0-9]*)")
 
 
 def _decode_twice(raw: Any, where: str, j: int) -> int:
-    """Phi value `where[j]` as its doubled int."""
-    if type(raw) is int:
-        return 2 * raw
+    """Phi value `where[j]`, anything but an `int`, as its doubled int."""
     if not isinstance(raw, str):
         name = type(raw).__name__
         raise DocumentError(f"{where}[{j}]: expected integer or 'p/2' string, got {name}")
@@ -92,6 +92,7 @@ def document_to_system(doc: Any) -> SphericalSystem:
         rs = build_root_system(spec)
     except RootSystemError as exc:
         raise DocumentError(f"root_system: {exc}") from None
+    labels = frozenset(rs.simple_roots)
 
     psi: List[LatticeVector] = []
     raw_roots = doc.get("spherical_roots", [])
@@ -102,7 +103,7 @@ def document_to_system(doc: Any) -> SphericalSystem:
             raise DocumentError(f"spherical_roots[{k}]: need a coeffs object")
         coeffs = {}
         for lab, v in raw["coeffs"].items():
-            if lab not in rs:
+            if lab not in labels:
                 raise DocumentError(f"spherical_roots[{k}]: unknown label {lab!r}")
             if type(v) is not int:
                 raise DocumentError(f"spherical_roots[{k}]: coefficient of {lab!r} not an integer")
@@ -128,7 +129,7 @@ def document_to_system(doc: Any) -> SphericalSystem:
             raise DocumentError(f"colors[{k}] ({cid}): moved_by must be a nonempty list")
         seen = set()
         for lab in moved:
-            if not isinstance(lab, str) or lab not in rs:
+            if not isinstance(lab, str) or lab not in labels:
                 raise DocumentError(f"colors[{k}] ({cid}): unknown label {lab!r}")
             if lab in seen:
                 raise DocumentError(f"colors[{k}] ({cid}): moved_by lists {lab!r} twice")
@@ -141,8 +142,10 @@ def document_to_system(doc: Any) -> SphericalSystem:
                 f"colors[{k}] ({cid}): phi has {len(phi_raw)} values for "
                 f"{len(psi)} spherical roots"
             )
-        where = f"colors[{k}] ({cid}).phi"
-        phi = tuple(_decode_twice(v, where, j) for j, v in enumerate(phi_raw))
+        phi = tuple([
+            2 * v if type(v) is int else _decode_twice(v, f"colors[{k}] ({cid}).phi", j)
+            for j, v in enumerate(phi_raw)
+        ])
         colors.append(Color(cid, seen, Functional._of_twice(phi)))
 
     return SphericalSystem(rs, psi, colors)
@@ -163,7 +166,7 @@ def dumps(system: SphericalSystem) -> str:
     outside the root system raises RootSystemError."""
     rs = system.rs
     index = rs.index
-    names = [f'"a{i + 1}"' for i in range(rs.rank)]
+    names = dict(zip(rs.simple_roots, [f'"a{i}"' for i in range(1, rs.rank + 1)]))
     components = [
         f'{{\n        "rank": {c.rank},\n        "series": "{c.series}"\n      }}'
         for c in rs.components
@@ -173,14 +176,18 @@ def dumps(system: SphericalSystem) -> str:
         '{\n      "id": %s,\n      "moved_by": %s,\n      "phi": %s\n    }'
         % (
             encode_basestring_ascii(d.id),
-            _nest([names[i] for i in sorted(map(index, d.moved_by))], pad),
-            _nest([f'"{half_text(t)}"' if t % 2 else half_text(t) for t in d.phi.twice], pad),
+            _nest([names[lab] for lab in sorted(d.moved_by, key=index)], pad),
+            _nest([f'"{t}/2"' if t & 1 else str(t >> 1) for t in d.phi.twice], pad),
         )
         for d in system.colors
     ]
     roots = []
     for sigma in system.psi:
-        coeffs = [f"{names[index(lab)]}: {v}" for lab, v in sigma._coeffs.items()]
+        # `index` raises RootSystemError for a label outside the system.
+        coeffs = [
+            f"{names[lab] if lab in names else index(lab)}: {v}"
+            for lab, v in sigma._coeffs.items()
+        ]
         # The closing quote sorts before every digit, so the entries sort
         # as their keys do: "a1" < "a10" < "a2".
         coeffs.sort()

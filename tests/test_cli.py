@@ -5,13 +5,12 @@ import json
 import os
 import subprocess
 import sys
-import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 
-from wondersys import SphericalSystem, dumps, loads, localize
+from wondersys import RootSystem, SphericalSystem, dumps, loads, localize
 from wondersys.catalog import catalog_entries, catalog_entry
 import wondersys.cli
 from wondersys.cli import main
@@ -106,25 +105,46 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "violation P1" in out
 
-    def test_many_spherical_roots_finish_in_linear_time(self, tmp_path, capsys):
-        # A1 with 20,000 copies of 2*a1 (about 0.5 MB): more roots than the
-        # rank break BASE at once, and no pairwise loop runs over them.
-        n = 20000
-        doc = {
-            "root_system": {"components": [{"series": "A", "rank": 1}]},
-            "spherical_roots": [{"coeffs": {"a1": 2}}] * n,
-            "colors": [{"id": "D", "moved_by": ["a1"], "phi": [1] * n}],
-        }
-        path = tmp_path / "many.json"
-        path.write_text(json.dumps(doc))
-        start = time.perf_counter()
+    @staticmethod
+    def _validate_counting_half_norms(monkeypatch, path) -> tuple:
+        """Exit code of `validate` on the file and the calls it made to
+        `RootSystem.half_norm`, which only BASE's pairwise loop makes."""
+        calls = []
+        half_norm = RootSystem.half_norm
+
+        def counted(rs, label):
+            calls.append(label)
+            return half_norm(rs, label)
+
+        monkeypatch.setattr(RootSystem, "half_norm", counted)
         code = main(["--format", "json", "validate", str(path)])
-        elapsed = time.perf_counter() - start
+        return code, len(calls)
+
+    def test_many_spherical_roots_finish_in_linear_time(self, tmp_path, capsys, monkeypatch):
+        # A1 with 20,000 copies of 2*a1 (about 0.5 MB): more roots than the
+        # rank break BASE at once, and no pairwise loop runs over them.  The
+        # work is counted, not timed: the loop asks for a half-norm per root.
+        def document(n):
+            return {
+                "root_system": {"components": [{"series": "A", "rank": 1}]},
+                "spherical_roots": [{"coeffs": {"a1": 2}}] * n,
+                "colors": [{"id": "D", "moved_by": ["a1"], "phi": [1] * n}],
+            }
+
+        # With no more roots than the rank, the pairwise loop runs and counts.
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(document(1)))
+        assert self._validate_counting_half_norms(monkeypatch, path)[1] > 0
+        capsys.readouterr()
+        n = 20000
+        path = tmp_path / "many.json"
+        path.write_text(json.dumps(document(n)))
+        code, calls = self._validate_counting_half_norms(monkeypatch, path)
         violations = json.loads(capsys.readouterr().out)["violations"]
         assert code == 1
         assert {v["axiom"] for v in violations} == {"BASE", "P1"}
         assert {"axiom": "BASE", "message": f"{n} spherical roots exceed the rank 1"} in violations
-        assert elapsed < 1.0
+        assert calls == 0
 
     def test_malformed_json_exits_two(self, tmp_path, capsys):
         path = tmp_path / "broken.json"

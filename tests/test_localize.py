@@ -64,6 +64,16 @@ class TestLocalize:
             with pytest.raises(RootSystemError, match=f"subset is a str, not a set of labels: '{subset}'"):
                 localize(system, subset)
 
+    def test_unchanged_colors_are_kept_as_they_are(self):
+        # Every spherical root kept: a color whose moved labels all survive is
+        # the parent's own object; one that loses a label is rebuilt.
+        s = catalog_entry("group-a1a1").system
+        assert all(a is b for a, b in zip(localize(s, s.rs.simple_roots).colors, s.colors))
+        s = catalog_entry("a2-full-support").system
+        sub = localize(s, {"a1"})
+        assert sub.colors[0] is not s.colors[0]
+        assert sub.colors[0].moved_by == {"a1"}
+
     def test_duplicate_parent_data_stays_distinct(self):
         # Both colors of a type-b root restrict to identical data but must
         # remain two distinct colors.
@@ -233,6 +243,40 @@ class TestInducedFields:
                 for combo in itertools.combinations(labels, size):
                     self._assert_fields(s, frozenset(combo))
 
+    def test_dropping_whole_components(self, monkeypatch):
+        systems = [e.system for e in catalog_entries()] + _corpus_systems(monkeypatch)
+        checked = 0
+        for s in systems:
+            labels = frozenset(s.rs.simple_roots)
+            comps = s.rs.components
+            if len(comps) < 2:
+                continue
+            for comp in comps:
+                self._assert_fields(s, labels - frozenset(comp.labels))
+            # Every second component dropped, the others kept whole.
+            self._assert_fields(s, labels.difference(*(c.labels for c in comps[::2])))
+            checked += 1
+        assert checked > 500
+
+    def test_cutting_two_components_at_once(self, monkeypatch):
+        systems = [e.system for e in catalog_entries()] + _corpus_systems(monkeypatch)
+        checked = 0
+        for s in systems:
+            labels = frozenset(s.rs.simple_roots)
+            wide = [c for c in s.rs.components if c.rank >= 2]
+            for first, second in zip(wide, wide[1:]):
+                # An end label and a middle one (for rank 2, the other end).
+                self._assert_fields(s, labels - {first.labels[0], second.labels[second.rank // 2]})
+                checked += 1
+        assert checked > 300
+
+    def test_the_empty_subset(self, monkeypatch):
+        systems = [e.system for e in catalog_entries()] + _corpus_systems(monkeypatch)
+        for s in systems + API_BUILT:
+            self._assert_fields(s, frozenset())
+            empty = s.rs.induced(())
+            assert empty.components == () and empty.simple_roots == () and empty.rank == 0
+
     def test_a_cut_piece_gets_its_own_half_norms(self):
         # Cut off its short root, B3 leaves an A2 of long roots: d = 1 there.
         rs = build_root_system([("B", 3), ("G", 2)])
@@ -252,6 +296,21 @@ class TestInducedFields:
         xyz = RootSystem([Component("A", 3, ("x", "y", "z"))])
         with pytest.raises(RootSystemError, match="^subset is a str, not a set of labels: 'xz'$"):
             xyz.induced("xz")
+
+    def test_unknown_label_inside_a_larger_subset(self, monkeypatch):
+        # One label outside the system among every label of it, a cut piece
+        # and a dropped component: the texts are those of a lone unknown label.
+        systems = [e.system for e in catalog_entries()] + _corpus_systems(monkeypatch)[:40]
+        for s in systems:
+            labels = s.rs.simple_roots
+            for subset in (labels, labels[1:], labels[: len(labels) // 2]):
+                bad = frozenset(subset) | {"b7"}
+                with pytest.raises(RootSystemError, match="^unknown simple-root label 'b7'$"):
+                    s.rs.induced(bad)
+                with pytest.raises(
+                    RootSystemError, match="^label 'b7' is not a simple root of the system$"
+                ):
+                    localize(s, bad)
 
 
 class TestTypeARoots:

@@ -198,6 +198,19 @@ class TestComponentOrder:
             assert _label_key((label, 1)) == generator_key((label, 1))
         assert _label_key("a\u0663") == (3, "a\u0663")
 
+    def test_label_key_fast_path_matches_the_filter_form(self):
+        # The path for one non-digit character and decimal digits against
+        # the general form, which keeps every decimal digit of the label.
+        def filter_key(label):
+            digits = "".join(filter(str.isdecimal, label))
+            return (int(digits) if digits else 0, label)
+
+        labels = [f"a{i}" for i in range(1, 65)] + ["12", "x²", "a١٢"]
+        for label in labels:
+            assert _label_key(label) == filter_key(label), label
+        assert _label_key("a١٢") == (12, "a١٢")
+        assert _label_key("x²") == (0, "x²")
+
     def test_a_digit_that_int_refuses_does_not_stop_the_sort(self):
         # "²" is a digit but not a decimal one; the generator form raised here.
         sq, a1 = Component("A", 1, ("a\u00b2",)), Component("A", 1, ("a1",))

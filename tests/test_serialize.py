@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -387,6 +388,33 @@ class TestEveryParseError:
         with pytest.raises(DocumentError) as info:
             loads(json.dumps(_a1_doc(colors=[_color(phi=[raw])])))
         assert str(info.value) == f"colors[0] (D).phi[0]: {message}"
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (True, "expected integer or 'p/2' string, got bool"),
+            (0.5, "expected integer or 'p/2' string, got float"),
+            ("1/3", "denominator of '1/3' must divide 2"),
+            ("x/2", "cannot parse rational 'x/2'"),
+        ],
+        ids=["bool", "float", "one-third", "x-halves"],
+    )
+    def test_a_bad_value_after_good_ones_keeps_its_index(self, bad, message):
+        # Ints and "p/2" strings first: the row pass must name phi[3].
+        psi = [{"coeffs": {"a1": 1}}] * 4
+        doc = _a1_doc(spherical_roots=psi, colors=[_color(phi=[1, "1/2", -3, bad])])
+        with pytest.raises(DocumentError) as info:
+            loads(json.dumps(doc))
+        assert str(info.value) == f"colors[0] (D).phi[3]: {message}"
+
+    def test_a_mixed_row_reads_as_the_functional_of_its_values(self):
+        row = [1, "1/2", -3, "-5/2", 0, "4/1", "-0/2", 7]
+        psi = [{"coeffs": {"a1": 1}}] * len(row)
+        system = document_to_system(_a1_doc(spherical_roots=psi, colors=[_color(phi=row)]))
+        values = [1, Fraction(1, 2), -3, Fraction(-5, 2), 0, 4, 0, 7]
+        phi = system.colors[0].phi
+        assert phi == Functional(values)
+        assert phi.values == tuple(values) and phi.twice == (2, 1, -6, -5, 0, 8, 0, 14)
 
     def test_spherical_roots_and_colors_are_optional(self):
         doc = {"root_system": {"components": [{"series": "A", "rank": 2}]}}
