@@ -9,7 +9,6 @@ A root system has total rank at most MAX_RANK.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import compress
 from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -74,8 +73,9 @@ class LatticeVector(Record):
     """Integer vector over simple-root labels, finitely supported.
 
     Zero coefficients are dropped on construction; equality and hashing
-    are coefficient-wise.  Every coefficient must be an `int` (not a bool):
-    anything else raises ValueError rather than being rounded.  Like every
+    are coefficient-wise.  Every label must be a `str` and every coefficient
+    an `int` (not a bool): anything else raises ValueError naming it, rather
+    than failing later, when the vector is printed or sorted.  Like every
     `Record`, a vector cannot be changed once built.  Arithmetic on vectors
     builds its result through `_of_ints`, since the operands were checked.
     """
@@ -85,6 +85,8 @@ class LatticeVector(Record):
     def __init__(self, coeffs: Mapping[str, int] | Iterable[Tuple[str, int]] = ()):
         coeffs = dict(coeffs)
         for k, v in coeffs.items():
+            if not isinstance(k, str):
+                raise ValueError(f"label {k!r} is not a str")
             if type(v) is not int:
                 raise ValueError(f"coefficient of {k!r} is not an int: {v!r}")
         _set(self, "_coeffs", {k: v for k, v in coeffs.items() if v})
@@ -262,8 +264,9 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
     root is last, in G_2 it is the second one.  Short roots have squared
     length 2.  A rank that is not an `int` (a bool included) raises
     RootSystemError, so every component's rank is written as a JSON number.
-    Each call builds fresh lists; `RootSystem` reads the same data from the
-    table `_COMPONENT_COLUMNS`, built once per (series, rank).
+    Each call builds fresh lists; `RootSystem` and `positive_roots` read the
+    same data from the table `_COMPONENT_COLUMNS`, built once per (series,
+    rank).
     """
     if type(rank) is not int:
         raise RootSystemError(f"invalid component {series}{rank}: rank is not an int")
@@ -486,6 +489,8 @@ class RootSystem:
             raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
     def simple_root(self, label: str) -> LatticeVector:
+        """The simple root alpha_label as a vector.  No code in the package
+        calls it; it serves demo 01 and the tests."""
         self.index(label)
         return LatticeVector._of_ints({label: 1})
 
@@ -502,7 +507,9 @@ class RootSystem:
         """The invariant form (v, w) = sum_a x_a d_a sum_b a_ab y_b, an int.
 
         Integer arithmetic along the columns of w's support: the form is
-        integral on the root lattice.
+        integral on the root lattice.  No code in the package calls it;
+        validation reads the Cartan columns directly.  It serves demo 01 and
+        the tests.
         """
         if not v._coeffs:
             return 0
@@ -542,7 +549,11 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
 
 
 def cartan_integer(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
-    """The pairing of the coroot of alpha with lam, an exact integer."""
+    """The pairing of the coroot of alpha with lam, an exact integer.
+
+    No code in the package calls it; it serves demo 01 and the tests, among
+    them the reflection oracle in `tests/rootoracle.py`.
+    """
     rs.index(alpha)  # raises on an unknown label, whatever lam holds
     return sum(v * rs.cartan_entry(alpha, b) for b, v in lam._coeffs.items())
 
@@ -655,8 +666,8 @@ def _recognize(members: list, nbrs: list, bonds: dict, labels: list) -> Componen
     return Component(series, k, tuple(labels[i] for i in order))
 
 
-def _component_positive_roots(block: Sequence[Sequence[int]]) -> list:
-    """Positive roots of one simple component, as coefficient tuples.
+def _component_positive_roots(labels: Tuple[str, ...], columns: tuple) -> list:
+    """Positive roots of one simple component, as LatticeVector.
 
     Closure of the simple roots under height-raising simple reflections
     (Humphreys, Introduction to Lie Algebras and Representation Theory,
@@ -664,41 +675,41 @@ def _component_positive_roots(block: Sequence[Sequence[int]]) -> list:
     positive root beta that is not simple pairs positively with some coroot
     alpha_i^vee, so s_i(beta) is a lower positive root.  Hence reflecting
     beta at each i with c = <beta, alpha_i^vee> < 0, which adds -c to
-    coefficient i, reaches every positive root and nothing else.  Each root
-    carries its pairings with every coroot, and s_i(beta) pairs as beta
-    minus c times column i of the Cartan block.
+    coefficient i, reaches every positive root and nothing else.  A root
+    carries its nonzero pairings by position, and s_i(beta) pairs as beta
+    minus c times the sparse column `columns[i]`.  Its key is the int with
+    coefficient i in bits 4i to 4i + 3: no coefficient exceeds 6 (E8's
+    highest root), so the fields never carry and the key is injective.
     """
-    k = len(block)
-    column = [tuple(row[i] for row in block) for i in range(k)]
-    span = range(k)
-    # root -> its pairings <beta, alpha_j^vee>, over every j
-    layer = {tuple(int(j == i) for j in span): column[i] for i in span}
-    roots = dict(layer)
+    unit = [1 << 4 * i for i in range(len(labels))]
+    found = set(unit)
+    layer = [(unit[i], {lab: 1}, dict(columns[i])) for i, lab in enumerate(labels)]
+    out = []
     while layer:
-        above = {}
-        for root, pairing in layer.items():
-            for i in span:
-                c = pairing[i]
-                if c < 0:
-                    up = root[:i] + (root[i] - c,) + root[i + 1 :]
-                    if up not in roots:
-                        pairing_up = tuple(p - c * q for p, q in zip(pairing, column[i]))
-                        roots[up] = above[up] = pairing_up
+        above = []
+        for key, coeffs, pairing in layer:
+            root = object.__new__(LatticeVector)
+            _set(root, "_coeffs", coeffs)  # built when found: positive ints only
+            out.append(root)
+            for i, c in pairing.items():
+                if c < 0 and (up := key - c * unit[i]) not in found:
+                    found.add(up)
+                    coeffs_up = dict(coeffs)
+                    coeffs_up[labels[i]] = coeffs.get(labels[i], 0) - c
+                    pairing_up = dict(pairing)
+                    for r, x in columns[i]:
+                        pairing_up[r] = pairing_up.get(r, 0) - c * x
+                    above.append((up, coeffs_up, pairing_up))
         layer = above
-    return list(roots)
+    return out
 
 
 def positive_roots(rs: RootSystem) -> frozenset:
-    """All positive roots, generated by simple reflections from the simple ones.
-
-    Every root lies in one simple component, so the closure runs per
-    component on coefficient tuples over its Cartan block; the tuples become
-    LatticeVector only at the end, one component at a time.
-    """
+    """All positive roots: each lies in one simple component, closed along that
+    component's sparse columns from `_COMPONENT_COLUMNS`; no Cartan block is built.
+    `_component_positive_roots` gives the reflection argument and the root key."""
     out = []
     for comp in rs.components:
-        block, _ = component_cartan(comp.series, comp.rank)
-        labels = comp.labels
-        for coeffs in _component_positive_roots(block):
-            out.append(LatticeVector._of_ints(dict(compress(zip(labels, coeffs), coeffs))))
+        _, columns = _component_columns(comp.series, comp.rank)
+        out += _component_positive_roots(comp.labels, columns)
     return frozenset(out)

@@ -9,9 +9,11 @@ place, and only the other values reach the rational parser, where "p/2"
 gives p and "p/1" gives 2p; any other value or spelling is a parsing error.
 Labels are checked against one set of the system's simple roots.  Parsing
 errors name the offending field and label; a top-level field other than
-those three (`FIELDS`), a root system of total rank above MAX_RANK, a color
-id used twice and a label listed twice in one `moved_by` are parsing errors
-too.
+those three (`FIELDS`), a key other than `components` in the root system,
+`series` and `rank` in a component, `coeffs` in a spherical root and `id`,
+`moved_by` and `phi` in a color, a root system of total rank above
+MAX_RANK, a color id used twice and a label listed twice in one `moved_by`
+are parsing errors too.
 
 `dumps` is the one writer.  It writes the document text in one pass over
 the system, laid out as `json.dumps(doc, indent=2, sort_keys=True)` would
@@ -66,6 +68,12 @@ def _decode_twice(raw: Any, where: str, j: int) -> int:
     raise DocumentError(f"{where}[{j}]: cannot parse rational {raw!r}")
 
 
+def _unknown_field(obj: dict, known: tuple, where: str) -> DocumentError:
+    """The error naming the first key of `obj` outside `known`, at `where`."""
+    key = next(key for key in obj if key not in known)
+    return DocumentError(f"{where}: unknown field {key!r}")
+
+
 def document_to_system(doc: Any) -> SphericalSystem:
     if not isinstance(doc, dict):
         raise DocumentError("document must be a JSON object")
@@ -78,10 +86,15 @@ def document_to_system(doc: Any) -> SphericalSystem:
         raise DocumentError("missing root_system.components") from None
     if not isinstance(components, list):
         raise DocumentError("root_system.components must be a list")
+    # Every nested key is required, so an object with more keys has one unknown.
+    if len(doc["root_system"]) != 1:
+        raise _unknown_field(doc["root_system"], ("components",), "root_system")
     spec = []
     for k, comp in enumerate(components):
         if not isinstance(comp, dict) or "series" not in comp or "rank" not in comp:
             raise DocumentError(f"root_system.components[{k}]: need series and rank")
+        if len(comp) != 2:
+            raise _unknown_field(comp, ("series", "rank"), f"root_system.components[{k}]")
         series, rank = comp["series"], comp["rank"]
         if series not in SERIES_SET or not isinstance(rank, int) or isinstance(rank, bool):
             raise DocumentError(
@@ -101,6 +114,8 @@ def document_to_system(doc: Any) -> SphericalSystem:
     for k, raw in enumerate(raw_roots):
         if not isinstance(raw, dict) or not isinstance(raw.get("coeffs"), dict):
             raise DocumentError(f"spherical_roots[{k}]: need a coeffs object")
+        if len(raw) != 1:
+            raise _unknown_field(raw, ("coeffs",), f"spherical_roots[{k}]")
         coeffs = {}
         for lab, v in raw["coeffs"].items():
             if lab not in labels:
@@ -137,6 +152,8 @@ def document_to_system(doc: Any) -> SphericalSystem:
         phi_raw = raw.get("phi")
         if not isinstance(phi_raw, list):
             raise DocumentError(f"colors[{k}] ({cid}): phi must be a list")
+        if len(raw) != 3:
+            raise _unknown_field(raw, ("id", "moved_by", "phi"), f"colors[{k}] ({cid})")
         if len(phi_raw) != len(psi):
             raise DocumentError(
                 f"colors[{k}] ({cid}): phi has {len(phi_raw)} values for "

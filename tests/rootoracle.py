@@ -3,8 +3,9 @@
 `reflection_positive_roots` generates the full root set as the closure of
 the simple roots under the simple reflections, then keeps the nonnegative
 ones.  The package also reflects, but differently: it takes only the
-height-raising reflections, on coefficient tuples over each component's
-standard Cartan block, while this oracle takes the whole W-orbit of the
+height-raising reflections, one component at a time, along the sparse
+Cartan columns `RootSystem` is built from, keeping each root's pairings and
+building its vector once; this oracle takes the whole W-orbit of the
 simple roots as LatticeVector, pairing through `cartan_integer`, and keeps
 the positive roots at the end.
 `block_cartan` and `block_pairing` read the Cartan matrix straight off each

@@ -186,8 +186,12 @@ class TestValidate:
                 {"id": "D", "moved_by": ["a1", "a1"], "phi": [1]},
                 "colors[0] (D): moved_by lists 'a1' twice",
             ),
+            (
+                {"id": "D", "moved_by": ["a1"], "phi": [1], "labels": ["a1"]},
+                "colors[0] (D): unknown field 'labels'",
+            ),
         ],
-        ids=["decimal-phi", "repeated-moved-by"],
+        ids=["decimal-phi", "repeated-moved-by", "unknown-color-key"],
     )
     def test_refused_spelling_exits_two(self, tmp_path, capsys, fmt, color, message):
         doc = {

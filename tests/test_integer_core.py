@@ -10,6 +10,10 @@ matrix's nonzero entries, so it calls neither `RootSystem.form` nor
 makes into json's pure-Python indenting encoder.  Each system indexes its
 simple spherical roots on construction, so validation and rigidity build no
 `LatticeVector` either; a test counts both ways of building one.
+`positive_roots` reads each component's sparse Cartan columns from the
+table every root system is built from and makes each root's coefficient
+dict its vector's own, so it builds no Cartan block and takes neither way
+in; a last test counts those calls.
 """
 from __future__ import annotations
 
@@ -22,16 +26,19 @@ from pathlib import Path
 
 from wondersys import (
     LatticeVector,
+    build_root_system,
     critical_roots,
     critical_roots_oracle,
     distinguished_elements,
     dumps,
     loads,
     localize,
+    positive_roots,
     validate_system,
 )
+from wondersys import rootlat
 from wondersys.catalog import catalog_entries
-from wondersys.rootlat import RootSystem, cartan_integer
+from wondersys.rootlat import MAX_RANK, RootSystem, cartan_integer
 
 from randsys import random_systems, wide_systems
 
@@ -177,3 +184,19 @@ def test_dumps_uses_no_json_encoder(monkeypatch):
     # The counters see an indented json.dumps.
     json.dumps({"a": [1]}, indent=2)
     assert calls == ["iterencode", "_make_iterencode"]
+
+
+def test_positive_roots_build_no_block_and_no_checked_vector(monkeypatch):
+    specs = [[(series, rank)] for series, rank in (("E", 8), ("F", 4), ("G", 2), ("D", 3))]
+    specs += [[(series, MAX_RANK)] for series in "ABCD"] + [[("B", 5), ("E", 6), ("A", 1)]]
+    # Built first: filling the column table is the constructor's work.
+    systems = [build_root_system(spec) for spec in specs]
+    blocks = []
+    original = rootlat.component_cartan
+    monkeypatch.setattr(
+        rootlat, "component_cartan", lambda *args: blocks.append(args) or original(*args)
+    )
+    calls = _count_vectors(monkeypatch)
+    counts = [len(positive_roots(rs)) for rs in systems]
+    assert counts[:4] == [120, 24, 6, 6] and sum(counts) > 12_000
+    assert blocks == [] and calls == []

@@ -423,6 +423,15 @@ class TestLatticeVector:
         with pytest.raises(ValueError):
             LatticeVector([("a2", 1), ("a1", value)])
 
+    @pytest.mark.parametrize("label", [1, True, None, b"a1", ("a1",)])
+    def test_non_str_label_rejected(self, label):
+        # Refused on construction: printing and `items` sort the labels.
+        message = f"^label {re.escape(repr(label))} is not a str$"
+        with pytest.raises(ValueError, match=message):
+            LatticeVector({label: 2})
+        with pytest.raises(ValueError, match=message):
+            LatticeVector([("a1", 1), (label, 1)])
+
     def test_scaling_by_a_fraction_rejected(self):
         with pytest.raises(ValueError):
             lv(a1=2) * Fraction(1, 2)
@@ -652,6 +661,27 @@ class TestPositiveRoots:
         ours = positive_roots(rs)
         assert ours == reflection_positive_roots(rs)
         assert len(ours) == formula_count(rs)
+
+    @pytest.mark.parametrize("spec", [MIXED_SPEC, MAX_RANK_SPEC], ids=["mixed", "max-rank"])
+    def test_vectors_equal_vectors_built_from_their_coefficients(self, spec):
+        # positive_roots builds each vector's coefficients itself, unchecked.
+        rs = build_root_system(spec)
+        component_of = {lab: comp for comp in rs.components for lab in comp.labels}
+        for v in positive_roots(rs):
+            coeffs = v._coeffs
+            assert coeffs and all(type(c) is int and c > 0 for c in coeffs.values())
+            assert len({component_of[lab] for lab in coeffs}) == 1, str(v)
+            rebuilt = LatticeVector(dict(v.items()))
+            assert v == rebuilt and hash(v) == hash(rebuilt)
+
+    def test_every_component_to_rank_16(self):
+        for series, rank in EVERY_COMPONENT:
+            if rank <= 16:
+                rs = build_root_system([(series, rank)])
+                ours = positive_roots(rs)
+                assert len(ours) == formula_count(rs), (series, rank)
+                if rank <= 8:
+                    assert ours == reflection_positive_roots(rs), (series, rank)
 
 
 class TestVectorArithmetic:

@@ -352,6 +352,19 @@ class TestEveryParseError:
             ),
             (_a1_doc(spherical_root=[{"coeffs": {"a1": 1}}]), "unknown field 'spherical_root'"),
             ({"name": "p1", "root_system": {"components": []}}, "unknown field 'name'"),
+            (
+                _a1_doc(root_system={"components": [{"series": "A", "rank": 1}], "labels": []}),
+                "root_system: unknown field 'labels'",
+            ),
+            (
+                _a1_doc(root_system={"components": [{"series": "A", "rank": 1, "labels": []}]}),
+                "root_system.components[0]: unknown field 'labels'",
+            ),
+            (
+                _a1_doc(spherical_roots=[{"coeffs": {"a1": 1}, "labels": []}]),
+                "spherical_roots[0]: unknown field 'labels'",
+            ),
+            (_a1_doc(colors=[_color(labels=[])]), "colors[0] (D): unknown field 'labels'"),
         ],
     )
     def test_message(self, doc, message):
