@@ -2,7 +2,6 @@
 from wondersys import (
     LatticeVector,
     build_root_system,
-    cartan_integer,
     detect_subdiagram_type,
     positive_roots,
 )
@@ -11,13 +10,13 @@ from wondersys import (
 g2 = build_root_system([("G", 2)])
 print("G2 Cartan entries:",
       g2.cartan_entry("a1", "a2"), g2.cartan_entry("a2", "a1"))
-print("squared lengths:",
-      g2.form(g2.simple_root("a1"), g2.simple_root("a1")),
-      g2.form(g2.simple_root("a2"), g2.simple_root("a2")))
+# The squared length of a simple root is twice its half-norm d_a.
+print("squared lengths:", 2 * g2.half_norm("a1"), 2 * g2.half_norm("a2"))
 
+# The coroot of a1 pairs with a vector through the Cartan entries a_1b.
 highest = LatticeVector({"a1": 2, "a2": 3})
 print("pairing of a1-coroot with the highest root:",
-      cartan_integer(g2, "a1", highest))
+      sum(v * g2.cartan_entry("a1", b) for b, v in highest.items()))
 
 print("number of positive roots of G2:", len(positive_roots(g2)))
 

@@ -6,6 +6,7 @@ system = catalog_entry("group-a1a1").system
 poset = orbit_poset(system)
 print(f"rank {poset.rank}: {len(poset.nodes)} orbits, {len(poset.edges)} covers")
 for node in poset.nodes:
-    print(f"  {poset.node_label(node)} has {poset.boundary_rank(node)} "
+    label = "{" + ",".join(sorted(f"s{i + 1}" for i in node)) + "}"
+    print(f"  {label} has {poset.rank - len(node)} "
           "boundary divisors through it remaining")
 print(emit_graph(poset))

@@ -21,7 +21,6 @@ from .rootlat import (
     RootSystem,
     RootSystemError,
     build_root_system,
-    cartan_integer,
     detect_subdiagram_type,
     positive_roots,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "ValidationReport",
     "Violation",
     "build_root_system",
-    "cartan_integer",
     "catalog_entries",
     "catalog_entry",
     "critical_roots",

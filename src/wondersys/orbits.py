@@ -6,9 +6,10 @@ lattice is a function of r, so an `OrbitPoset` stores only its rank; its
 nodes and edges are built each time they are read.  The lattice has 2^r
 nodes, so r may not exceed MAX_ORBIT_RANK.
 
-The DOT text depends only on r.  A node's label lists its names in text
-order, as in "{s1,s10,s2}".  Nodes are ordered by size, then by label
-text, so "{s10}" comes before "{s2}" (and before "{s1}", since '0' < '}').
+The DOT text, the only place a node is labelled and given its boundary
+rank, depends only on r.  A label lists its names in text order, as in
+"{s1,s10,s2}".  Nodes are ordered by size, then by label text, so "{s10}"
+comes before "{s2}" (and before "{s1}", since '0' < '}').
 Edges are ordered by source node, then by target label text.
 """
 from __future__ import annotations
@@ -58,12 +59,6 @@ class OrbitPoset(Record):
         return tuple(
             (node, node | {i}) for node in self.nodes for i in range(self.rank) if i not in node
         )
-
-    def node_label(self, node: frozenset) -> str:
-        return "{" + ",".join(sorted(f"s{i + 1}" for i in node)) + "}"
-
-    def boundary_rank(self, node: frozenset) -> int:
-        return self.rank - len(node)
 
 
 def poset_of_rank(rank: int) -> OrbitPoset:

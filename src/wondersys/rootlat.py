@@ -364,7 +364,8 @@ class RootSystem:
     Gram matrix is stored.  Nothing of size n x n is built.  Only `index`
     knows where a label stands in the system; no other field of it depends
     on positions.  The total rank may not exceed MAX_RANK.
-    Immutable after construction; safe for concurrent use.
+    Immutable like a `Record`; copy and pickle rebuild it from its
+    components.  Safe for concurrent use.
 
     Components are listed by their smallest label under `_label_key`,
     whatever order they are given in, so two root systems with the same
@@ -375,6 +376,8 @@ class RootSystem:
     this order already, and the sort then makes one comparison per
     component; it needs no check of the order before it.
     """
+
+    __slots__ = ("components", "simple_roots", "_keys", "_index", "_d", "_columns")
 
     def __init__(self, components: Sequence[Component]):
         components = tuple(components)
@@ -404,14 +407,14 @@ class RootSystem:
                 columns: dict) -> None:
         """Set every field from the (smallest key, component) pairs in key
         order and the half-norms and columns by label."""
-        self.components: Tuple[Component, ...] = tuple(comp for _, comp in keyed)
-        self._keys: Tuple[tuple, ...] = tuple(key for key, _ in keyed)
-        self.simple_roots: Tuple[str, ...] = tuple(
-            lab for comp in self.components for lab in comp.labels
-        )
-        self._index = {lab: i for i, lab in enumerate(self.simple_roots)}
-        self._d = half_norms
-        self._columns = columns
+        components = tuple(comp for _, comp in keyed)
+        simple_roots = tuple(lab for comp in components for lab in comp.labels)
+        _set(self, "components", components)
+        _set(self, "_keys", tuple(key for key, _ in keyed))
+        _set(self, "simple_roots", simple_roots)
+        _set(self, "_index", {lab: i for i, lab in enumerate(simple_roots)})
+        _set(self, "_d", half_norms)
+        _set(self, "_columns", columns)
 
     def induced(self, subset: Iterable[str]) -> "RootSystem":
         """The root system on the sub-diagram of a set of simple-root labels.
@@ -490,7 +493,7 @@ class RootSystem:
 
     def simple_root(self, label: str) -> LatticeVector:
         """The simple root alpha_label as a vector.  No code in the package
-        calls it; it serves demo 01 and the tests."""
+        calls it; it serves the tests."""
         self.index(label)
         return LatticeVector._of_ints({label: 1})
 
@@ -503,24 +506,11 @@ class RootSystem:
                 return label
         return None
 
-    def form(self, v: LatticeVector, w: LatticeVector) -> int:
-        """The invariant form (v, w) = sum_a x_a d_a sum_b a_ab y_b, an int.
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
 
-        Integer arithmetic along the columns of w's support: the form is
-        integral on the root lattice.  No code in the package calls it;
-        validation reads the Cartan columns directly.  It serves demo 01 and
-        the tests.
-        """
-        if not v._coeffs:
-            return 0
-        pairings: dict = {}  # a -> <alpha_a^vee, w>
-        for b, y in w._coeffs.items():
-            for a, x in self.column(b):
-                pairings[a] = pairings.get(a, 0) + x * y
-        total = 0
-        for a, x in v._coeffs.items():
-            total += x * self.half_norm(a) * pairings.get(a, 0)
-        return total
+    def __reduce__(self):
+        return (RootSystem, (self.components,))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, RootSystem) and self.components == other.components
@@ -546,16 +536,6 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
         comps.append(Component(series, rank, labels))
         next_i += rank
     return RootSystem(comps)
-
-
-def cartan_integer(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
-    """The pairing of the coroot of alpha with lam, an exact integer.
-
-    No code in the package calls it; it serves demo 01 and the tests, among
-    them the reflection oracle in `tests/rootoracle.py`.
-    """
-    rs.index(alpha)  # raises on an unknown label, whatever lam holds
-    return sum(v * rs.cartan_entry(alpha, b) for b, v in lam._coeffs.items())
 
 
 def detect_subdiagram_type(rs: RootSystem, sigma: Iterable[str]) -> list:

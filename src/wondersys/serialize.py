@@ -12,7 +12,8 @@ errors name the offending field and label; a top-level field other than
 those three (`FIELDS`), a key other than `components` in the root system,
 `series` and `rank` in a component, `coeffs` in a spherical root and `id`,
 `moved_by` and `phi` in a color, a root system of total rank above
-MAX_RANK, a color id used twice and a label listed twice in one `moved_by`
+MAX_RANK, a color id used twice, a label listed twice in one `moved_by`
+and a key given twice in one JSON object (`json` would keep the last one)
 are parsing errors too.
 
 `dumps` is the one writer.  It writes the document text in one pass over
@@ -72,6 +73,18 @@ def _unknown_field(obj: dict, known: tuple, where: str) -> DocumentError:
     """The error naming the first key of `obj` outside `known`, at `where`."""
     key = next(key for key in obj if key not in known)
     return DocumentError(f"{where}: unknown field {key!r}")
+
+
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a key given twice in it is a parsing error."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise DocumentError(f"duplicate key {key!r}")
+            seen.add(key)
+    return obj
 
 
 def document_to_system(doc: Any) -> SphericalSystem:
@@ -222,11 +235,13 @@ def dumps(system: SphericalSystem) -> str:
 
 def loads(text: str) -> SphericalSystem:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except RecursionError:
         raise DocumentError("invalid JSON: arrays or objects nested too deeply") from None
+    except DocumentError:
+        raise
     except ValueError:
         # The only other ValueError json raises: the interpreter's limit on
         # the digits of an int it converts from a string.

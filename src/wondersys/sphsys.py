@@ -120,8 +120,13 @@ class SphericalSystem:
     `simple_labels[j]` is `rs.as_simple_label(psi[j])`; `_simple` maps each
     simple root in psi to its index (the last, should it repeat), `_doubled`
     holds every a with 2 * alpha_a in psi, and `type_map` is built from them.
-    No map of psi itself is kept: `psi_index` scans it.
+    No map of psi itself is kept: `psi_index` scans it.  Immutable like a
+    `Record`, rebuilt from `rs`, `psi` and `colors` by copy and pickle;
+    `type_map` is a dict, which must not be edited.
     """
+
+    __slots__ = ("rs", "psi", "colors", "_moved", "_simple", "_doubled",
+                 "simple_labels", "type_map")
 
     def __init__(
         self,
@@ -129,17 +134,17 @@ class SphericalSystem:
         psi: Sequence[LatticeVector],
         colors: Sequence[Color],
     ):
-        self.rs = rs
-        self.psi: Tuple[LatticeVector, ...] = tuple(psi)
-        self.colors: Tuple[Color, ...] = tuple(colors)
+        _set(self, "rs", rs)
+        _set(self, "psi", tuple(psi))
+        _set(self, "colors", tuple(colors))
         moved: Dict[str, List[Color]] = {}
         for d in self.colors:
             for lab in d.moved_by:
                 moved.setdefault(lab, []).append(d)
-        self._moved = {lab: tuple(ds) for lab, ds in moved.items()}
+        _set(self, "_moved", {lab: tuple(ds) for lab, ds in moved.items()})
         labels: List[Optional[str]] = []
-        self._simple: Dict[str, int] = {}
-        self._doubled = set()
+        _set(self, "_simple", {})
+        _set(self, "_doubled", set())
         for j, sigma in enumerate(self.psi):
             lab = rs.as_simple_label(sigma)
             labels.append(lab)
@@ -147,8 +152,14 @@ class SphericalSystem:
                 self._simple[lab] = j
             elif list(sigma._coeffs.values()) == [2]:
                 self._doubled.update(sigma._coeffs)
-        self.simple_labels = tuple(labels)
-        self.type_map: Dict[str, str] = assign_types(self)
+        _set(self, "simple_labels", tuple(labels))
+        _set(self, "type_map", assign_types(self))
+
+    __setattr__ = Record.__setattr__
+    __delattr__ = Record.__delattr__
+
+    def __reduce__(self):
+        return (SphericalSystem, (self.rs, self.psi, self.colors))
 
     def psi_index(self, sigma: LatticeVector) -> Optional[int]:
         """The index of the last spherical root equal to sigma, or None."""

@@ -1,20 +1,25 @@
 """Independent root-system oracles.
 
+They read the Cartan matrix and the root lengths straight off each
+component's standard block (`component_cartan`), never through the column
+index a `RootSystem` keeps or the table `_COMPONENT_COLUMNS` it and
+`positive_roots` are built from, so a wrong entry in that table shows as a
+disagreement.  `block_cartan` and `block_lengths` read the blocks once per
+root system; `block_pairing` pairs a coroot with a vector through them,
+and `gram_form` is the invariant form (Humphreys, Introduction to Lie
+Algebras and Representation Theory, 10.1).
+
 `reflection_positive_roots` generates the full root set as the closure of
 the simple roots under the simple reflections, then keeps the nonnegative
 ones.  The package also reflects, but differently: it takes only the
 height-raising reflections, one component at a time, along the sparse
-Cartan columns `RootSystem` is built from, keeping each root's pairings and
-building its vector once; this oracle takes the whole W-orbit of the
-simple roots as LatticeVector, pairing through `cartan_integer`, and keeps
-the positive roots at the end.
-`block_cartan` and `block_pairing` read the Cartan matrix straight off each
-component's standard block, not through the column index a `RootSystem`
-keeps.
+Cartan columns, keeping each root's pairings and building its vector once;
+this oracle takes the whole W-orbit of the simple roots as LatticeVector,
+pairing through `block_pairing`, and keeps the positive roots at the end.
 """
 from __future__ import annotations
 
-from wondersys import LatticeVector, RootSystem, cartan_integer
+from wondersys import LatticeVector, RootSystem
 from wondersys.rootlat import component_cartan
 
 # Closed-form positive-root counts per simple component.
@@ -42,13 +47,33 @@ def block_cartan(rs: RootSystem) -> dict:
     return entries
 
 
-def block_pairing(rs: RootSystem, alpha: str, lam: LatticeVector) -> int:
-    """<alpha^vee, lam> summed over the component blocks, a row at a time."""
-    cartan = block_cartan(rs)
+def block_lengths(rs: RootSystem) -> dict:
+    """The squared length of every simple root, {a: |alpha_a|^2}, read off
+    the standard lengths of each component."""
+    lengths = {}
+    for comp in rs.components:
+        _, lens = component_cartan(comp.series, comp.rank)
+        lengths.update(zip(comp.labels, lens))
+    return lengths
+
+
+def block_pairing(cartan: dict, alpha: str, lam: LatticeVector) -> int:
+    """<alpha^vee, lam>, summed over the entries `block_cartan` read."""
     return sum(v * cartan.get((alpha, b), 0) for b, v in lam.items())
 
 
+def gram_form(cartan: dict, lengths: dict, v: LatticeVector, w: LatticeVector) -> int:
+    """(v, w) = sum_ab x_a y_b a_ab |alpha_a|^2 / 2, from the entries of
+    `block_cartan` and the lengths of `block_lengths`.  Every squared length
+    is even, so the halving is exact."""
+    total = sum(
+        x * y * cartan.get((a, b), 0) * lengths[a] for a, x in v.items() for b, y in w.items()
+    )
+    return total // 2
+
+
 def reflection_positive_roots(rs: RootSystem) -> frozenset:
+    cartan = block_cartan(rs)
     simple = {lab: rs.simple_root(lab) for lab in rs.simple_roots}
     roots = set(simple.values())
     frontier = set(roots)
@@ -56,7 +81,7 @@ def reflection_positive_roots(rs: RootSystem) -> frozenset:
         new = set()
         for beta in frontier:
             for lab, alpha in simple.items():
-                image = beta - cartan_integer(rs, lab, beta) * alpha
+                image = beta - block_pairing(cartan, lab, beta) * alpha
                 if image not in roots:
                     new.add(image)
         roots |= new

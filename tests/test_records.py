@@ -209,3 +209,40 @@ def test_criticality_entry_defaults():
     assert entry.vacuous is False
     assert entry.failing_subset is None
     assert entry == CriticalityEntry(ROOT, True, False, False, None)
+
+
+# RootSystem and SphericalSystem keep their own ==, hash and repr, but are
+# immutable like the Record types, and copy and pickle rebuild them from
+# their inputs.  The induced root system is built without __init__.
+C3 = catalog_entry("c3-double-middle").system
+SYSTEMS = {
+    "RootSystem": C3.rs,
+    "induced RootSystem": C3.rs.induced({"a2", "a3"}),
+    "SphericalSystem": C3,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_system_assignment_and_deletion_raise(name):
+    obj = SYSTEMS[name]
+    before = [getattr(obj, field) for field in obj.__slots__]
+    for field in obj.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(obj, field, None)
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    with pytest.raises(AttributeError):
+        obj.extra = 1
+    assert all(getattr(obj, f) is v for f, v in zip(obj.__slots__, before))
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_system_copy_and_pickle_round_trip(name):
+    obj = SYSTEMS[name]
+    copies = [copy.copy(obj), copy.deepcopy(obj)]
+    copies += [pickle.loads(pickle.dumps(obj, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in copies:
+        assert copied == obj and hash(copied) == hash(obj) and repr(copied) == repr(obj)
+        # Every field is rebuilt, the private indexes included.
+        for field in obj.__slots__:
+            assert getattr(copied, field) == getattr(obj, field), field

@@ -15,7 +15,6 @@ from wondersys import (
     RootSystem,
     SphericalSystem,
     build_root_system,
-    cartan_integer,
     critical_roots,
     critical_roots_oracle,
     detect_subdiagram_type,
@@ -31,6 +30,7 @@ from wondersys.rigidity import MAX_ORACLE_FREE_LABELS, _distinguished_witness
 from criticalityrule import closed_form_critical_roots
 from distinguishedoracle import oracle_distinguished_witness
 from mutations import mutation_cases
+from rootoracle import block_cartan, block_pairing
 from randsys import b2_colored_tail, colored_flag, direct_sum, random_systems, wide_systems
 
 
@@ -246,6 +246,7 @@ def _simple_root_beside_a_long_chain(n: int, tail: int) -> SphericalSystem:
     colored.  The two colors of a1 differ on tau alone, whose support holds
     every label outside sigma's base but the `tail` ones."""
     rs = build_root_system([("A", n + tail)])
+    cartan = block_cartan(rs)
     tau = LatticeVector({f"a{i}": 1 for i in range(2, n + 1)})
     colors = [
         Color("D1p", {"a1"}, Functional([1, 0])),
@@ -255,7 +256,7 @@ def _simple_root_beside_a_long_chain(n: int, tail: int) -> SphericalSystem:
     ]
     for i in range(n + 1, n + tail + 1):
         lab = f"a{i}"
-        phi = [rs.cartan_entry(lab, "a1"), cartan_integer(rs, lab, tau)]
+        phi = [rs.cartan_entry(lab, "a1"), block_pairing(cartan, lab, tau)]
         colors.append(Color(f"D{i}", {lab}, Functional(phi)))
     return SphericalSystem(rs, [LatticeVector({"a1": 1}), tau], colors)
 

@@ -9,28 +9,44 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wondersys import (
+    Color,
     Component,
     Functional,
     LatticeVector,
     RootSystem,
     RootSystemError,
+    SphericalSystem,
     build_root_system,
-    cartan_integer,
     detect_subdiagram_type,
     positive_roots,
+    validate_system,
 )
 
 from wondersys import rootlat
 from wondersys.rootlat import MAX_RANK, _label_key, component_cartan
+from wondersys.sphsys import coroot_table
 
 from dynkinoracle import oracle_subdiagram_type
 from randsys import wide_systems
-from rootoracle import block_cartan, block_pairing, formula_count, reflection_positive_roots
-from validateoracle import halved, restricted_coroot
+from rootoracle import (
+    block_cartan,
+    block_lengths,
+    block_pairing,
+    formula_count,
+    gram_form,
+    reflection_positive_roots,
+)
+from validateoracle import halved, oracle_violations, restricted_coroot
 
 
 def lv(**coeffs):
     return LatticeVector(coeffs)
+
+
+def pairings(rs, w):
+    """<alpha_a^vee, w> for every simple root a, as validation pairs them:
+    `coroot_table` of a system whose one spherical root is w."""
+    return {lab: row[0] for lab, row in coroot_table(SphericalSystem(rs, [w], [])).items()}
 
 
 # Every series once; with MAX_RANK_SPEC, a sum of total rank MAX_RANK.
@@ -63,8 +79,8 @@ class TestBuildRootSystem:
         rs = build_root_system([("G", 2)])
         assert rs.cartan_entry("a1", "a2") == -1
         assert rs.cartan_entry("a2", "a1") == -3
-        assert rs.form(lv(a2=1), lv(a2=1)) == 2  # short root
-        assert rs.form(lv(a1=1), lv(a1=1)) == 6
+        assert 2 * rs.half_norm("a2") == 2  # short root
+        assert 2 * rs.half_norm("a1") == 6
 
     def test_orthogonal_components(self):
         rs = build_root_system([("A", 1), ("A", 1)])
@@ -72,8 +88,8 @@ class TestBuildRootSystem:
 
     def test_b_short_root_last(self):
         rs = build_root_system([("B", 3)])
-        assert rs.form(lv(a3=1), lv(a3=1)) == 2
-        assert rs.form(lv(a1=1), lv(a1=1)) == 4
+        assert 2 * rs.half_norm("a3") == 2
+        assert 2 * rs.half_norm("a1") == 4
         assert rs.cartan_entry("a3", "a2") == -2
         assert rs.cartan_entry("a2", "a3") == -1
 
@@ -96,9 +112,6 @@ class TestBuildRootSystem:
             lambda: rs.cartan_entry("b1", "a1"),
             lambda: rs.cartan_entry("a1", "b1"),
             lambda: rs.half_norm("b1"),
-            lambda: cartan_integer(rs, "b1", LatticeVector()),
-            lambda: rs.form(lv(b1=1), lv(a1=1)),
-            lambda: rs.form(lv(a1=1), lv(b1=1)),
             lambda: detect_subdiagram_type(rs, {"a1", "b1"}),
         ):
             with pytest.raises(RootSystemError, match="^unknown simple-root label 'b1'$"):
@@ -138,13 +151,17 @@ class TestBuildRootSystem:
         ],
     )
     def test_cartan_form_compatibility(self, spec):
+        # The columns against a_ab = 2 (alpha_a, alpha_b) / (alpha_a, alpha_a),
+        # the form taken from the standard blocks.
         rs = build_root_system(spec)
+        cartan, lengths = block_cartan(rs), block_lengths(rs)
         for a in rs.simple_roots:
             va = rs.simple_root(a)
             for b in rs.simple_roots:
                 vb = rs.simple_root(b)
-                expected = 2 * rs.form(va, vb) / rs.form(va, va)
-                assert Fraction(rs.cartan_entry(a, b)) == expected
+                expected = Fraction(2 * gram_form(cartan, lengths, va, vb),
+                                    gram_form(cartan, lengths, va, va))
+                assert rs.cartan_entry(a, b) == expected
 
 
 class TestComponentOrder:
@@ -242,26 +259,52 @@ class TestCartanAgainstComponentBlocks:
 
     @pytest.mark.parametrize("k", range(3), ids=REFERENCE_IDS)
     def test_form_and_cartan_integer(self, k):
+        # The pairings validation makes (`coroot_table`) against the blocks,
+        # and the form it reads off them, sum_a x_a d_a <alpha_a^vee, w>,
+        # against the Gram formula.
         rs = reference_systems()[k]
         labels = rs.simple_roots
+        cartan, lengths = block_cartan(rs), block_lengths(rs)
         rng = random.Random(11 + k)
         for _ in range(150):
             v, w = (
                 LatticeVector({lab: rng.randint(-4, 4) for lab in rng.sample(labels, rng.randint(0, 8))})
                 for _ in range(2)
             )
-            assert rs.form(v, w) == gram_form(rs, v, w)
-            alpha = rng.choice(labels)
-            assert cartan_integer(rs, alpha, w) == block_pairing(rs, alpha, w)
-        # On simple roots: <alpha_a^vee, alpha_b> = a_ab and (alpha_a, alpha_b) = d_a a_ab.
-        reference = block_cartan(rs)
-        for a in labels:
-            va = rs.simple_root(a)
-            for b in labels:
-                vb = rs.simple_root(b)
-                assert cartan_integer(rs, a, vb) == reference.get((a, b), 0)
-                assert rs.form(va, vb) == rs.half_norm(a) * reference.get((a, b), 0)
-        assert rs.form(LatticeVector(), rs.simple_root(labels[0])) == 0
+            pairing = pairings(rs, w)
+            assert pairing == {a: block_pairing(cartan, a, w) for a in labels}
+            form = sum(x * rs.half_norm(a) * pairing[a] for a, x in v.items())
+            assert form == gram_form(cartan, lengths, v, w) == gram_form(cartan, lengths, w, v)
+
+
+class TestOraclesReadTheBlocks:
+    """A wrong entry in `_COMPONENT_COLUMNS`, the table every `RootSystem` and
+    `positive_roots` read, must show against the references, which read the
+    standard blocks.  B3 with <alpha_3^vee, alpha_2> = -1 in place of -2."""
+
+    @pytest.fixture
+    def corrupted(self, monkeypatch):
+        norms, columns = rootlat._component_columns("B", 3)
+        assert columns[1] == ((0, -1), (1, 2), (2, -2))
+        wrong = (columns[0], ((0, -1), (1, 2), (2, -1)), columns[2])
+        monkeypatch.setitem(rootlat._COMPONENT_COLUMNS, ("B", 3), (norms, wrong))
+        return build_root_system([("B", 3)])
+
+    def test_positive_roots_differ_from_the_reflection_oracle(self, corrupted):
+        assert len(reflection_positive_roots(corrupted)) == 9
+        assert positive_roots(corrupted) != reflection_positive_roots(corrupted)
+
+    def test_validation_differs_from_the_validation_oracle(self, corrupted):
+        # a2 of type b; a3 of type d, its color the coroot of a3 on a2, -2.
+        colors = [
+            Color("D2p", {"a2"}, Functional([1])),
+            Color("D2m", {"a2"}, Functional([1])),
+            Color("D3", {"a3"}, Functional([-2])),
+        ]
+        s = SphericalSystem(corrupted, [lv(a2=1)], colors)
+        assert Functional(coroot_table(s)["a3"]) != restricted_coroot(corrupted, "a3", s.psi)
+        assert oracle_violations(s) == []
+        assert list(validate_system(s).violations) != oracle_violations(s)
 
 
 ALL_SMALL_COMPONENTS = (
@@ -270,24 +313,6 @@ ALL_SMALL_COMPONENTS = (
     + [("D", n) for n in range(3, 9)]
     + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
 )
-
-
-def gram_form(rs, v, w):
-    """(v, w) = sum_ij x_i y_j a_ij |alpha_i|^2 / 2, from each component's
-    standard block and lengths."""
-    lengths = {}
-    for comp in rs.components:
-        _, lens = component_cartan(comp.series, comp.rank)
-        lengths.update(zip(comp.labels, lens))
-    cartan = block_cartan(rs)
-    return sum(
-        (
-            Fraction(x * y * cartan.get((a, b), 0) * lengths[a], 2)
-            for a, x in v.items()
-            for b, y in w.items()
-        ),
-        Fraction(0),
-    )
 
 
 class TestInvariantForm:
@@ -299,41 +324,6 @@ class TestInvariantForm:
         for i in range(rank):
             for j in range(rank):
                 assert d[i] * cartan[i][j] == d[j] * cartan[j][i], (i, j)
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            [("A", 3), ("B", 2), ("G", 2)],
-            [("F", 4), ("C", 3)],
-            [("D", 4), ("E", 6), ("A", 1)],
-        ],
-    )
-    def test_form_matches_gram_formula(self, spec):
-        rs = build_root_system(spec)
-        rng = random.Random(7)
-        for _ in range(200):
-            v, w = (
-                LatticeVector(
-                    {lab: rng.randint(-4, 4) for lab in rng.sample(rs.simple_roots, rng.randint(0, 6))}
-                )
-                for _ in range(2)
-            )
-            value = rs.form(v, w)
-            assert type(value) is int
-            assert value == gram_form(rs, v, w) == rs.form(w, v)
-
-    def test_form_on_interleaved_labels(self):
-        rs = RootSystem([Component("B", 2, ("a3", "a1")), Component("G", 2, ("a2", "a4"))])
-        rng = random.Random(3)
-        for _ in range(50):
-            v = LatticeVector({lab: rng.randint(-3, 3) for lab in rs.simple_roots})
-            w = LatticeVector({lab: rng.randint(-3, 3) for lab in rs.simple_roots})
-            assert rs.form(v, w) == gram_form(rs, v, w)
-
-    def test_unknown_label(self):
-        rs = build_root_system([("A", 1)])
-        with pytest.raises(RootSystemError):
-            rs.form(lv(a1=1), lv(a2=1))
 
 
 class TestRankLimit:
@@ -381,22 +371,25 @@ class TestRankLimit:
 
 
 class TestCartanInteger:
+    """Cartan integers <alpha^vee, lam> as validation pairs them, through
+    `coroot_table`."""
+
     def test_diagonal(self):
         rs = build_root_system([("A", 2)])
-        assert cartan_integer(rs, "a1", lv(a1=1)) == 2
+        assert pairings(rs, lv(a1=1))["a1"] == 2
 
     def test_linearity_example(self):
         rs = build_root_system([("A", 2)])
-        assert cartan_integer(rs, "a1", lv(a1=1, a2=1)) == 1
+        assert pairings(rs, lv(a1=1, a2=1))["a1"] == 1
 
     def test_g2_off_diagonal(self):
         rs = build_root_system([("G", 2)])
-        assert cartan_integer(rs, "a2", lv(a1=1)) == -3
+        assert pairings(rs, lv(a1=1))["a2"] == -3
 
     def test_unknown_label(self):
         rs = build_root_system([("A", 1)])
-        with pytest.raises(RootSystemError):
-            cartan_integer(rs, "a9", lv(a1=1))
+        with pytest.raises(RootSystemError, match="^unknown simple-root label 'a9'$"):
+            pairings(rs, lv(a1=1, a9=1))
 
     @given(
         st.lists(st.integers(-5, 5), min_size=4, max_size=4),
@@ -407,8 +400,9 @@ class TestCartanInteger:
         labels = rs.simple_roots
         v = LatticeVector(dict(zip(labels, xs)))
         w = LatticeVector(dict(zip(labels, ys)))
+        total, one, other = pairings(rs, v + w), pairings(rs, v), pairings(rs, w)
         for a in labels:
-            assert cartan_integer(rs, a, v + w) == cartan_integer(rs, a, v) + cartan_integer(rs, a, w)
+            assert total[a] == one[a] + other[a]
 
 
 class TestLatticeVector:
@@ -820,6 +814,7 @@ class TestPositiveRootsEverySeries:
         # r exceeds that pairing.  This checks the output without generating
         # roots, by reflections or otherwise.
         rs = build_root_system([(series, rank)])
+        cartan = block_cartan(rs)
         ours = positive_roots(rs)
         for beta in ours:
             for lab in rs.simple_roots:
@@ -827,7 +822,7 @@ class TestPositiveRootsEverySeries:
                 r = 0
                 while beta - (r + 1) * alpha in ours:
                     r += 1
-                expected = beta != alpha and r > cartan_integer(rs, lab, beta)
+                expected = beta != alpha and r > block_pairing(cartan, lab, beta)
                 assert (beta + alpha in ours) == expected, (str(beta), lab)
 
     def test_exceptional_components_with_interleaved_labels(self):

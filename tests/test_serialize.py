@@ -153,6 +153,20 @@ class TestPhiValues:
         assert loads(dumps(system)).colors[0].phi.twice == (t,)
 
 
+# Documents with a key given twice in one object, and that key.
+A1_START = '{"root_system": {"components": [{"series": "A", "rank": 1}]}, '
+DUPLICATE_KEYS = [
+    (A1_START + '"spherical_roots": [{"coeffs": {"a1": 1, "a1": 2}}], "colors": []}', "a1"),
+    (
+        A1_START + '"spherical_roots": [{"coeffs": {"a1": 1}}], '
+        '"colors": [{"id": "D", "moved_by": ["a1"], "phi": [1], "phi": [2]}]}',
+        "phi",
+    ),
+    (A1_START + '"spherical_roots": [], "colors": [], "colors": []}', "colors"),
+]
+DUPLICATE_KEY_IDS = ["coeffs", "color", "top-level"]
+
+
 class TestParseErrors:
     def test_not_an_object(self):
         with pytest.raises(DocumentError, match="JSON object"):
@@ -267,6 +281,13 @@ class TestParseErrors:
         with pytest.raises(DocumentError) as info:
             loads(text)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("text, key", DUPLICATE_KEYS, ids=DUPLICATE_KEY_IDS)
+    def test_duplicate_key(self, text, key):
+        # json alone keeps the last value: 2*a1, or the second colors list.
+        with pytest.raises(DocumentError) as info:
+            loads(text)
+        assert str(info.value) == f"duplicate key {key!r}"
 
     def test_non_string_moved_by_entry(self):
         doc = {

@@ -1,11 +1,18 @@
 """All-pairs BASE and P3 checks used as an oracle for `validate_system`.
 
-The restricted coroots are paired through `cartan_integer` for every simple
-root and spherical root, the BASE Cartan numbers go through `RootSystem.form`
+Every pairing and form here comes from the standard Cartan blocks of the
+components, read once per system by `rootoracle.block_cartan` and
+`block_lengths`, never from the column index a `RootSystem` keeps or the
+table `_COMPONENT_COLUMNS` that `validate_system` reads it through.  The
+restricted coroots are paired through `block_pairing` for every simple
+root and spherical root, the BASE Cartan numbers go through `gram_form`
 for every pair of spherical roots and print through `Fraction`, and P3
-visits every pair of simple roots, asking `_sum_in_psi` whether their sum is
+visits every pair of simple roots, reading their orthogonality off the
+blocks and asking `_sum_in_psi` whether their sum is
 in the spherical roots or twice one (Luna's axiom, read literally), against
-one set of the spherical roots built per call.  `oracle_types` types each
+one set of the spherical roots built per call.  A label of a spherical root
+outside the root system raises RootSystemError before any check, with the
+text `validate_system` raises.  `oracle_types` types each
 simple root by looking its vector and twice it up among the spherical roots.
 `oracle_check_p2` finds, for each color in turn, the first type-b root of
 `oracle_types` in its `moved_by`, and compares its `Fraction` values with
@@ -23,11 +30,13 @@ from wondersys import (
     Functional,
     LatticeVector,
     RootSystem,
+    RootSystemError,
     SphericalSystem,
     Violation,
-    cartan_integer,
 )
 from wondersys.sphsys import TYPE_A, TYPE_B, TYPE_C, TYPE_D, _check_p1
+
+from rootoracle import block_cartan, block_lengths, block_pairing, gram_form
 
 
 def oracle_types(system: SphericalSystem) -> Dict[str, str]:
@@ -93,17 +102,31 @@ def spherical_lattice_rank(system: SphericalSystem) -> int:
 
 def restricted_coroot(rs: RootSystem, alpha: str, psi: Sequence[LatticeVector]) -> Functional:
     """The coroot of alpha as a functional on the span of psi."""
-    return Functional(cartan_integer(rs, alpha, sigma) for sigma in psi)
+    rs.index(alpha)  # raises on an unknown label
+    cartan = block_cartan(rs)
+    return Functional(block_pairing(cartan, alpha, sigma) for sigma in psi)
 
 
-def oracle_coroot_table(system: SphericalSystem) -> Dict[str, Tuple[int, ...]]:
+def oracle_coroot_table(system: SphericalSystem, cartan: dict) -> Dict[str, Tuple[int, ...]]:
     return {
-        lab: tuple(cartan_integer(system.rs, lab, sigma) for sigma in system.psi)
+        lab: tuple(block_pairing(cartan, lab, sigma) for sigma in system.psi)
         for lab in system.rs.simple_roots
     }
 
 
-def oracle_check_base(system: SphericalSystem, out: List[Violation]) -> None:
+def oracle_check_labels(system: SphericalSystem) -> None:
+    """Raise RootSystemError at the first label of a spherical root outside
+    the root system, in the order the roots and their coefficients were
+    given, which is where `validate_system` meets it."""
+    for sigma in system.psi:
+        for lab in sigma._coeffs:
+            if lab not in system.rs:
+                raise RootSystemError(f"unknown simple-root label {lab!r}")
+
+
+def oracle_check_base(
+    system: SphericalSystem, cartan: dict, lengths: dict, out: List[Violation]
+) -> None:
     seen = set()
     for sigma in system.psi:
         if sigma in seen:
@@ -125,11 +148,11 @@ def oracle_check_base(system: SphericalSystem, out: List[Violation]) -> None:
     for i, sigma in enumerate(system.psi):
         if sigma.is_zero():
             continue
-        norm = system.rs.form(sigma, sigma)
+        norm = gram_form(cartan, lengths, sigma, sigma)
         for j, tau in enumerate(system.psi):
             if i == j or tau == sigma:
                 continue
-            twice = 2 * system.rs.form(sigma, tau)
+            twice = 2 * gram_form(cartan, lengths, sigma, tau)
             if twice % norm or twice > 0:
                 out.append(
                     Violation(
@@ -179,7 +202,8 @@ def oracle_check_p2(system: SphericalSystem, out: List[Violation]) -> None:
 
 
 def oracle_check_p3(
-    system: SphericalSystem, coroots: Dict[str, Tuple[int, ...]], out: List[Violation]
+    system: SphericalSystem, cartan: dict, coroots: Dict[str, Tuple[int, ...]],
+    out: List[Violation],
 ) -> None:
     rs = system.rs
     labels = rs.simple_roots
@@ -205,7 +229,7 @@ def oracle_check_p3(
                             )
                         )
                 elif both_d:
-                    if rs.cartan_entry(la, lb) != 0:
+                    if (la, lb) in cartan:
                         out.append(
                             Violation("P3", f"shared-color roots {la}, {lb} not orthogonal")
                         )
@@ -234,7 +258,7 @@ def oracle_check_p3(
             if (
                 both_d
                 and da != db
-                and rs.cartan_entry(la, lb) == 0
+                and (la, lb) not in cartan
                 and coroots[la] == coroots[lb]
                 and _sum_in_psi(psi_set, rs.simple_root(la), rs.simple_root(lb))
             ):
@@ -249,8 +273,10 @@ def oracle_check_p3(
 
 def oracle_violations(system: SphericalSystem) -> List[Violation]:
     """The violations `validate_system` must report, in its order."""
+    oracle_check_labels(system)
+    cartan = block_cartan(system.rs)
     out: List[Violation] = []
-    oracle_check_base(system, out)
+    oracle_check_base(system, cartan, block_lengths(system.rs), out)
     seen_ids = set()
     for d in system.colors:
         if d.id in seen_ids:
@@ -271,8 +297,8 @@ def oracle_violations(system: SphericalSystem) -> List[Violation]:
             out.append(Violation("P1", f"color {d.id} is moved by {lab!r}, not a simple root"))
     if any(len(d.phi) != len(system.psi) for d in system.colors):
         return out
-    coroots = oracle_coroot_table(system)
+    coroots = oracle_coroot_table(system, cartan)
     _check_p1(system, coroots, out)
     oracle_check_p2(system, out)
-    oracle_check_p3(system, coroots, out)
+    oracle_check_p3(system, cartan, coroots, out)
     return out
