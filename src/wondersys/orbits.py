@@ -61,11 +61,6 @@ class OrbitPoset(Record):
         )
 
 
-def poset_of_rank(rank: int) -> OrbitPoset:
-    """The same as `OrbitPoset(rank)`."""
-    return OrbitPoset(rank)
-
-
 def orbit_poset(system: SphericalSystem) -> OrbitPoset:
     """Poset of boundary strata: one node per subset of the spherical roots."""
     return OrbitPoset(len(system.psi))

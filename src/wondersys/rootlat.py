@@ -28,20 +28,24 @@ _set = object.__setattr__
 
 
 class Record:
-    """Immutable value with named fields, the names in `__slots__`.
+    """Immutable value with named fields.
 
-    A subclass's `__init__` sets each field once through `_set`, which is
-    `object.__setattr__`.  Equality (same class, equal fields), the hash and
-    the repr `Name(field=value, ...)` read the fields as one tuple through
-    `_fields`, an `operator.attrgetter` over the subclass's `__slots__`.
-    Assigning or deleting an attribute raises AttributeError.
+    The value fields are the names in the class attribute `_value`, which
+    defaults to `__slots__`; a class that keeps indexes derived from its
+    value in further slots names the value alone there.  A subclass's
+    `__init__` sets each slot once through `_set`, which is
+    `object.__setattr__`.  Equality (same class, equal values), the hash,
+    the repr `Name(field=value, ...)` and copy and pickle, which call the
+    class with the value again, read the value as one tuple through
+    `_fields`, an `operator.attrgetter` over `_value`.  Assigning or
+    deleting an attribute raises AttributeError.
     """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        names = cls.__slots__
+        names = cls._value = cls.__dict__.get("_value", cls.__slots__)
         get = attrgetter(*names)
         # attrgetter of one name returns the bare value, not a 1-tuple.
         cls._fields = staticmethod(get if len(names) > 1 else lambda obj: (get(obj),))
@@ -55,7 +59,7 @@ class Record:
         return hash(self._fields(self))
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields(self)))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._value, self._fields(self)))
         return f"{self.__class__.__qualname__}({fields})"
 
     def __setattr__(self, name: str, value: object) -> None:
@@ -347,7 +351,7 @@ class Component(Record):
         _set(self, "labels", labels)
 
 
-class RootSystem:
+class RootSystem(Record):
     """Semisimple root system with exact Cartan and form data.
 
     The Cartan matrix a_ab = <alpha_a^vee, alpha_b> is stored once, as an
@@ -364,8 +368,9 @@ class RootSystem:
     Gram matrix is stored.  Nothing of size n x n is built.  Only `index`
     knows where a label stands in the system; no other field of it depends
     on positions.  The total rank may not exceed MAX_RANK.
-    Immutable like a `Record`; copy and pickle rebuild it from its
-    components.  Safe for concurrent use.
+    A `Record` whose value is its components: equality, hash, copy and
+    pickle read them alone, and every other slot is derived from them.
+    Safe for concurrent use.
 
     Components are listed by their smallest label under `_label_key`,
     whatever order they are given in, so two root systems with the same
@@ -378,6 +383,7 @@ class RootSystem:
     """
 
     __slots__ = ("components", "simple_roots", "_keys", "_index", "_d", "_columns")
+    _value = ("components",)
 
     def __init__(self, components: Sequence[Component]):
         components = tuple(components)
@@ -491,12 +497,6 @@ class RootSystem:
         except KeyError:
             raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
-    def simple_root(self, label: str) -> LatticeVector:
-        """The simple root alpha_label as a vector.  No code in the package
-        calls it; it serves the tests."""
-        self.index(label)
-        return LatticeVector._of_ints({label: 1})
-
     def as_simple_label(self, v: LatticeVector) -> Optional[str]:
         """Label of v if v is a simple root of this system, else None."""
         coeffs = v._coeffs
@@ -505,18 +505,6 @@ class RootSystem:
             if c == 1 and label in self._index:
                 return label
         return None
-
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
-
-    def __reduce__(self):
-        return (RootSystem, (self.components,))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RootSystem) and self.components == other.components
-
-    def __hash__(self) -> int:
-        return hash(self.components)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{c.series}{c.rank}" for c in self.components)

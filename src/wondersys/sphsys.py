@@ -30,13 +30,16 @@ spherical root for coroots that agree on the spherical roots: Sigma =
 spherical root on Luna's list: Sigma = {3*a1} on A1 validates.
 
 Each system indexes its colors by the simple roots moving them, and its
-spherical roots that are a simple root or twice one, once on construction,
-and reads its type map off both then; P1, P2 and distinguishedness read the
-second index.  `validate_system` first builds the coroot table, the value
-of every simple root's restricted coroot on every spherical root, by
-walking the Cartan matrix's nonzero entries: each coefficient v of b in a
-spherical root adds v * a_ab to the row of label a for the few pairs
-(a, a_ab) in `RootSystem.column(b)`.
+spherical roots that are a simple root, once on construction, and types its
+simple roots then from those two indexes and the simple roots whose double
+is a spherical root; P1, P2 and distinguishedness read the second index.
+`validate_system` first builds the coroot table, the value of every simple
+root's restricted coroot on every spherical root, by walking the Cartan
+matrix's nonzero entries: each coefficient v of b in a spherical root adds
+v * a_ab to the row of label a for the few pairs (a, a_ab) in
+`RootSystem.column(b)`.  A spherical root with a label outside the root
+system is a BASE violation, and no table is built: the checks that read
+it are skipped, as they are when a functional's length is wrong.
 The checks read that table.  The BASE form is read off it too, since
 (sigma, tau) is the sum over a in the support of sigma of
 sigma_a * d_a * <alpha_a^vee, tau>; more spherical roots than the rank
@@ -59,6 +62,7 @@ from .rootlat import (
     LatticeVector,
     Record,
     RootSystem,
+    RootSystemError,
     _set,
     half_text,
 )
@@ -114,19 +118,23 @@ class ValidationReport(Record):
         return frozenset(v.axiom for v in self.violations)
 
 
-class SphericalSystem:
+class SphericalSystem(Record):
     """Root system + spherical roots + colors, immutable.
 
-    `simple_labels[j]` is `rs.as_simple_label(psi[j])`; `_simple` maps each
-    simple root in psi to its index (the last, should it repeat), `_doubled`
-    holds every a with 2 * alpha_a in psi, and `type_map` is built from them.
-    No map of psi itself is kept: `psi_index` scans it.  Immutable like a
-    `Record`, rebuilt from `rs`, `psi` and `colors` by copy and pickle;
-    `type_map` is a dict, which must not be edited.
+    A `Record` whose value is `rs`, `psi` and `colors`: equality, hash,
+    copy and pickle read those alone, and every other slot is derived from
+    them on construction.  `simple_labels[j]` is `rs.as_simple_label(psi[j])`,
+    `_simple` maps each simple root in psi to its index (the last, should it
+    repeat) and `_moved` lists the colors each simple root moves.  No map of
+    psi itself is kept: `psi_index` scans it.  `type_map` classifies each
+    simple root as type a, b, c or d.  Membership in the spherical roots
+    wins over color counts: a root equal to (half of) a spherical root is
+    typed b (c) even when its colors are missing; validation flags the
+    cardinality separately.  `type_map` is a dict, which must not be edited.
     """
 
-    __slots__ = ("rs", "psi", "colors", "_moved", "_simple", "_doubled",
-                 "simple_labels", "type_map")
+    __slots__ = ("rs", "psi", "colors", "_moved", "_simple", "simple_labels", "type_map")
+    _value = ("rs", "psi", "colors")
 
     def __init__(
         self,
@@ -143,23 +151,22 @@ class SphericalSystem:
                 moved.setdefault(lab, []).append(d)
         _set(self, "_moved", {lab: tuple(ds) for lab, ds in moved.items()})
         labels: List[Optional[str]] = []
-        _set(self, "_simple", {})
-        _set(self, "_doubled", set())
+        simple: Dict[str, int] = {}
+        doubled = set()
         for j, sigma in enumerate(self.psi):
             lab = rs.as_simple_label(sigma)
             labels.append(lab)
             if lab is not None:
-                self._simple[lab] = j
+                simple[lab] = j
             elif list(sigma._coeffs.values()) == [2]:
-                self._doubled.update(sigma._coeffs)
+                doubled.update(sigma._coeffs)
+        _set(self, "_simple", simple)
         _set(self, "simple_labels", tuple(labels))
-        _set(self, "type_map", assign_types(self))
-
-    __setattr__ = Record.__setattr__
-    __delattr__ = Record.__delattr__
-
-    def __reduce__(self):
-        return (SphericalSystem, (self.rs, self.psi, self.colors))
+        _set(self, "type_map", {
+            lab: TYPE_B if lab in simple else TYPE_C if lab in doubled
+            else TYPE_D if lab in moved else TYPE_A
+            for lab in rs.simple_roots
+        })
 
     def psi_index(self, sigma: LatticeVector) -> Optional[int]:
         """The index of the last spherical root equal to sigma, or None."""
@@ -172,37 +179,11 @@ class SphericalSystem:
         """The colors moved by alpha, in the order of `colors`."""
         return self._moved.get(alpha, ())
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, SphericalSystem)
-            and self.rs == other.rs
-            and self.psi == other.psi
-            and self.colors == other.colors
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rs, self.psi, self.colors))
-
     def __repr__(self) -> str:
         return (
             f"SphericalSystem({self.rs!r}, psi=[{', '.join(map(str, self.psi))}], "
             f"colors={[c.id for c in self.colors]})"
         )
-
-
-def assign_types(system: SphericalSystem) -> Dict[str, str]:
-    """Classify each simple root as type a, b, c or d.
-
-    Membership in the spherical roots wins over color counts: a root equal
-    to (half of) a spherical root is typed b (c) even when its colors are
-    missing; validation flags the cardinality separately.
-    """
-    simple, doubled, moved = system._simple, system._doubled, system._moved
-    return {
-        lab: TYPE_B if lab in simple else TYPE_C if lab in doubled
-        else TYPE_D if lab in moved else TYPE_A
-        for lab in system.rs.simple_roots
-    }
 
 
 def coroot_table(system: SphericalSystem) -> Dict[str, Tuple[int, ...]]:
@@ -230,8 +211,12 @@ def _ratio_text(num: int, den: int) -> str:
 
 
 def _check_base(
-    system: SphericalSystem, coroots: Dict[str, Tuple[int, ...]], out: List[Violation]
+    system: SphericalSystem, coroots: Optional[Dict[str, Tuple[int, ...]]],
+    out: List[Violation],
 ) -> None:
+    """BASE; `coroots` is None when a spherical root has a label outside the
+    root system, and then the Cartan numbers are not checked."""
+    rs = system.rs
     seen = set()
     for sigma in system.psi:
         if sigma in seen:
@@ -245,16 +230,24 @@ def _check_base(
                 out.append(
                     Violation("BASE", f"negative coefficient of {lab} in {sigma}")
                 )
+        if coroots is None:
+            unknown = [lab for lab in sigma._coeffs if lab not in rs]
+            for lab in sorted(unknown, key=repr):
+                out.append(
+                    Violation("BASE", f"spherical root {sigma} has label {lab!r}, "
+                              "not a simple root")
+                )
     # Nonzero vectors with nonnegative coefficients whose pairwise Cartan
     # numbers are all <= 0 are linearly independent (Humphreys, Introduction
     # to Lie Algebras and Representation Theory, 10.1).  So more spherical
     # roots than the rank break BASE: that is reported once, and the pairwise
     # loop, quadratic in their number, is skipped.
-    rs = system.rs
     if len(system.psi) > rs.rank:
         out.append(
             Violation("BASE", f"{len(system.psi)} spherical roots exceed the rank {rs.rank}")
         )
+        return
+    if coroots is None:
         return
     # The form is integral and positive definite on the root lattice, so the
     # Cartan number 2(sigma, tau)/(sigma, sigma) is checked in integers.
@@ -285,7 +278,7 @@ def _check_p1(
 ) -> None:
     for lab in system.rs.simple_roots:
         kind = system.type_map[lab]
-        # A root that moves a color is never typed a (see assign_types), and
+        # A root that moves a color is never typed a (see `type_map`), and
         # P1 asks nothing of a type-a root: it is skipped before its half
         # coroot and coroot are built.
         if kind == TYPE_A:
@@ -465,7 +458,10 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
     """Check BASE, P1, P2 and P3 (see the module docstring), exhaustively;
     Luna's axioms Sigma2 and S are not checked."""
     out: List[Violation] = []
-    coroots = coroot_table(system)
+    try:
+        coroots = coroot_table(system)
+    except RootSystemError:  # a label of a spherical root, reported in BASE
+        coroots = None
     _check_base(system, coroots, out)
     seen_ids = set()
     lengths_match = True
@@ -487,7 +483,7 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
         unknown = [lab for lab in d.moved_by if lab not in system.rs]
         for lab in sorted(unknown, key=repr):
             out.append(Violation("P1", f"color {d.id} is moved by {lab!r}, not a simple root"))
-    if not lengths_match:
+    if coroots is None or not lengths_match:
         return ValidationReport(tuple(out))
     _check_p1(system, coroots, out)
     _check_p2(system, out)

@@ -13,10 +13,9 @@ catalog entry, on generated documents and on malformed-JSON files.  The
 inputs are the catalog, `random_systems(5, 600, 8)`, the mutation cases,
 the benchmark corpora for seeds 301-302 (read from `perfbench/corpus.py`)
 and the writer's edge cases (`documentoracle.writer_edge_cases`, whose
-color ids are all strings).  It uses only long-standing public names
-(`poset_of_rank` from `wondersys.orbits`), so it runs unchanged against an
-older `src/`.  This file is a script, not a test
-module.
+color ids are all strings).  It uses only public names exported by
+`wondersys`, so it runs unchanged against another tree that has them.
+This file is a script, not a test module.
 """
 from __future__ import annotations
 
@@ -35,6 +34,7 @@ from documentoracle import writer_edge_cases  # noqa: E402
 from mutations import mutation_cases  # noqa: E402
 from randsys import random_systems  # noqa: E402
 from wondersys import (  # noqa: E402
+    OrbitPoset,
     critical_roots,
     critical_roots_oracle,
     distinguished_elements,
@@ -47,7 +47,6 @@ from wondersys import (  # noqa: E402
 )
 from wondersys.catalog import catalog_entries  # noqa: E402
 from wondersys.cli import main  # noqa: E402
-from wondersys.orbits import poset_of_rank  # noqa: E402
 
 SEEDS = (301, 302)
 ORACLE_MAX_RANK = 8
@@ -198,7 +197,7 @@ def main_digest() -> None:
         for result in _system_results(system):
             add(result)
     for r in range(DOT_MAX_RANK + 1):
-        add(("dot", r, emit_graph(poset_of_rank(r))))
+        add(("dot", r, emit_graph(OrbitPoset(r))))
     home = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)

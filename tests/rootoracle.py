@@ -74,7 +74,7 @@ def gram_form(cartan: dict, lengths: dict, v: LatticeVector, w: LatticeVector) -
 
 def reflection_positive_roots(rs: RootSystem) -> frozenset:
     cartan = block_cartan(rs)
-    simple = {lab: rs.simple_root(lab) for lab in rs.simple_roots}
+    simple = {lab: LatticeVector({lab: 1}) for lab in rs.simple_roots}
     roots = set(simple.values())
     frontier = set(roots)
     while frontier:

@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 from wondersys import (
+    LatticeVector,
+    OrbitPoset,
     build_root_system,
     critical_roots,
     critical_roots_oracle,
@@ -21,7 +23,6 @@ from wondersys import (
 )
 from wondersys.catalog import catalog_entries
 from wondersys.cli import main
-from wondersys.orbits import poset_of_rank
 
 from mutations import mutation_cases
 from randsys import random_systems
@@ -59,7 +60,7 @@ def test_criterion_2_type_classification_exhaustive():
         assert validate_system(s).ok
         psi_set = set(s.psi)
         for lab in s.rs.simple_roots:
-            alpha = s.rs.simple_root(lab)
+            alpha = LatticeVector({lab: 1})
             cases = {
                 "a": not s.colors_moved_by(lab),
                 "b": alpha in psi_set,
@@ -159,10 +160,10 @@ def test_criterion_6_full_support_chain_cases():
 
 def test_criterion_7_orbit_posets():
     for r in range(11):
-        p = poset_of_rank(r)
+        p = OrbitPoset(r)
         assert len(p.nodes) == 2**r
         assert len(p.edges) == (r * 2 ** (r - 1) if r else 0)
-    assert emit_graph(poset_of_rank(2)) == GOLDEN_DOT.read_text()
+    assert emit_graph(OrbitPoset(2)) == GOLDEN_DOT.read_text()
     _report(7, "node/edge counts for r <= 10, golden DOT byte-identical for r = 2")
 
 

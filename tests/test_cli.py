@@ -555,17 +555,27 @@ class TestColdStart:
         assert "wondersys.cli" in loaded
         assert not loaded & {"dataclasses", "inspect"}
 
-    def test_only_rootlat_reads_what_root_system_keeps_privately(self):
-        # How RootSystem stores the Cartan matrix stays behind one module.
-        private = {name for name in RootSystem.__slots__ if name.startswith("_")}
+    @staticmethod
+    def _private_readers(cls, home):
+        """Where a package module other than `home` reads a private slot of cls."""
+        private = {name for name in cls.__slots__ if name.startswith("_")}
         assert private
         package = Path(wondersys.cli.__file__).resolve().parent
+        assert package.joinpath(home).exists()
         readers = []
         for path in sorted(package.glob("*.py")):
-            if path.name == "rootlat.py":
+            if path.name == home:
                 continue
             for node in ast.walk(ast.parse(path.read_text(), str(path))):
                 if isinstance(node, ast.Attribute) and node.attr in private:
                     readers.append(f"{path.name}:{node.lineno} .{node.attr}")
-        assert package.joinpath("rootlat.py").exists()
-        assert readers == []
+        return readers
+
+    def test_only_rootlat_reads_what_root_system_keeps_privately(self):
+        # How RootSystem stores the Cartan matrix stays behind one module.
+        assert self._private_readers(RootSystem, "rootlat.py") == []
+
+    def test_only_sphsys_reads_what_spherical_system_keeps_privately(self):
+        # How a system indexes its colors and simple spherical roots stays
+        # behind the module that validates it.
+        assert self._private_readers(SphericalSystem, "sphsys.py") == []

@@ -1,7 +1,10 @@
-"""Every function the package exports has a user outside the test suite."""
+"""Every function the package exports, every public method and property of
+an exported class, and every public function of a package module has a user
+outside the test suite."""
 from __future__ import annotations
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -36,3 +39,36 @@ def test_every_exported_function_has_a_user():
     assert "dumps" in functions and "localize" in functions
     used = _referenced_names()
     assert [name for name in functions if name not in used] == []
+
+
+def test_every_public_method_of_an_exported_class_has_a_user():
+    members = [
+        f"{name}.{attr}"
+        for name in wondersys.__all__
+        if isinstance(cls := getattr(wondersys, name), type)
+        for attr, member in vars(cls).items()
+        if not attr.startswith("_")
+        and isinstance(member, (types.FunctionType, property, classmethod, staticmethod))
+    ]
+    assert "RootSystem.induced" in members and "OrbitPoset.nodes" in members
+    used = _referenced_names()
+    assert [m for m in members if m.rpartition(".")[2] not in used] == []
+
+
+def test_every_public_module_function_has_a_user():
+    package = Path(wondersys.__file__).resolve().parent
+    functions = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"wondersys.{path.stem}")
+        functions += [
+            f"{path.stem}.{attr}"
+            for attr, member in vars(module).items()
+            if not attr.startswith("_")
+            and isinstance(member, types.FunctionType)
+            and member.__module__ == module.__name__
+        ]
+    assert "sphsys.coroot_table" in functions and "rootlat.half_text" in functions
+    used = _referenced_names()
+    assert [f for f in functions if f.rpartition(".")[2] not in used] == []

@@ -8,7 +8,7 @@ import pytest
 
 from wondersys import OrbitPoset, emit_graph, orbit_poset
 from wondersys.catalog import catalog_entry
-from wondersys.orbits import MAX_ORBIT_RANK, poset_of_rank
+from wondersys.orbits import MAX_ORBIT_RANK
 
 from orbitoracle import oracle_dot, oracle_poset
 
@@ -18,23 +18,23 @@ NODE_LINE = re.compile(r'  "(\{[^"]*\})" \[boundary_rank=(\d+)\];')
 
 class TestOrbitPoset:
     def test_rank_zero(self):
-        p = poset_of_rank(0)
+        p = OrbitPoset(0)
         assert len(p.nodes) == 1
         assert len(p.edges) == 0
 
     def test_rank_two(self):
-        p = poset_of_rank(2)
+        p = OrbitPoset(2)
         assert len(p.nodes) == 4
         assert len(p.edges) == 4
 
     def test_rank_three(self):
-        p = poset_of_rank(3)
+        p = OrbitPoset(3)
         assert len(p.nodes) == 8
         assert len(p.edges) == 12
 
     @pytest.mark.parametrize("r", range(11))
     def test_counts_and_extrema(self, r):
-        p = poset_of_rank(r)
+        p = OrbitPoset(r)
         assert len(p.nodes) == 2**r
         assert len(p.edges) == (r * 2 ** (r - 1) if r else 0)
         sources = set(p.nodes) - {b for _, b in p.edges}
@@ -45,11 +45,11 @@ class TestOrbitPoset:
     def test_rank_above_the_limit_is_rejected(self):
         assert MAX_ORBIT_RANK == 16
         with pytest.raises(ValueError, match="rank 17 exceeds the limit 16"):
-            poset_of_rank(MAX_ORBIT_RANK + 1)
+            OrbitPoset(MAX_ORBIT_RANK + 1)
 
     def test_negative_rank_is_rejected(self):
         with pytest.raises(ValueError, match="^orbit poset rank -1 is negative$"):
-            poset_of_rank(-1)
+            OrbitPoset(-1)
 
     @pytest.mark.parametrize(
         "rank, shown", [(True, "True"), (False, "False"), (2.0, "2.0"), ("3", "'3'"), (None, "None")]
@@ -57,7 +57,7 @@ class TestOrbitPoset:
     def test_rank_that_is_not_an_int_is_rejected(self, rank, shown):
         message = f"orbit poset rank {shown} is not an int"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            poset_of_rank(rank)
+            OrbitPoset(rank)
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             emit_graph(OrbitPoset(rank))
 
@@ -68,20 +68,20 @@ class TestOrbitPoset:
 
 class TestEmitGraph:
     def test_rank_zero_graph(self):
-        text = emit_graph(poset_of_rank(0))
+        text = emit_graph(OrbitPoset(0))
         assert '"{}"' in text
         assert "->" not in text
 
     def test_rank_one_graph(self):
-        text = emit_graph(poset_of_rank(1))
+        text = emit_graph(OrbitPoset(1))
         assert '"{}" -> "{s1}";' in text
 
     def test_golden_rank_two(self):
-        assert emit_graph(poset_of_rank(2)) == GOLDEN.read_text()
+        assert emit_graph(OrbitPoset(2)) == GOLDEN.read_text()
 
     def test_deterministic(self):
-        a = emit_graph(poset_of_rank(4))
-        b = emit_graph(poset_of_rank(4))
+        a = emit_graph(OrbitPoset(4))
+        b = emit_graph(OrbitPoset(4))
         assert a == b
 
     @pytest.mark.parametrize(
@@ -99,7 +99,7 @@ class TestEmitGraph:
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 emit_graph(OrbitPoset(rank))
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                poset_of_rank(rank)
+                OrbitPoset(rank)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -110,7 +110,7 @@ class TestEmitGraph:
         # oracle: nodes by (size, label text), edges by (source position, target
         # label text), every edge a cover and every cover present once.
         r = 14
-        lines = emit_graph(poset_of_rank(r)).splitlines()
+        lines = emit_graph(OrbitPoset(r)).splitlines()
         assert lines[0] == "digraph orbits {" and lines[-1] == "}"
         node_lines, edge_lines = lines[1 : 1 + 2**r], lines[1 + 2**r : -1]
         assert len(edge_lines) == r * 2 ** (r - 1)
@@ -138,7 +138,7 @@ class TestEmitGraph:
 class TestAgainstOracle:
     @pytest.mark.parametrize("r", range(13))
     def test_poset_in_order_and_dot_byte_identical(self, r):
-        p = poset_of_rank(r)
+        p = OrbitPoset(r)
         nodes, edges = oracle_poset(r)
         assert p.nodes == nodes and p.edges == edges
         assert emit_graph(p) == oracle_dot(r)

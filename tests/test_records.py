@@ -19,11 +19,13 @@ from wondersys import (
     LatticeVector,
     OrbitPoset,
     RigidityReport,
+    RootSystem,
+    SphericalSystem,
     ValidationReport,
     Violation,
     catalog_entry,
 )
-from wondersys.orbits import poset_of_rank
+from wondersys.rootlat import Record
 
 ROOT = LatticeVector({"a1": 1, "a2": 2})
 WITNESS = DistinguishedWitness(ROOT, 2, "chain a1,a2")
@@ -78,7 +80,7 @@ CASES = {
         "distinguished=False, critical=True, vacuous=False, failing_subset=None),))",
     ),
     "OrbitPoset": (
-        poset_of_rank(1),
+        OrbitPoset(1),
         (1,),
         "OrbitPoset(rank=1)",
     ),
@@ -211,15 +213,51 @@ def test_criticality_entry_defaults():
     assert entry == CriticalityEntry(ROOT, True, False, False, None)
 
 
-# RootSystem and SphericalSystem keep their own ==, hash and repr, but are
-# immutable like the Record types, and copy and pickle rebuild them from
-# their inputs.  The induced root system is built without __init__.
+# RootSystem and SphericalSystem are Records whose value is some of their
+# slots: the components, and the root system, spherical roots and colors.
+# The other slots are indexes built from the value.  Both keep their own
+# repr.  The induced root system is built without __init__.
 C3 = catalog_entry("c3-double-middle").system
 SYSTEMS = {
     "RootSystem": C3.rs,
     "induced RootSystem": C3.rs.induced({"a2", "a3"}),
     "SphericalSystem": C3,
 }
+SYSTEM_REPRS = {
+    "RootSystem": "RootSystem(C3)",
+    "induced RootSystem": "RootSystem(B2)",
+    "SphericalSystem": "SphericalSystem(RootSystem(C3), psi=[a1+2*a2+a3], colors=['D1'])",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYSTEMS))
+def test_system_is_a_record_of_its_value(name):
+    obj = SYSTEMS[name]
+    assert isinstance(obj, Record)
+    value = tuple(getattr(obj, field) for field in obj._value)
+    assert hash(obj) == hash(value)
+    assert repr(obj) == SYSTEM_REPRS[name]
+    rebuilt = type(obj)(*value)
+    assert rebuilt == obj and hash(rebuilt) == hash(obj) and repr(rebuilt) == repr(obj)
+    for other in (value, C3.rs if obj is C3 else C3, OrbitPoset(1)):
+        assert obj.__eq__(other) is NotImplemented
+        assert obj != other and other != obj
+
+
+def test_systems_equal_by_value_only():
+    b2, a1 = Component("B", 2, ("b1", "b2")), Component("A", 1, ("a1",))
+    rs, reordered = RootSystem([b2, a1]), RootSystem([a1, b2])
+    assert rs == reordered and hash(rs) == hash(reordered)
+    assert rs.components == (a1, b2)
+    induced = C3.rs.induced({"a2", "a3"})
+    assert induced == RootSystem(induced.components)
+    color = Color("D", ["b2"], Functional([1]))
+    psi = [LatticeVector({"a1": 1, "b2": 1})]
+    system = SphericalSystem(rs, psi, [color])
+    assert system == SphericalSystem(reordered, tuple(psi), (color,))
+    assert hash(system) == hash(SphericalSystem(reordered, psi, [color]))
+    assert system != SphericalSystem(rs, psi, [Color("D", ["b2"], Functional([2]))])
+    assert system != SphericalSystem(rs, [], [color])
 
 
 @pytest.mark.parametrize("name", sorted(SYSTEMS))

@@ -11,8 +11,8 @@ visits every pair of simple roots, reading their orthogonality off the
 blocks and asking `_sum_in_psi` whether their sum is
 in the spherical roots or twice one (Luna's axiom, read literally), against
 one set of the spherical roots built per call.  A label of a spherical root
-outside the root system raises RootSystemError before any check, with the
-text `validate_system` raises.  `oracle_types` types each
+outside the root system is a BASE violation, and then no Cartan number,
+P1, P2 or P3 check is made.  `oracle_types` types each
 simple root by looking its vector and twice it up among the spherical roots.
 `oracle_check_p2` finds, for each color in turn, the first type-b root of
 `oracle_types` in its `moved_by`, and compares its `Fraction` values with
@@ -30,7 +30,6 @@ from wondersys import (
     Functional,
     LatticeVector,
     RootSystem,
-    RootSystemError,
     SphericalSystem,
     Violation,
 )
@@ -44,7 +43,7 @@ def oracle_types(system: SphericalSystem) -> Dict[str, str]:
     psi_set = set(system.psi)
     out: Dict[str, str] = {}
     for lab in system.rs.simple_roots:
-        alpha = system.rs.simple_root(lab)
+        alpha = LatticeVector({lab: 1})
         if alpha in psi_set:
             out[lab] = TYPE_B
         elif 2 * alpha in psi_set:
@@ -114,19 +113,13 @@ def oracle_coroot_table(system: SphericalSystem, cartan: dict) -> Dict[str, Tupl
     }
 
 
-def oracle_check_labels(system: SphericalSystem) -> None:
-    """Raise RootSystemError at the first label of a spherical root outside
-    the root system, in the order the roots and their coefficients were
-    given, which is where `validate_system` meets it."""
-    for sigma in system.psi:
-        for lab in sigma._coeffs:
-            if lab not in system.rs:
-                raise RootSystemError(f"unknown simple-root label {lab!r}")
-
-
 def oracle_check_base(
     system: SphericalSystem, cartan: dict, lengths: dict, out: List[Violation]
-) -> None:
+) -> bool:
+    """Append the BASE violations; return False when a spherical root has a
+    label outside the root system, whose Cartan numbers are then not checked."""
+    known = set(system.rs.simple_roots)
+    unknown = False
     seen = set()
     for sigma in system.psi:
         if sigma in seen:
@@ -140,11 +133,18 @@ def oracle_check_base(
                 out.append(
                     Violation("BASE", f"negative coefficient of {lab} in {sigma}")
                 )
+        for lab in sorted(sigma.support - known, key=repr):
+            unknown = True
+            out.append(
+                Violation("BASE", f"spherical root {sigma} has label {lab!r}, not a simple root")
+            )
     # More roots than the rank cannot pass the pairwise test (Humphreys 10.1).
     if len(system.psi) > system.rs.rank:
         n, rank = len(system.psi), system.rs.rank
         out.append(Violation("BASE", f"{n} spherical roots exceed the rank {rank}"))
-        return
+        return not unknown
+    if unknown:
+        return False
     for i, sigma in enumerate(system.psi):
         if sigma.is_zero():
             continue
@@ -161,6 +161,7 @@ def oracle_check_base(
                         "not a nonpositive integer",
                     )
                 )
+    return True
 
 
 def oracle_check_p2(system: SphericalSystem, out: List[Violation]) -> None:
@@ -177,7 +178,7 @@ def oracle_check_p2(system: SphericalSystem, out: List[Violation]) -> None:
             todo.append((firsts[0], k))
     for i, k in sorted(todo):
         d = system.colors[k]
-        moving = {rs.simple_root(lab) for lab in d.moved_by if lab in rs}
+        moving = {LatticeVector({lab: 1}) for lab in d.moved_by if lab in rs}
         for sigma, value in zip(system.psi, d.phi.values):
             if value > 1:
                 out.append(
@@ -241,7 +242,7 @@ def oracle_check_p3(
                                 "restricted coroots",
                             )
                         )
-                    if not _sum_in_psi(psi_set, rs.simple_root(la), rs.simple_root(lb)):
+                    if not _sum_in_psi(psi_set, LatticeVector({la: 1}), LatticeVector({lb: 1})):
                         out.append(
                             Violation(
                                 "P3",
@@ -260,7 +261,7 @@ def oracle_check_p3(
                 and da != db
                 and (la, lb) not in cartan
                 and coroots[la] == coroots[lb]
-                and _sum_in_psi(psi_set, rs.simple_root(la), rs.simple_root(lb))
+                and _sum_in_psi(psi_set, LatticeVector({la: 1}), LatticeVector({lb: 1}))
             ):
                 out.append(
                     Violation(
@@ -273,10 +274,9 @@ def oracle_check_p3(
 
 def oracle_violations(system: SphericalSystem) -> List[Violation]:
     """The violations `validate_system` must report, in its order."""
-    oracle_check_labels(system)
     cartan = block_cartan(system.rs)
     out: List[Violation] = []
-    oracle_check_base(system, cartan, block_lengths(system.rs), out)
+    labels_known = oracle_check_base(system, cartan, block_lengths(system.rs), out)
     seen_ids = set()
     for d in system.colors:
         if d.id in seen_ids:
@@ -295,7 +295,7 @@ def oracle_violations(system: SphericalSystem) -> List[Violation]:
         unknown = [lab for lab in d.moved_by if lab not in system.rs]
         for lab in sorted(unknown, key=repr):
             out.append(Violation("P1", f"color {d.id} is moved by {lab!r}, not a simple root"))
-    if any(len(d.phi) != len(system.psi) for d in system.colors):
+    if not labels_known or any(len(d.phi) != len(system.psi) for d in system.colors):
         return out
     coroots = oracle_coroot_table(system, cartan)
     _check_p1(system, coroots, out)
