@@ -634,8 +634,19 @@ def _recognize(members: list, nbrs: list, bonds: dict, labels: list) -> Componen
     return Component(series, k, tuple(labels[i] for i in order))
 
 
-def _component_positive_roots(labels: Tuple[str, ...], columns: tuple) -> list:
-    """Positive roots of one simple component, as LatticeVector.
+# Sparse columns of one component (the value `_component_columns` returns)
+# -> its positive roots by position, each a tuple of (position, coefficient)
+# pairs.  Only `positive_roots` fills it, on first use of a component, so
+# building root systems and reading documents leave it empty.  Keyed by the
+# columns themselves, an entry is always the closure of the columns it is
+# found under.  At worst it holds every valid (series, rank <= MAX_RANK):
+# 257 entries, 312,245 roots and about 75 MB (tracemalloc, CPython 3.11).
+_COMPONENT_ROOTS: dict = {}
+
+
+def _component_positive_roots(columns: tuple) -> tuple:
+    """Positive roots of one simple component by position: each root is a
+    tuple of (position, coefficient) pairs, with every coefficient positive.
 
     Closure of the simple roots under height-raising simple reflections
     (Humphreys, Introduction to Lie Algebras and Representation Theory,
@@ -648,36 +659,48 @@ def _component_positive_roots(labels: Tuple[str, ...], columns: tuple) -> list:
     minus c times the sparse column `columns[i]`.  Its key is the int with
     coefficient i in bits 4i to 4i + 3: no coefficient exceeds 6 (E8's
     highest root), so the fields never carry and the key is injective.
+    The roots share one tuple per distinct pair, which keeps the table
+    `_COMPONENT_ROOTS` compact.
     """
-    unit = [1 << 4 * i for i in range(len(labels))]
+    unit = [1 << 4 * i for i in range(len(columns))]
     found = set(unit)
-    layer = [(unit[i], {lab: 1}, dict(columns[i])) for i, lab in enumerate(labels)]
+    layer = [(unit[i], {i: 1}, dict(col)) for i, col in enumerate(columns)]
+    pairs = {}
     out = []
     while layer:
         above = []
         for key, coeffs, pairing in layer:
-            root = object.__new__(LatticeVector)
-            _set(root, "_coeffs", coeffs)  # built when found: positive ints only
-            out.append(root)
+            out.append(tuple([pairs.setdefault(pc, pc) for pc in coeffs.items()]))
             for i, c in pairing.items():
                 if c < 0 and (up := key - c * unit[i]) not in found:
                     found.add(up)
                     coeffs_up = dict(coeffs)
-                    coeffs_up[labels[i]] = coeffs.get(labels[i], 0) - c
+                    coeffs_up[i] = coeffs.get(i, 0) - c
                     pairing_up = dict(pairing)
                     for r, x in columns[i]:
                         pairing_up[r] = pairing_up.get(r, 0) - c * x
                     above.append((up, coeffs_up, pairing_up))
         layer = above
-    return out
+    return tuple(out)
 
 
 def positive_roots(rs: RootSystem) -> frozenset:
-    """All positive roots: each lies in one simple component, closed along that
-    component's sparse columns from `_COMPONENT_COLUMNS`; no Cartan block is built.
-    `_component_positive_roots` gives the reflection argument and the root key."""
+    """All positive roots: each lies in one simple component.  A component's
+    roots are closed once by position along its sparse columns from
+    `_COMPONENT_COLUMNS` and kept in `_COMPONENT_ROOTS`; each call only maps
+    positions to the component's labels, building each root's coefficient
+    dict as its vector's own, so no Cartan block and no checked vector is
+    built.  `_component_positive_roots` gives the reflection argument."""
     out = []
+    new = object.__new__
     for comp in rs.components:
         _, columns = _component_columns(comp.series, comp.rank)
-        out += _component_positive_roots(comp.labels, columns)
+        roots = _COMPONENT_ROOTS.get(columns)
+        if roots is None:
+            roots = _COMPONENT_ROOTS[columns] = _component_positive_roots(columns)
+        labels = comp.labels
+        for root in roots:
+            v = new(LatticeVector)
+            _set(v, "_coeffs", {labels[p]: c for p, c in root})
+            out.append(v)
     return frozenset(out)

@@ -109,7 +109,11 @@ def document_to_system(doc: Any) -> SphericalSystem:
         if len(comp) != 2:
             raise _unknown_field(comp, ("series", "rank"), f"root_system.components[{k}]")
         series, rank = comp["series"], comp["rank"]
-        if series not in SERIES_SET or not isinstance(rank, int) or isinstance(rank, bool):
+        # A list or object as the series is unhashable: test the type first.
+        if (
+            not isinstance(series, str) or series not in SERIES_SET
+            or not isinstance(rank, int) or isinstance(rank, bool)
+        ):
             raise DocumentError(
                 f"root_system.components[{k}]: invalid series/rank {series!r}/{rank!r}"
             )

@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import ast
+import contextlib
+import copy
+import io
 import json
 import os
 import subprocess
@@ -9,8 +12,17 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wondersys import RootSystem, SphericalSystem, dumps, loads, localize
+from wondersys import (
+    DocumentError,
+    RootSystem,
+    SphericalSystem,
+    dumps,
+    loads,
+    localize,
+    validate_system,
+)
 from wondersys.catalog import catalog_entries, catalog_entry
 import wondersys.cli
 from wondersys.cli import main
@@ -172,6 +184,17 @@ class TestValidate:
         assert _run(fmt, ["validate", str(path)], capsys) == (
             2,
             f"{path}: colors[0] (D): unknown label ['a1']",
+        )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("series", [[], {}], ids=["list", "object"])
+    def test_unhashable_series_exits_two(self, tmp_path, capsys, fmt, series):
+        doc = {"root_system": {"components": [{"series": series, "rank": 1}]}}
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        assert _run(fmt, ["validate", str(path)], capsys) == (
+            2,
+            f"{path}: root_system.components[0]: invalid series/rank {series!r}/1",
         )
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -579,3 +602,87 @@ class TestColdStart:
         # How a system indexes its colors and simple spherical roots stays
         # behind the module that validates it.
         assert self._private_readers(SphericalSystem, "sphsys.py") == []
+
+
+# Values an edit may put into a document: JSON scalars, among them names,
+# labels and spellings the reader knows, and lists and objects of them.
+_KEYS = ["a1", "a2", "a9", "id", "moved_by", "phi", "coeffs", "series", "rank", "components", "x"]
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 66),
+    st.sampled_from([10**20, 1.5, 0.0]),
+    st.sampled_from(["", "x", "A", "B", "G", "a1", "a0", "a01", "1/2", "-3/2", "1/3", "é", " a1"]),
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: (
+        st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(_KEYS), inner, max_size=3)
+    ),
+    max_leaves=4,
+)
+
+
+def _slots(node, out: list) -> list:
+    """Every (list or object, index or key) below `node`, outermost first."""
+    if isinstance(node, (dict, list)):
+        for key, child in list(node.items() if isinstance(node, dict) else enumerate(node)):
+            out.append((node, key))
+            _slots(child, out)
+    return out
+
+
+@st.composite
+def edited_documents(draw) -> str:
+    """A catalog document after one to three edits, each setting a field to
+    a drawn value, renaming a key, repeating a list element or dropping a key."""
+    doc = json.loads(dumps(draw(st.sampled_from(catalog_entries())).system))
+    for _ in range(draw(st.integers(1, 3))):
+        slots = _slots(doc, [])
+        if not slots:
+            break
+        node, key = draw(st.sampled_from(slots))
+        kinds = ["set", "rename", "drop"] if isinstance(node, dict) else ["set", "repeat"]
+        kind = draw(st.sampled_from(kinds))
+        if kind == "set":
+            node[key] = draw(_VALUES)
+        elif kind == "rename":
+            node[draw(st.sampled_from(_KEYS))] = node.pop(key)
+        elif kind == "repeat":
+            node.insert(key, copy.deepcopy(node[key]))
+        else:
+            del node[key]
+    return json.dumps(doc)
+
+
+class TestEditedDocuments:
+    """Every edited document is read into a system or refused with a
+    DocumentError, and every verb exits 0, 1 or 2 on it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(edited_documents(), st.sampled_from(["text", "json"]))
+    def test_every_verb_exits_zero_one_or_two(self, tmp_path_factory, text, fmt):
+        base = tmp_path_factory.getbasetemp()
+        path, dot = str(base / "edited.json"), str(base / "edited.dot")
+        Path(path).write_text(text)
+        try:
+            system = loads(text)
+        except DocumentError:
+            system = None
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            if system is None:
+                assert main(["--format", fmt, "validate", path]) == 2
+                return
+            first = system.rs.simple_roots[0] if system.rs.rank else "a1"
+            codes = [
+                main(["--format", fmt] + argv)
+                for argv in (
+                    ["validate", path],
+                    ["localize", path, "--subset", first],
+                    ["rigidity", path],
+                    ["critical", path],
+                    ["orbits", path, "--dot", dot],
+                )
+            ]
+        assert codes[0] == (0 if validate_system(system).ok else 1)
+        assert set(codes) <= {0, 1, 2}

@@ -8,10 +8,11 @@ documents are read and the analyses run.
 makes into json's pure-Python indenting encoder.  Each system indexes its
 simple spherical roots on construction, so validation and rigidity build no
 `LatticeVector` either; a test counts both ways of building one.
-`positive_roots` reads each component's sparse Cartan columns from the
-table every root system is built from and makes each root's coefficient
-dict its vector's own, so it builds no Cartan block and takes neither way
-in; a last test counts those calls.
+`positive_roots` closes each component's roots by position along the
+sparse Cartan columns of the table every root system is built from, keeps
+them in a table of its own, and on each call makes each root's relabelled
+coefficient dict its vector's own, so it builds no Cartan block and takes
+neither way in; a last test counts those calls.
 """
 from __future__ import annotations
 

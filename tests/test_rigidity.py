@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 import wondersys.rigidity
 from wondersys import (
     Color,
+    CriticalityEntry,
+    CriticalityReport,
     Functional,
     LatticeVector,
     RootSystem,
@@ -25,7 +27,11 @@ from wondersys import (
     validate_system,
 )
 from wondersys.catalog import catalog_entries, catalog_entry
-from wondersys.rigidity import MAX_ORACLE_FREE_LABELS, _distinguished_witness
+from wondersys.rigidity import (
+    MAX_ORACLE_FREE_LABELS,
+    _distinguished_witness,
+    _proper_supersets,
+)
 
 from criticalityrule import closed_form_critical_roots
 from distinguishedoracle import oracle_distinguished_witness
@@ -381,6 +387,54 @@ class TestClosedFormRule:
             not_vacuous += sum(e.critical and not e.vacuous for e in report.entries)
         # Pinned, so that a change in the generators shows.
         assert (len(systems), not_vacuous) == (4076, 74)
+
+
+def _b2_a1_sharing_a_color() -> SphericalSystem:
+    """B2 (a1, a2) x A1 (a3) with Sigma = (a1 + a2, a2, a3) and a color Dp
+    moved by both a2 and a3: the coatom without a3 keeps a1 + a2, whose
+    support is that whole coatom, before a2."""
+    rs = build_root_system([("B", 2), ("A", 1)])
+    psi = [LatticeVector({"a1": 1, "a2": 1}), LatticeVector({"a2": 1}), LatticeVector({"a3": 1})]
+    colors = [
+        Color("Dp", {"a2", "a3"}, Functional([0, 1, 1])),
+        Color("Dm", {"a2"}, Functional([0, 1, -1])),
+        Color("E", {"a3"}, Functional([0, -1, 1])),
+    ]
+    return SphericalSystem(rs, psi, colors)
+
+
+class TestRootIndexInALocalization:
+    """A root is asked about in a localization at the index it has among the
+    kept roots; a root before it is kept when its support lies in the
+    subset, the whole subset included."""
+
+    def test_a_support_equal_to_the_subset_counts(self):
+        s = _b2_a1_sharing_a_color()
+        assert validate_system(s).ok
+        assert s.type_map == {"a1": "a", "a2": "b", "a3": "b"}
+        expected = CriticalityReport((
+            CriticalityEntry(
+                s.psi[0], distinguished=False, critical=False, vacuous=False,
+                failing_subset=frozenset({"a1", "a2"}),
+            ),
+            CriticalityEntry(s.psi[1], distinguished=False, critical=True, vacuous=False),
+            CriticalityEntry(s.psi[2], distinguished=False, critical=True, vacuous=False),
+        ))
+        assert critical_roots(s) == expected
+        assert critical_roots_oracle(s) == expected
+        assert closed_form_critical_roots(s) == expected
+
+
+def test_proper_supersets_each_once_largest_first():
+    labels = ("a1", "a2", "a3", "a4", "a5")
+    base = frozenset({"a1", "a4"})
+    got = list(_proper_supersets(labels, frozenset(labels), base))
+    # Three free labels: 2^3 - 1 subsets.
+    assert got == [
+        base | {"a2", "a3"}, base | {"a2", "a5"}, base | {"a3", "a5"},
+        base | {"a2"}, base | {"a3"}, base | {"a5"},
+        base,
+    ]
 
 
 class TestRankTwoSplitColors:

@@ -17,10 +17,15 @@ from wondersys import (
     RootSystemError,
     SphericalSystem,
     build_root_system,
+    critical_roots,
     detect_subdiagram_type,
+    dumps,
+    loads,
+    localize,
     positive_roots,
     validate_system,
 )
+from wondersys.catalog import catalog_entries
 
 from wondersys import rootlat
 from wondersys.rootlat import MAX_RANK, _label_key, component_cartan
@@ -950,3 +955,75 @@ class TestComponentColumnTable:
         first_lengths[0] = 99
         assert component_cartan("B", 3) == (second, second_lengths)
         assert build_root_system([("B", 3)]).cartan_entry("a1", "a1") == 2
+
+
+class TestComponentRootTable:
+    """`positive_roots` closes each component's roots once, by position, into
+    a table keyed by the component's sparse columns, and maps positions to
+    labels on every call.  Only `positive_roots` fills that table."""
+
+    @pytest.fixture
+    def table(self, monkeypatch):
+        fresh = {}
+        monkeypatch.setattr(rootlat, "_COMPONENT_ROOTS", fresh)
+        return fresh
+
+    @pytest.mark.parametrize("index", range(3), ids=REFERENCE_IDS)
+    def test_equal_with_an_empty_and_a_filled_table(self, monkeypatch, table, index):
+        rs = reference_systems()[index]
+        filling = positive_roots(rs)
+        assert table
+        filled = positive_roots(rs)
+        monkeypatch.setattr(rootlat, "_COMPONENT_ROOTS", {})
+        assert filling == filled == positive_roots(rs)
+        if index != 1:
+            assert filled == reflection_positive_roots(rs)
+
+    def test_two_components_of_one_kind_share_an_entry(self, table):
+        rs = RootSystem(
+            [Component("B", 3, ("x3", "x1", "x2")), Component("B", 3, ("y1", "y2", "y3"))]
+        )
+        ours = positive_roots(rs)
+        assert len(table) == 1 and len(ours) == 18
+        assert ours == reflection_positive_roots(rs)
+
+    def test_building_systems_leaves_it_empty(self, table):
+        systems = [e.system for e in catalog_entries()]
+        systems += [loads(dumps(s)) for s in systems]
+        build_root_system(MAX_RANK_SPEC)
+        for s in systems:
+            labels = s.rs.simple_roots
+            for size in range(1, len(labels) + 1):
+                localize(s, labels[:size])
+                s.rs.induced(labels[-size:])
+            validate_system(s)
+            critical_roots(s)
+        assert table == {}
+
+    def test_keys_are_the_columns_of_valid_components(self, table):
+        valid = [(series, rank) for series, rank in EVERY_COMPONENT if rank <= 8]
+        for series, rank in valid:
+            positive_roots(build_root_system([(series, rank)]))
+        for spec in ([("A", 0)], [("E", 9)], [("A", MAX_RANK + 1)], [("Q", 2)], [("A", 2.0)]):
+            with pytest.raises(RootSystemError):
+                positive_roots(build_root_system(spec))
+        assert set(table) == {rootlat._component_columns(*c)[1] for c in valid}
+        assert len(table) <= 7 * MAX_RANK
+
+    def test_every_vector_built_has_str_labels(self, monkeypatch, table):
+        coeffs = []
+        original = rootlat._set
+
+        def recording(obj, name, value):
+            if name == "_coeffs":
+                coeffs.append(value)
+            original(obj, name, value)
+
+        monkeypatch.setattr(rootlat, "_set", recording)
+        counts = [len(positive_roots(rs)) for rs in reference_systems()]
+        assert len(coeffs) == sum(counts)
+        assert all(type(lab) is str for c in coeffs for lab in c)
+        # The table itself holds positions and coefficients, no vectors.
+        for roots in table.values():
+            pairs = [pair for root in roots for pair in root]
+            assert all(type(p) is int and type(c) is int and c > 0 for p, c in pairs)

@@ -386,6 +386,15 @@ class TestEveryParseError:
                 "spherical_roots[0]: unknown field 'labels'",
             ),
             (_a1_doc(colors=[_color(labels=[])]), "colors[0] (D): unknown field 'labels'"),
+            # A list or object cannot be looked up in the set of series names.
+            (
+                {"root_system": {"components": [{"series": [], "rank": 1}]}},
+                "root_system.components[0]: invalid series/rank []/1",
+            ),
+            (
+                {"root_system": {"components": [{"series": {"A": 1}, "rank": 1}]}},
+                "root_system.components[0]: invalid series/rank {'A': 1}/1",
+            ),
         ],
     )
     def test_message(self, doc, message):
