@@ -4,7 +4,9 @@ Verbs: validate, localize, rigidity, critical, orbits, catalog.  Input is
 a spherical-system document path or a built-in catalog name.  Exit codes:
 0 success, 1 validation failure, 2 malformed input or arguments, checked in
 that order: the input is read, then validated (by every verb but `validate`)
-before a verb in `_VERBS` reads its own arguments.
+before a verb in `_VERBS` reads its own arguments.  Any other exception is
+an internal error: it is reported as `internal error: <Type>: <message>`
+(on stderr, or as the JSON error envelope) and exits 3.
 """
 from __future__ import annotations
 
@@ -25,6 +27,7 @@ from .sphsys import SphericalSystem, ValidationReport, validate_system
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 
 class CliError(Exception):
@@ -220,6 +223,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(fmt: str, message: str, code: int) -> int:
+    """Report an error in the `--format` fmt and return its exit code.  In
+    text, an invalid system's violations go to stdout and every other error
+    to stderr; in JSON, each is the envelope {"ok": false, "error": message}."""
+    if fmt == "json":
+        print(json.dumps({"ok": False, "error": message}, sort_keys=True))
+    else:
+        print(message, file=sys.stdout if code == EXIT_INVALID else sys.stderr)
+    return code
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -232,11 +246,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         else:
             code, text, payload = _VERBS[args.verb][1](_input_system(args), args)
     except CliError as exc:
-        if args.format == "json":
-            print(json.dumps({"ok": False, "error": str(exc)}, sort_keys=True))
-        else:
-            print(str(exc), file=sys.stderr if exc.code == EXIT_USAGE else sys.stdout)
-        return exc.code
+        return _error(args.format, str(exc), exc.code)
+    except Exception as exc:
+        return _error(args.format, f"internal error: {type(exc).__name__}: {exc}", EXIT_INTERNAL)
     if args.format == "json":
         envelope = {"command": args.verb, "ok": code == EXIT_OK, **payload}
         print(json.dumps(envelope, indent=2, sort_keys=True))

@@ -107,9 +107,6 @@ class LatticeVector(Record):
         _set(v, "_coeffs", coeffs)
         return v
 
-    def coeff(self, label: str) -> int:
-        return self._coeffs.get(label, 0)
-
     @property
     def support(self) -> frozenset:
         return frozenset(self._coeffs)
@@ -149,7 +146,8 @@ class LatticeVector(Record):
         if not self._coeffs:
             return "0"
         parts = []
-        for k, v in sorted(self._coeffs.items(), key=_label_key):
+        for k in sorted(self._coeffs, key=_label_key):
+            v = self._coeffs[k]
             if v == 1:
                 parts.append(k)
             elif v == -1:
@@ -162,8 +160,7 @@ class LatticeVector(Record):
         return f"LatticeVector({dict(sorted(self._coeffs.items()))})"
 
 
-def _label_key(item) -> Tuple[int, str]:
-    label = item[0] if isinstance(item, tuple) else item
+def _label_key(label: str) -> Tuple[int, str]:
     # One character that is not a digit, then decimal digits, as in "a12".
     tail = label[1:]
     if tail.isdecimal() and not label[:1].isdecimal():
@@ -269,8 +266,7 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
     length 2.  A rank that is not an `int` (a bool included) raises
     RootSystemError, so every component's rank is written as a JSON number.
     Each call builds fresh lists; `RootSystem` and `positive_roots` read the
-    same data from the table `_COMPONENT_COLUMNS`, built once per (series,
-    rank).
+    same data from the table `_COMPONENTS`, built once per (series, rank).
     """
     if type(rank) is not int:
         raise RootSystemError(f"invalid component {series}{rank}: rank is not an int")
@@ -299,15 +295,19 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
     raise RootSystemError(f"invalid component {series}{rank}")
 
 
-# (series, rank) -> (half-norms, columns) of one simple component, by
-# position: columns[c] lists the pairs (r, a_rc) with a_rc != 0.  Filled from
+# (series, rank) -> [half-norms, columns, roots] of one simple component, by
+# position: columns[c] lists the pairs (r, a_rc) with a_rc != 0, and roots,
+# None until `positive_roots` first asks for them, lists the positive roots,
+# each a tuple of (position, coefficient) pairs.  Filled from
 # `component_cartan` on first use, only for valid components of rank at most
-# MAX_RANK, so it never holds more than 7 * MAX_RANK entries.
-_COMPONENT_COLUMNS: dict = {}
+# MAX_RANK, so it never holds more than 7 * MAX_RANK entries.  With every
+# valid (series, rank) entered and its roots filled it holds 257 entries,
+# 312,245 roots and about 75 MB (tracemalloc, CPython 3.11).
+_COMPONENTS: dict = {}
 
 
-def _component_columns(series: str, rank: int) -> Tuple[tuple, tuple]:
-    """The half-norms and sparse Cartan columns of one component, by position.
+def _component(series: str, rank: int) -> list:
+    """The entry [half-norms, columns, roots] of one component, by position.
 
     Invalid data raises as in `component_cartan`, and a rank above MAX_RANK
     raises before anything is built.  The table is read only for a `str`
@@ -315,29 +315,30 @@ def _component_columns(series: str, rank: int) -> Tuple[tuple, tuple]:
     """
     key = (series, rank)
     if type(series) is str and type(rank) is int:
-        if key in _COMPONENT_COLUMNS:
-            return _COMPONENT_COLUMNS[key]
+        entry = _COMPONENTS.get(key)
+        if entry is not None:
+            return entry
         if rank > MAX_RANK:
             raise RootSystemError(f"component {series}{rank} exceeds the limit {MAX_RANK}")
     cartan, lengths = component_cartan(series, rank)
-    entry = _COMPONENT_COLUMNS[key] = (
+    entry = _COMPONENTS[key] = [
         tuple(x // 2 for x in lengths),
         tuple(
             tuple((r, row[c]) for r, row in enumerate(cartan) if row[c])
             for c in range(rank)
         ),
-    )
+        None,
+    ]
     return entry
 
 
-def _place(comp: Component, half_norms: dict, columns: dict) -> None:
-    """Enter one component's half-norms and Cartan columns, read from
-    `_COMPONENT_COLUMNS` by position, under its labels."""
-    norms, cols = _component_columns(comp.series, comp.rank)
+def _place(comp: Component, by_label: dict) -> None:
+    """Enter one component's (half-norm, Cartan column) pairs, read from
+    `_COMPONENTS` by position, under its labels."""
+    norms, cols, _ = _component(comp.series, comp.rank)
     labels = comp.labels
     for label, d, col in zip(labels, norms, cols):
-        half_norms[label] = d
-        columns[label] = frozenset([(labels[r], x) for r, x in col])
+        by_label[label] = (d, frozenset([(labels[r], x) for r, x in col]))
 
 
 class Component(Record):
@@ -360,14 +361,14 @@ class RootSystem(Record):
     b's own component block, so every column holds at most four entries and
     pairing a coroot with a vector costs its support times the few
     neighbours of each label.  With it comes d_a = |alpha_a|^2 / 2, which is
-    1, 2 or 3 (`half_norm`).  Both are read, by position in the component,
-    from the table `_COMPONENT_COLUMNS`, which holds them once per (series,
-    rank) and at most 7 * MAX_RANK entries in all, so a new root system
-    builds no Cartan block and only maps positions to its labels.  The
-    invariant form on simple roots is (alpha_a, alpha_b) = d_a a_ab, so no
-    Gram matrix is stored.  Nothing of size n x n is built.  Only `index`
-    knows where a label stands in the system; no other field of it depends
-    on positions.  The total rank may not exceed MAX_RANK.
+    1, 2 or 3 (`half_norm`).  Both sit in one table keyed by label, as the
+    pair (d_b, column(b)), read by position in the component from the table
+    `_COMPONENTS`, which holds them once per (series, rank) and at most
+    7 * MAX_RANK entries in all, so a new root system builds no Cartan block
+    and only maps positions to its labels.  The invariant form on simple
+    roots is (alpha_a, alpha_b) = d_a a_ab, so no Gram matrix is stored.
+    Nothing of size n x n is built.  Only `index` knows where a label stands
+    in the system; no other field of it depends on positions.  The total rank may not exceed MAX_RANK.
     A `Record` whose value is its components: equality, hash, copy and
     pickle read them alone, and every other slot is derived from them.
     Safe for concurrent use.
@@ -382,7 +383,7 @@ class RootSystem(Record):
     component; it needs no check of the order before it.
     """
 
-    __slots__ = ("components", "simple_roots", "_keys", "_index", "_d", "_columns")
+    __slots__ = ("components", "simple_roots", "_keys", "_index", "_by_label")
     _value = ("components",)
 
     def __init__(self, components: Sequence[Component]):
@@ -401,26 +402,23 @@ class RootSystem(Record):
         )
         if len({lab for comp in components for lab in comp.labels}) != n:
             raise RootSystemError("duplicate simple-root labels")
-        half_norms = {}
-        columns = {}
+        by_label = {}
         for _, comp in keyed:
             if len(comp.labels) != comp.rank:
                 raise RootSystemError("component label count mismatch")
-            _place(comp, half_norms, columns)
-        self._assign(keyed, half_norms, columns)
+            _place(comp, by_label)
+        self._assign(keyed, by_label)
 
-    def _assign(self, keyed: Sequence[Tuple[tuple, Component]], half_norms: dict,
-                columns: dict) -> None:
+    def _assign(self, keyed: Sequence[Tuple[tuple, Component]], by_label: dict) -> None:
         """Set every field from the (smallest key, component) pairs in key
-        order and the half-norms and columns by label."""
+        order and the (half-norm, column) pairs by label."""
         components = tuple(comp for _, comp in keyed)
         simple_roots = tuple(lab for comp in components for lab in comp.labels)
         _set(self, "components", components)
         _set(self, "_keys", tuple(key for key, _ in keyed))
         _set(self, "simple_roots", simple_roots)
         _set(self, "_index", {lab: i for i, lab in enumerate(simple_roots)})
-        _set(self, "_d", half_norms)
-        _set(self, "_columns", columns)
+        _set(self, "_by_label", by_label)
 
     def induced(self, subset: Iterable[str]) -> "RootSystem":
         """The root system on the sub-diagram of a set of simple-root labels.
@@ -428,13 +426,12 @@ class RootSystem(Record):
         Equal to `RootSystem` of the typed components of that sub-diagram,
         but derived from this one.  A label outside the system, or a `str`
         (read as its characters), raises RootSystemError before anything
-        is built.  The half-norms and columns start as copies of this
-        system's tables, which are keyed by label, so a component the
-        subset covers keeps its key and entries as they are.  The labels of
-        every other component are deleted from the copies; what the subset
-        keeps of a cut component is typed again by
-        `detect_subdiagram_type`, and each piece enters its columns and
-        half-norms from `_COMPONENT_COLUMNS`, as `__init__` does.
+        is built.  The label table starts as a copy of this system's, so a
+        component the subset covers keeps its key and entries as they are.
+        The labels of every other component are deleted from the copy; what
+        the subset keeps of a cut component is typed again by
+        `detect_subdiagram_type`, and each piece enters its half-norms and
+        columns from `_COMPONENTS`, as `__init__` does.
         """
         if isinstance(subset, str):
             raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
@@ -442,23 +439,22 @@ class RootSystem(Record):
         unknown = subset - self._index.keys()
         if unknown:
             raise RootSystemError(f"unknown simple-root label {next(iter(unknown))!r}")
-        half_norms = dict(self._d)
-        columns = dict(self._columns)
+        by_label = dict(self._by_label)
         keyed = []
         for key, comp in zip(self._keys, self.components):
             if subset.issuperset(comp.labels):
                 keyed.append((key, comp))
                 continue
             for lab in comp.labels:
-                del half_norms[lab], columns[lab]
+                del by_label[lab]
             kept = [lab for lab in comp.labels if lab in subset]
             if kept:
                 for piece in detect_subdiagram_type(self, kept):
                     keyed.append((min(map(_label_key, piece.labels)), piece))
-                    _place(piece, half_norms, columns)
+                    _place(piece, by_label)
         keyed.sort(key=itemgetter(0))
         rs = object.__new__(RootSystem)
-        rs._assign(keyed, half_norms, columns)
+        rs._assign(keyed, by_label)
         return rs
 
     @property
@@ -478,7 +474,7 @@ class RootSystem(Record):
     def column(self, label: str) -> frozenset:
         """The nonzero entries (a, a_ab) of the Cartan column of b = label."""
         try:
-            return self._columns[label]
+            return self._by_label[label][1]
         except KeyError:
             raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
@@ -493,7 +489,7 @@ class RootSystem(Record):
     def half_norm(self, label: str) -> int:
         """d_a = (alpha_a, alpha_a) / 2 of the simple root a = label: 1, 2 or 3."""
         try:
-            return self._d[label]
+            return self._by_label[label][0]
         except KeyError:
             raise RootSystemError(f"unknown simple-root label {label!r}") from None
 
@@ -519,7 +515,7 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
         # component_cartan refuses a rank that is not an int, before any sum.
         if type(rank) is int and next_i - 1 + rank > MAX_RANK:
             raise RootSystemError(f"total rank exceeds the limit {MAX_RANK}")
-        _component_columns(series, rank)  # raises on invalid data
+        _component(series, rank)  # raises on invalid data
         labels = tuple(f"a{next_i + k}" for k in range(rank))
         comps.append(Component(series, rank, labels))
         next_i += rank
@@ -634,16 +630,6 @@ def _recognize(members: list, nbrs: list, bonds: dict, labels: list) -> Componen
     return Component(series, k, tuple(labels[i] for i in order))
 
 
-# Sparse columns of one component (the value `_component_columns` returns)
-# -> its positive roots by position, each a tuple of (position, coefficient)
-# pairs.  Only `positive_roots` fills it, on first use of a component, so
-# building root systems and reading documents leave it empty.  Keyed by the
-# columns themselves, an entry is always the closure of the columns it is
-# found under.  At worst it holds every valid (series, rank <= MAX_RANK):
-# 257 entries, 312,245 roots and about 75 MB (tracemalloc, CPython 3.11).
-_COMPONENT_ROOTS: dict = {}
-
-
 def _component_positive_roots(columns: tuple) -> tuple:
     """Positive roots of one simple component by position: each root is a
     tuple of (position, coefficient) pairs, with every coefficient positive.
@@ -659,8 +645,8 @@ def _component_positive_roots(columns: tuple) -> tuple:
     minus c times the sparse column `columns[i]`.  Its key is the int with
     coefficient i in bits 4i to 4i + 3: no coefficient exceeds 6 (E8's
     highest root), so the fields never carry and the key is injective.
-    The roots share one tuple per distinct pair, which keeps the table
-    `_COMPONENT_ROOTS` compact.
+    The roots share one tuple per distinct pair, which keeps the roots slots
+    of `_COMPONENTS` compact.
     """
     unit = [1 << 4 * i for i in range(len(columns))]
     found = set(unit)
@@ -686,18 +672,19 @@ def _component_positive_roots(columns: tuple) -> tuple:
 
 def positive_roots(rs: RootSystem) -> frozenset:
     """All positive roots: each lies in one simple component.  A component's
-    roots are closed once by position along its sparse columns from
-    `_COMPONENT_COLUMNS` and kept in `_COMPONENT_ROOTS`; each call only maps
-    positions to the component's labels, building each root's coefficient
-    dict as its vector's own, so no Cartan block and no checked vector is
-    built.  `_component_positive_roots` gives the reflection argument."""
+    roots are closed once by position along the sparse columns of its
+    `_COMPONENTS` entry and kept in that entry's roots slot, which only this
+    function fills; each call only maps positions to the component's labels,
+    building each root's coefficient dict as its vector's own, so no Cartan
+    block and no checked vector is built.  `_component_positive_roots` gives
+    the reflection argument."""
     out = []
     new = object.__new__
     for comp in rs.components:
-        _, columns = _component_columns(comp.series, comp.rank)
-        roots = _COMPONENT_ROOTS.get(columns)
+        entry = _component(comp.series, comp.rank)
+        roots = entry[2]
         if roots is None:
-            roots = _COMPONENT_ROOTS[columns] = _component_positive_roots(columns)
+            roots = entry[2] = _component_positive_roots(entry[1])
         labels = comp.labels
         for root in roots:
             v = new(LatticeVector)

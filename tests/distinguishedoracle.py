@@ -30,9 +30,10 @@ def oracle_distinguished_witness(
     if len(comps) != 1:
         return None
     comp = comps[0]
+    coeffs = dict(sigma.items())
     # Condition 2: sigma is the full chain sum of a B_k sub-diagram whose
     # roots after the first are all of type a.
-    if comp.series == "B" and all(sigma.coeff(lab) == 1 for lab in comp.labels):
+    if comp.series == "B" and all(coeffs.get(lab, 0) == 1 for lab in comp.labels):
         tail = comp.labels[1:]
         if all(system.type_map[lab] == TYPE_A for lab in tail):
             return DistinguishedWitness(
@@ -43,7 +44,7 @@ def oracle_distinguished_witness(
     # Condition 3: long + twice the short root of a G_2 sub-diagram.
     if comp.series == "G":
         long_root, short_root = comp.labels
-        if sigma.coeff(long_root) == 1 and sigma.coeff(short_root) == 2:
+        if coeffs.get(long_root, 0) == 1 and coeffs.get(short_root, 0) == 2:
             return DistinguishedWitness(
                 sigma, 3, f"G2 pair ({long_root} long, {short_root} short)"
             )

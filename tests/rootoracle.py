@@ -1,8 +1,8 @@
 """Independent root-system oracles.
 
 They read the Cartan matrix and the root lengths straight off each
-component's standard block (`component_cartan`), never through the column
-index a `RootSystem` keeps or the table `_COMPONENT_COLUMNS` it and
+component's standard block (`component_cartan`), never through the label
+table a `RootSystem` keeps or the component table `_COMPONENTS` it and
 `positive_roots` are built from, so a wrong entry in that table shows as a
 disagreement.  `block_cartan` and `block_lengths` read the blocks once per
 root system; `block_pairing` pairs a coroot with a vector through them,

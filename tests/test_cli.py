@@ -561,6 +561,23 @@ class TestJsonFormat:
         assert json.dumps(payload["system"], indent=2, sort_keys=True) + "\n" == text
 
 
+class TestInternalError:
+    """An exception other than `CliError` exits 3, distinct from an invalid
+    system (1) and a malformed input (2), and is reported, not raised."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_an_unexpected_exception_exits_three(self, fmt, capsys, monkeypatch):
+        def broken(system, args):
+            raise RuntimeError("verb broke")
+
+        help_text, _ = wondersys.cli._VERBS["rigidity"]
+        monkeypatch.setitem(wondersys.cli._VERBS, "rigidity", (help_text, broken))
+        assert wondersys.cli.EXIT_INTERNAL == 3
+        assert _run(fmt, ["rigidity", "p1"], capsys) == (
+            3, "internal error: RuntimeError: verb broke"
+        )
+
+
 class TestColdStart:
     def test_import_loads_neither_dataclasses_nor_inspect(self):
         # Only the modules the import adds count, so what `site` loads first

@@ -209,15 +209,13 @@ class TestComponentOrder:
                 RootSystem(comps)
 
     def test_label_key_matches_the_generator_form(self):
-        def generator_key(item):
-            label = item[0] if isinstance(item, tuple) else item
+        def generator_key(label):
             digits = "".join(c for c in label if c.isdigit())
             return (int(digits) if digits else 0, label)
 
         labels = [f"a{i}" for i in range(1, 65)] + ["x", "b10", "e6", "a1b2", "", "a\u0663"]
         for label in labels:
             assert _label_key(label) == generator_key(label)
-            assert _label_key((label, 1)) == generator_key((label, 1))
         assert _label_key("a\u0663") == (3, "a\u0663")
 
     def test_label_key_fast_path_matches_the_filter_form(self):
@@ -283,21 +281,29 @@ class TestCartanAgainstComponentBlocks:
 
 
 class TestOraclesReadTheBlocks:
-    """A wrong entry in `_COMPONENT_COLUMNS`, the table every `RootSystem` and
+    """A wrong entry in `_COMPONENTS`, the table every `RootSystem` and
     `positive_roots` read, must show against the references, which read the
     standard blocks.  B3 with <alpha_3^vee, alpha_2> = -1 in place of -2."""
 
     @pytest.fixture
     def corrupted(self, monkeypatch):
-        norms, columns = rootlat._component_columns("B", 3)
+        norms, columns, _ = rootlat._component("B", 3)
         assert columns[1] == ((0, -1), (1, 2), (2, -2))
         wrong = (columns[0], ((0, -1), (1, 2), (2, -1)), columns[2])
-        monkeypatch.setitem(rootlat._COMPONENT_COLUMNS, ("B", 3), (norms, wrong))
+        monkeypatch.setitem(rootlat._COMPONENTS, ("B", 3), [norms, wrong, None])
         return build_root_system([("B", 3)])
 
     def test_positive_roots_differ_from_the_reflection_oracle(self, corrupted):
         assert len(reflection_positive_roots(corrupted)) == 9
         assert positive_roots(corrupted) != reflection_positive_roots(corrupted)
+
+    def test_undoing_the_corruption_leaves_no_wrong_roots(self, corrupted, monkeypatch):
+        # The corrupted entry carries the roots closed from its columns, so
+        # restoring the entry restores the roots as well.
+        assert positive_roots(corrupted) != reflection_positive_roots(corrupted)
+        monkeypatch.undo()
+        b3 = build_root_system([("B", 3)])
+        assert positive_roots(b3) == reflection_positive_roots(b3)
 
     def test_validation_differs_from_the_validation_oracle(self, corrupted):
         # a2 of type b; a3 of type d, its color the coroot of a3 on a2, -2.
@@ -912,7 +918,7 @@ class TestComponentColumnTable:
             return original(series, rank)
 
         monkeypatch.setattr(rootlat, "component_cartan", counting)
-        monkeypatch.setattr(rootlat, "_COMPONENT_COLUMNS", {})
+        monkeypatch.setattr(rootlat, "_COMPONENTS", {})
         build_root_system([("B", 3), ("B", 3), ("A", 2)])
         build_root_system([("A", 2)])
         RootSystem([Component("B", 3, ("x1", "x2", "x3"))])
@@ -924,14 +930,14 @@ class TestComponentColumnTable:
         for spec in ([("A", 0)], [("E", 9)], [("A", MAX_RANK + 1)], [("Q", 2)], [("A", 2.0)]):
             with pytest.raises(RootSystemError):
                 build_root_system(spec)
-        table = rootlat._COMPONENT_COLUMNS
+        table = rootlat._COMPONENTS
         assert len(table) <= 7 * MAX_RANK
         assert set(table) <= set(EVERY_COMPONENT)
 
     def test_refuses_a_rank_above_the_limit_before_building(self):
         with pytest.raises(RootSystemError, match="exceeds the limit"):
-            rootlat._component_columns("A", 10**9)
-        assert ("A", 10**9) not in rootlat._COMPONENT_COLUMNS
+            rootlat._component("A", 10**9)
+        assert ("A", 10**9) not in rootlat._COMPONENTS
 
     @pytest.mark.parametrize("rank", [2.0, True])
     def test_a_rank_equal_to_a_built_int_is_still_refused(self, rank):
@@ -959,22 +965,26 @@ class TestComponentColumnTable:
 
 class TestComponentRootTable:
     """`positive_roots` closes each component's roots once, by position, into
-    a table keyed by the component's sparse columns, and maps positions to
-    labels on every call.  Only `positive_roots` fills that table."""
+    the roots slot of the component's `_COMPONENTS` entry, and maps positions
+    to labels on every call.  Only `positive_roots` fills a roots slot."""
 
     @pytest.fixture
     def table(self, monkeypatch):
         fresh = {}
-        monkeypatch.setattr(rootlat, "_COMPONENT_ROOTS", fresh)
+        monkeypatch.setattr(rootlat, "_COMPONENTS", fresh)
         return fresh
+
+    @staticmethod
+    def _filled(table):
+        return {key for key, (_, _, roots) in table.items() if roots is not None}
 
     @pytest.mark.parametrize("index", range(3), ids=REFERENCE_IDS)
     def test_equal_with_an_empty_and_a_filled_table(self, monkeypatch, table, index):
         rs = reference_systems()[index]
         filling = positive_roots(rs)
-        assert table
+        assert self._filled(table)
         filled = positive_roots(rs)
-        monkeypatch.setattr(rootlat, "_COMPONENT_ROOTS", {})
+        monkeypatch.setattr(rootlat, "_COMPONENTS", {})
         assert filling == filled == positive_roots(rs)
         if index != 1:
             assert filled == reflection_positive_roots(rs)
@@ -984,7 +994,7 @@ class TestComponentRootTable:
             [Component("B", 3, ("x3", "x1", "x2")), Component("B", 3, ("y1", "y2", "y3"))]
         )
         ours = positive_roots(rs)
-        assert len(table) == 1 and len(ours) == 18
+        assert self._filled(table) == {("B", 3)} and len(ours) == 18
         assert ours == reflection_positive_roots(rs)
 
     def test_building_systems_leaves_it_empty(self, table):
@@ -998,16 +1008,16 @@ class TestComponentRootTable:
                 s.rs.induced(labels[-size:])
             validate_system(s)
             critical_roots(s)
-        assert table == {}
+        assert table and self._filled(table) == set()
 
-    def test_keys_are_the_columns_of_valid_components(self, table):
+    def test_slots_fill_only_for_valid_components(self, table):
         valid = [(series, rank) for series, rank in EVERY_COMPONENT if rank <= 8]
         for series, rank in valid:
             positive_roots(build_root_system([(series, rank)]))
         for spec in ([("A", 0)], [("E", 9)], [("A", MAX_RANK + 1)], [("Q", 2)], [("A", 2.0)]):
             with pytest.raises(RootSystemError):
                 positive_roots(build_root_system(spec))
-        assert set(table) == {rootlat._component_columns(*c)[1] for c in valid}
+        assert self._filled(table) == set(table) == set(valid)
         assert len(table) <= 7 * MAX_RANK
 
     def test_every_vector_built_has_str_labels(self, monkeypatch, table):
@@ -1024,6 +1034,6 @@ class TestComponentRootTable:
         assert len(coeffs) == sum(counts)
         assert all(type(lab) is str for c in coeffs for lab in c)
         # The table itself holds positions and coefficients, no vectors.
-        for roots in table.values():
+        for _, _, roots in table.values():
             pairs = [pair for root in roots for pair in root]
             assert all(type(p) is int and type(c) is int and c > 0 for p, c in pairs)

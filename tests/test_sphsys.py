@@ -378,7 +378,8 @@ class TestLatticeRank:
 
 def _rational_rank(labels, psi):
     """Rank by Gaussian elimination over Fraction, as a reference."""
-    rows = [[Fraction(sigma.coeff(lab)) for lab in labels] for sigma in psi]
+    coeffs = [dict(sigma.items()) for sigma in psi]
+    rows = [[Fraction(c.get(lab, 0)) for lab in labels] for c in coeffs]
     rank = 0
     for col in range(len(labels)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)

@@ -2,8 +2,8 @@
 
 Every pairing and form here comes from the standard Cartan blocks of the
 components, read once per system by `rootoracle.block_cartan` and
-`block_lengths`, never from the column index a `RootSystem` keeps or the
-table `_COMPONENT_COLUMNS` that `validate_system` reads it through.  The
+`block_lengths`, never from the label table a `RootSystem` keeps or the
+component table `_COMPONENTS` that `validate_system` reads it through.  The
 restricted coroots are paired through `block_pairing` for every simple
 root and spherical root, the BASE Cartan numbers go through `gram_form`
 for every pair of spherical roots and print through `Fraction`, and P3
@@ -79,7 +79,8 @@ def spherical_lattice_rank(system: SphericalSystem) -> int:
     vectors, so dependent spherical roots are counted once.
     """
     labels = system.rs.simple_roots
-    rows = [[sigma.coeff(lab) for lab in labels] for sigma in system.psi]
+    coeffs = [dict(sigma.items()) for sigma in system.psi]
+    rows = [[c.get(lab, 0) for lab in labels] for c in coeffs]
     rank, previous = 0, 1
     for col in range(len(labels)):
         pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
