@@ -4,9 +4,13 @@ The localized system lives on the induced sub-root-system, keeps the
 spherical roots supported inside the subset, and restricts each surviving
 color's functional to the kept spherical roots.  When every spherical root
 is kept, a color moved only by labels of the subset is unchanged, and the
-localization holds the parent's own object.  Color ids are preserved,
-so the color correspondence with the parent system is the identity on ids
-and localization composes strictly.
+localization holds the parent's own object.  Any other surviving color
+is derived from the parent's, which passed `Color`'s checks, and is built
+without running them again: it keeps the parent's `moved_by` frozenset
+when every label moving it survives, and its `phi` when every spherical
+root is kept; otherwise `Functional.restrict` restricts it.  Color ids
+are preserved, so the color correspondence with the parent system is the
+identity on ids and localization composes strictly.
 
 The induced root system is `RootSystem.induced`: derived from copies of
 the ambient tables, it reuses each component that the subset covers as it
@@ -42,10 +46,12 @@ def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
         moved = d.moved_by & sub
         if not moved:
             continue
-        if every_root and len(moved) == len(d.moved_by):
+        whole = len(moved) == len(d.moved_by)
+        if every_root and whole:
             colors.append(d)
         else:
-            colors.append(Color(d.id, moved, d.phi.restrict(kept)))
+            phi = d.phi if every_root else d.phi.restrict(kept)
+            colors.append(Color._of(d.id, d.moved_by if whole else moved, phi))
     return SphericalSystem(rs, psi, colors)
 
 

@@ -296,13 +296,15 @@ def component_cartan(series: str, rank: int) -> Tuple[list, list]:
 
 
 # (series, rank) -> [half-norms, columns, roots] of one simple component, by
-# position: columns[c] lists the pairs (r, a_rc) with a_rc != 0, and roots,
-# None until `positive_roots` first asks for them, lists the positive roots,
-# each a tuple of (position, coefficient) pairs.  Filled from
-# `component_cartan` on first use, only for valid components of rank at most
-# MAX_RANK, so it never holds more than 7 * MAX_RANK entries.  With every
-# valid (series, rank) entered and its roots filled it holds 257 entries,
-# 312,245 roots and about 75 MB (tracemalloc, CPython 3.11).
+# position: columns[c] is the pair (rows, entries) of two tuples, the rows r
+# with a_rc != 0 in ascending order and those entries a_rc, so a column is
+# labelled in one `zip` over a `map`.  Roots, None until `positive_roots`
+# first asks for them, lists the positive roots, each a tuple of (position,
+# coefficient) pairs.  Filled from `component_cartan` on first use, only for
+# valid components of rank at most MAX_RANK, so it never holds more than
+# 7 * MAX_RANK entries.  With every valid (series, rank) entered and its
+# roots filled it holds 257 entries, 312,245 roots and about 75 MB
+# (tracemalloc, CPython 3.11).
 _COMPONENTS: dict = {}
 
 
@@ -324,7 +326,10 @@ def _component(series: str, rank: int) -> list:
     entry = _COMPONENTS[key] = [
         tuple(x // 2 for x in lengths),
         tuple(
-            tuple((r, row[c]) for r, row in enumerate(cartan) if row[c])
+            (
+                tuple(r for r, row in enumerate(cartan) if row[c]),
+                tuple(row[c] for row in cartan if row[c]),
+            )
             for c in range(rank)
         ),
         None,
@@ -334,22 +339,34 @@ def _component(series: str, rank: int) -> list:
 
 def _place(comp: Component, by_label: dict) -> None:
     """Enter one component's (half-norm, Cartan column) pairs, read from
-    `_COMPONENTS` by position, under its labels."""
+    `_COMPONENTS` by position, under its labels.  Each column's (rows,
+    entries) pair is labelled by mapping its rows to the component's labels
+    and zipping them with its entries, without a loop in Python per entry."""
     norms, cols, _ = _component(comp.series, comp.rank)
     labels = comp.labels
-    for label, d, col in zip(labels, norms, cols):
-        by_label[label] = (d, frozenset([(labels[r], x) for r, x in col]))
+    at = labels.__getitem__
+    for label, d, (rows, entries) in zip(labels, norms, cols):
+        by_label[label] = (d, frozenset(zip(map(at, rows), entries)))
 
 
 class Component(Record):
-    """One simple component: its series, rank and labels in canonical order."""
+    """One simple component: its series, rank and labels in canonical order.
+
+    The labels are kept as a tuple, whatever sequence they are given as, so
+    components compare and hash by value; a `str`, which would be read as
+    its characters, raises RootSystemError.
+    """
 
     __slots__ = ("series", "rank", "labels")
 
-    def __init__(self, series: str, rank: int, labels: Tuple[str, ...]):
+    def __init__(self, series: str, rank: int, labels: Sequence[str]):
+        if isinstance(labels, str):
+            raise RootSystemError(
+                f"component {series}{rank}: labels is a str, not a sequence of labels: {labels!r}"
+            )
         _set(self, "series", series)
         _set(self, "rank", rank)
-        _set(self, "labels", labels)
+        _set(self, "labels", tuple(labels))
 
 
 class RootSystem(Record):
@@ -365,8 +382,10 @@ class RootSystem(Record):
     pair (d_b, column(b)), read by position in the component from the table
     `_COMPONENTS`, which holds them once per (series, rank) and at most
     7 * MAX_RANK entries in all, so a new root system builds no Cartan block
-    and only maps positions to its labels.  The invariant form on simple
-    roots is (alpha_a, alpha_b) = d_a a_ab, so no Gram matrix is stored.
+    and only maps positions to its labels: each column is kept there as a
+    (rows, entries) pair, and its rows are mapped to labels in one `zip`.
+    The invariant form on simple roots is (alpha_a, alpha_b) = d_a a_ab, so
+    no Gram matrix is stored.
     Nothing of size n x n is built.  Only `index` knows where a label stands
     in the system; no other field of it depends on positions.  The total rank may not exceed MAX_RANK.
     A `Record` whose value is its components: equality, hash, copy and
@@ -388,19 +407,21 @@ class RootSystem(Record):
 
     def __init__(self, components: Sequence[Component]):
         components = tuple(components)
-        n = sum(len(comp.labels) for comp in components)
+        # The total rank, the label types and, after the sort, duplicates are
+        # checked on one flat list of the labels.
+        labels = [lab for comp in components for lab in comp.labels]
+        n = len(labels)
         if n > MAX_RANK:
             raise RootSystemError(f"total rank {n} exceeds the limit {MAX_RANK}")
-        for comp in components:
-            for lab in comp.labels:
-                if not isinstance(lab, str):
-                    raise RootSystemError(f"simple-root label {lab!r} is not a str")
+        for lab in labels:
+            if not isinstance(lab, str):
+                raise RootSystemError(f"simple-root label {lab!r} is not a str")
         # A component without labels is refused below, with its own message.
         keyed = sorted(
             ((min(map(_label_key, comp.labels), default=()), comp) for comp in components),
             key=itemgetter(0),
         )
-        if len({lab for comp in components for lab in comp.labels}) != n:
+        if len(set(labels)) != n:
             raise RootSystemError("duplicate simple-root labels")
         by_label = {}
         for _, comp in keyed:
@@ -642,15 +663,16 @@ def _component_positive_roots(columns: tuple) -> tuple:
     beta at each i with c = <beta, alpha_i^vee> < 0, which adds -c to
     coefficient i, reaches every positive root and nothing else.  A root
     carries its nonzero pairings by position, and s_i(beta) pairs as beta
-    minus c times the sparse column `columns[i]`.  Its key is the int with
-    coefficient i in bits 4i to 4i + 3: no coefficient exceeds 6 (E8's
-    highest root), so the fields never carry and the key is injective.
+    minus c times the sparse column `columns[i]`, a (rows, entries) pair as
+    `_COMPONENTS` holds it.  Its key is the int with coefficient i in bits
+    4i to 4i + 3: no coefficient exceeds 6 (E8's highest root), so the
+    fields never carry and the key is injective.
     The roots share one tuple per distinct pair, which keeps the roots slots
     of `_COMPONENTS` compact.
     """
     unit = [1 << 4 * i for i in range(len(columns))]
     found = set(unit)
-    layer = [(unit[i], {i: 1}, dict(col)) for i, col in enumerate(columns)]
+    layer = [(unit[i], {i: 1}, dict(zip(*col))) for i, col in enumerate(columns)]
     pairs = {}
     out = []
     while layer:
@@ -663,11 +685,17 @@ def _component_positive_roots(columns: tuple) -> tuple:
                     coeffs_up = dict(coeffs)
                     coeffs_up[i] = coeffs.get(i, 0) - c
                     pairing_up = dict(pairing)
-                    for r, x in columns[i]:
+                    for r, x in zip(*columns[i]):
                         pairing_up[r] = pairing_up.get(r, 0) - c * x
                     above.append((up, coeffs_up, pairing_up))
         layer = above
     return tuple(out)
+
+
+# The setter of `LatticeVector`'s `_coeffs` slot, called as
+# `_set_coeffs(vector, coeffs)`: it skips the lookup of the slot by name
+# that `_set` makes on every call.
+_set_coeffs = LatticeVector._coeffs.__set__
 
 
 def positive_roots(rs: RootSystem) -> frozenset:
@@ -675,9 +703,10 @@ def positive_roots(rs: RootSystem) -> frozenset:
     roots are closed once by position along the sparse columns of its
     `_COMPONENTS` entry and kept in that entry's roots slot, which only this
     function fills; each call only maps positions to the component's labels,
-    building each root's coefficient dict as its vector's own, so no Cartan
-    block and no checked vector is built.  `_component_positive_roots` gives
-    the reflection argument."""
+    building each root's coefficient dict as its vector's own and storing it
+    through the slot's setter `_set_coeffs`, so no Cartan block and no
+    checked vector is built.  `_component_positive_roots` gives the
+    reflection argument."""
     out = []
     new = object.__new__
     for comp in rs.components:
@@ -688,6 +717,6 @@ def positive_roots(rs: RootSystem) -> frozenset:
         labels = comp.labels
         for root in roots:
             v = new(LatticeVector)
-            _set(v, "_coeffs", {labels[p]: c for p, c in root})
+            _set_coeffs(v, {labels[p]: c for p, c in root})
             out.append(v)
     return frozenset(out)

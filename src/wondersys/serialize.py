@@ -16,6 +16,12 @@ MAX_RANK, a color id used twice, a label listed twice in one `moved_by`
 and a key given twice in one JSON object (`json` would keep the last one)
 are parsing errors too.
 
+`loads` reads every document with one module-level `json.JSONDecoder`
+holding the duplicate-key hook, built once at import, since `json.loads`
+given a hook builds a new decoder on every call.  It keeps `json.loads`'s
+prelude: `bytes` are decoded in the encoding `json.detect_encoding` finds,
+and a `str` starting with U+FEFF is refused, as invalid JSON at line 1.
+
 `dumps` is the one writer.  It writes the document text in one pass over
 the system, laid out as `json.dumps(doc, indent=2, sort_keys=True)` would
 lay out the document `doc`: two-space indentation, keys in string order (so
@@ -85,6 +91,11 @@ def _object(pairs: list) -> dict:
                 raise DocumentError(f"duplicate key {key!r}")
             seen.add(key)
     return obj
+
+
+# The one decoder `loads` reads every document with: `json.loads` given a
+# hook would build a new decoder, and its scanner, on every call.
+_DECODER = json.JSONDecoder(object_pairs_hook=_object)
 
 
 def document_to_system(doc: Any) -> SphericalSystem:
@@ -237,9 +248,24 @@ def dumps(system: SphericalSystem) -> str:
     )
 
 
-def loads(text: str) -> SphericalSystem:
+def loads(text: str | bytes) -> SphericalSystem:
+    """The system a document's text describes; anything wrong with the
+    text, as JSON or as a document, raises DocumentError."""
     try:
-        doc = json.loads(text, object_pairs_hook=_object)
+        # `json.loads`'s own prelude, in front of the shared decoder.
+        if isinstance(text, str):
+            if text.startswith("\ufeff"):
+                raise json.JSONDecodeError(
+                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
+                )
+        elif isinstance(text, (bytes, bytearray)):
+            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        else:
+            raise TypeError(
+                "the JSON object must be str, bytes or bytearray, "
+                f"not {text.__class__.__name__}"
+            )
+        doc = _DECODER.decode(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except RecursionError:

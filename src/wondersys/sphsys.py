@@ -92,6 +92,16 @@ class Color(Record):
         _set(self, "moved_by", moved_by)
         _set(self, "phi", phi)
 
+    @classmethod
+    def _of(cls, id: str, moved_by: frozenset, phi: Functional) -> "Color":
+        """The color with these fields, taken as they are: for a color derived
+        from one that passed the checks of `__init__`."""
+        d = object.__new__(cls)
+        _set(d, "id", id)
+        _set(d, "moved_by", moved_by)
+        _set(d, "phi", phi)
+        return d
+
 
 class Violation(Record):
     __slots__ = ("axiom", "message")
@@ -376,17 +386,19 @@ def _check_p3(
     rs = system.rs
     labels = rs.simple_roots
     types = system.type_map
-    ids = {
-        lab: frozenset(d.id for d in system.colors_moved_by(lab)) for lab in labels
-    }
     # A pair breaks P3 only if it shares a color id, or if both roots are
     # type d and their sum is a spherical root: (i, j) in `sums`, since a sum
-    # of two simple roots is never twice one.  Collect the index pairs i < j
-    # both ways and visit them in simple-root order.
+    # of two simple roots is never twice one.  Either way both roots move a
+    # color, so only those roots get their set of color ids.  Collect the
+    # index pairs i < j both ways and visit them in simple-root order.
+    moved = system._moved
+    ids: Dict[str, frozenset] = {}
     by_id: Dict[str, List[int]] = {}
     for i, lab in enumerate(labels):
-        for color_id in ids[lab]:
-            by_id.setdefault(color_id, []).append(i)
+        if lab in moved:
+            ids[lab] = lab_ids = frozenset(d.id for d in moved[lab])
+            for color_id in lab_ids:
+                by_id.setdefault(color_id, []).append(i)
     pairs = {pair for group in by_id.values() for pair in combinations(group, 2)}
     sums = set()
     for sigma in system.psi:

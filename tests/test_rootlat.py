@@ -238,6 +238,47 @@ class TestComponentOrder:
         assert RootSystem([a1, sq]).components == (sq, a1)
 
 
+class TestComponentLabels:
+    """A component keeps its labels as a tuple, whatever sequence they come in."""
+
+    def test_a_list_of_labels_is_kept_as_a_tuple(self):
+        listed = Component("A", 2, ["a1", "a2"])
+        assert listed.labels == ("a1", "a2") and type(listed.labels) is tuple
+        rs = RootSystem([listed])
+        given = RootSystem([Component("A", 2, ("a1", "a2"))])
+        assert rs == given and hash(rs) == hash(given)
+        system = SphericalSystem(rs, [], [])
+        assert hash(system) == hash(SphericalSystem(given, [], []))
+
+    def test_a_str_of_labels_is_refused(self):
+        message = "^component A2: labels is a str, not a sequence of labels: 'xy'$"
+        with pytest.raises(RootSystemError, match=message):
+            Component("A", 2, "xy")
+
+
+class TestErrorPrecedence:
+    """With two faults in one root system, the first check in this order
+    reports: total rank, a label that is not a `str`, duplicate labels, a
+    component's label count."""
+
+    def test_total_rank_before_a_label_that_is_not_a_str(self):
+        labels = tuple(f"x{i}" for i in range(MAX_RANK)) + (7,)
+        with pytest.raises(RootSystemError, match=f"^total rank {MAX_RANK + 1} exceeds"):
+            RootSystem([Component("A", MAX_RANK + 1, labels)])
+
+    def test_a_label_that_is_not_a_str_before_duplicates(self):
+        comps = [Component("A", 2, ("x", "x")), Component("A", 1, (7,))]
+        for given in (comps, comps[::-1]):
+            with pytest.raises(RootSystemError, match="^simple-root label 7 is not a str$"):
+                RootSystem(given)
+
+    def test_duplicates_before_a_label_count_mismatch(self):
+        comps = [Component("A", 1, ("x", "y")), Component("A", 1, ("x",))]
+        for given in (comps, comps[::-1]):
+            with pytest.raises(RootSystemError, match="^duplicate simple-root labels$"):
+                RootSystem(given)
+
+
 class TestCartanAgainstComponentBlocks:
     """Every reader of the Cartan matrix against the standard component blocks
     (`rootoracle.block_cartan`), which share nothing with the column index."""
@@ -288,8 +329,8 @@ class TestOraclesReadTheBlocks:
     @pytest.fixture
     def corrupted(self, monkeypatch):
         norms, columns, _ = rootlat._component("B", 3)
-        assert columns[1] == ((0, -1), (1, 2), (2, -2))
-        wrong = (columns[0], ((0, -1), (1, 2), (2, -1)), columns[2])
+        assert columns[1] == ((0, 1, 2), (-1, 2, -2))
+        wrong = (columns[0], ((0, 1, 2), (-1, 2, -1)), columns[2])
         monkeypatch.setitem(rootlat._COMPONENTS, ("B", 3), [norms, wrong, None])
         return build_root_system([("B", 3)])
 
@@ -1022,14 +1063,13 @@ class TestComponentRootTable:
 
     def test_every_vector_built_has_str_labels(self, monkeypatch, table):
         coeffs = []
-        original = rootlat._set
+        original = rootlat._set_coeffs
 
-        def recording(obj, name, value):
-            if name == "_coeffs":
-                coeffs.append(value)
-            original(obj, name, value)
+        def recording(obj, value):
+            coeffs.append(value)
+            original(obj, value)
 
-        monkeypatch.setattr(rootlat, "_set", recording)
+        monkeypatch.setattr(rootlat, "_set_coeffs", recording)
         counts = [len(positive_roots(rs)) for rs in reference_systems()]
         assert len(coeffs) == sum(counts)
         assert all(type(lab) is str for c in coeffs for lab in c)

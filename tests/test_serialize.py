@@ -316,6 +316,39 @@ class TestParseErrors:
         json.loads(text)
 
 
+class TestLoadsPrelude:
+    """`loads` reads through one shared decoder and keeps `json.loads`'s
+    handling of its input."""
+
+    def test_bytes_load_equal_to_the_text(self):
+        for entry in catalog_entries():
+            text = dumps(entry.system)
+            for encoding in ("utf-8", "utf-16"):
+                assert loads(text.encode(encoding)) == loads(text) == entry.system
+
+    def test_a_leading_byte_order_mark_is_refused(self):
+        text = "\ufeff" + dumps(catalog_entry("p1").system)
+        with pytest.raises(DocumentError) as info:
+            loads(text)
+        assert str(info.value) == (
+            "invalid JSON at line 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"
+        )
+
+    def test_no_decoder_is_built_per_call(self, monkeypatch):
+        built = []
+        original = json.JSONDecoder.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(json.JSONDecoder, "__init__", counting)
+        text = dumps(catalog_entry("p1").system)
+        for _ in range(100):
+            loads(text)
+        assert built == []
+
+
 def _a1_doc(**fields):
     doc = {
         "root_system": {"components": [{"series": "A", "rank": 1}]},
