@@ -9,6 +9,7 @@ A root system has total rank at most MAX_RANK.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from operator import add, attrgetter, itemgetter
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
@@ -16,6 +17,10 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 # of size n is built, a rank-k component's k x k Cartan block included; it
 # bounds what one input document can make the program allocate.
 MAX_RANK = 64
+
+# The labels a1, a2, ..., a{MAX_RANK} that `build_root_system` gives the
+# simple roots by position, formatted once.
+_LABELS = tuple(f"a{i}" for i in range(1, MAX_RANK + 1))
 
 
 class RootSystemError(ValueError):
@@ -369,6 +374,10 @@ class Component(Record):
         _set(self, "labels", tuple(labels))
 
 
+# A component's labels, read by `map` in `RootSystem._assign`.
+_labels_of = attrgetter("labels")
+
+
 class RootSystem(Record):
     """Semisimple root system with exact Cartan and form data.
 
@@ -409,7 +418,7 @@ class RootSystem(Record):
         components = tuple(components)
         # The total rank, the label types and, after the sort, duplicates are
         # checked on one flat list of the labels.
-        labels = [lab for comp in components for lab in comp.labels]
+        labels = list(chain.from_iterable(map(_labels_of, components)))
         n = len(labels)
         if n > MAX_RANK:
             raise RootSystemError(f"total rank {n} exceeds the limit {MAX_RANK}")
@@ -432,13 +441,15 @@ class RootSystem(Record):
 
     def _assign(self, keyed: Sequence[Tuple[tuple, Component]], by_label: dict) -> None:
         """Set every field from the (smallest key, component) pairs in key
-        order and the (half-norm, column) pairs by label."""
-        components = tuple(comp for _, comp in keyed)
-        simple_roots = tuple(lab for comp in components for lab in comp.labels)
+        order and the (half-norm, column) pairs by label.  The keys and
+        components are split apart in one `zip`, and the labels and their
+        index are gathered by `chain` and `zip`, without a loop in Python."""
+        keys, components = tuple(zip(*keyed)) or ((), ())
+        simple_roots = tuple(chain.from_iterable(map(_labels_of, components)))
         _set(self, "components", components)
-        _set(self, "_keys", tuple(key for key, _ in keyed))
+        _set(self, "_keys", keys)
         _set(self, "simple_roots", simple_roots)
-        _set(self, "_index", {lab: i for i, lab in enumerate(simple_roots)})
+        _set(self, "_index", dict(zip(simple_roots, range(len(simple_roots)))))
         _set(self, "_by_label", by_label)
 
     def induced(self, subset: Iterable[str]) -> "RootSystem":
@@ -529,7 +540,10 @@ class RootSystem(Record):
 
 
 def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
-    """Build a root system from (series, rank) pairs with labels a1, a2, ...."""
+    """Build a root system from (series, rank) pairs with labels a1, a2, ....
+
+    Each component's labels are a slice of `_LABELS`, taken once its rank
+    is known to keep the total within MAX_RANK."""
     comps = []
     next_i = 1
     for series, rank in spec:
@@ -537,8 +551,7 @@ def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
         if type(rank) is int and next_i - 1 + rank > MAX_RANK:
             raise RootSystemError(f"total rank exceeds the limit {MAX_RANK}")
         _component(series, rank)  # raises on invalid data
-        labels = tuple(f"a{next_i + k}" for k in range(rank))
-        comps.append(Component(series, rank, labels))
+        comps.append(Component(series, rank, _LABELS[next_i - 1 : next_i - 1 + rank]))
         next_i += rank
     return RootSystem(comps)
 

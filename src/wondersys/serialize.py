@@ -20,7 +20,9 @@ are parsing errors too.
 holding the duplicate-key hook, built once at import, since `json.loads`
 given a hook builds a new decoder on every call.  It keeps `json.loads`'s
 prelude: `bytes` are decoded in the encoding `json.detect_encoding` finds,
-and a `str` starting with U+FEFF is refused, as invalid JSON at line 1.
+and a `str` starting with U+FEFF is refused, as invalid JSON at line 1;
+`bytes` that are not valid in that encoding are invalid JSON too, and the
+message names the encoding.
 
 `dumps` is the one writer.  It writes the document text in one pass over
 the system, laid out as `json.dumps(doc, indent=2, sort_keys=True)` would
@@ -39,6 +41,7 @@ from json.encoder import encode_basestring_ascii
 from typing import Any, List
 
 from .rootlat import (
+    _LABELS,
     Functional,
     LatticeVector,
     RootSystemError,
@@ -205,13 +208,17 @@ def _nest(items: List[str], pad: str, brackets: str = "[]") -> str:
     return brackets[0] + inner + ("," + inner).join(items) + "\n" + pad + brackets[1]
 
 
+# The JSON string of each simple root's canonical label, by position.
+_QUOTED = tuple(f'"{lab}"' for lab in _LABELS)
+
+
 def dumps(system: SphericalSystem) -> str:
     """The document text, byte for byte what `json.dumps` writes for the
     document with `indent=2, sort_keys=True`, plus a newline.  A label
     outside the root system raises RootSystemError."""
     rs = system.rs
     index = rs.index
-    names = dict(zip(rs.simple_roots, [f'"a{i}"' for i in range(1, rs.rank + 1)]))
+    names = dict(zip(rs.simple_roots, _QUOTED))
     components = [
         f'{{\n        "rank": {c.rank},\n        "series": "{c.series}"\n      }}'
         for c in rs.components
@@ -272,6 +279,11 @@ def loads(text: str | bytes) -> SphericalSystem:
         raise DocumentError("invalid JSON: arrays or objects nested too deeply") from None
     except DocumentError:
         raise
+    except UnicodeDecodeError as exc:
+        # A ValueError too: caught before the int-digit limit below.
+        raise DocumentError(
+            f"invalid JSON: bytes not valid {exc.encoding}: {exc.reason} at offset {exc.start}"
+        ) from None
     except ValueError:
         # The only other ValueError json raises: the interpreter's limit on
         # the digits of an int it converts from a string.

@@ -140,7 +140,11 @@ class SphericalSystem(Record):
     simple root as type a, b, c or d.  Membership in the spherical roots
     wins over color counts: a root equal to (half of) a spherical root is
     typed b (c) even when its colors are missing; validation flags the
-    cardinality separately.  `type_map` is a dict, which must not be edited.
+    cardinality separately.  `type_map` is a dict, which must not be edited;
+    its keys are `rs.simple_roots` in order, and it is built in bulk: every
+    label typed a by `dict.fromkeys`, then retyped d, c and b, in that order,
+    on the labels of the system that move a color, whose double is a
+    spherical root and that are a spherical root.
     """
 
     __slots__ = ("rs", "psi", "colors", "_moved", "_simple", "simple_labels", "type_map")
@@ -172,11 +176,13 @@ class SphericalSystem(Record):
                 doubled.update(sigma._coeffs)
         _set(self, "_simple", simple)
         _set(self, "simple_labels", tuple(labels))
-        _set(self, "type_map", {
-            lab: TYPE_B if lab in simple else TYPE_C if lab in doubled
-            else TYPE_D if lab in moved else TYPE_A
-            for lab in rs.simple_roots
-        })
+        # Every label starts as type a; d, then c, then b overwrite it, each
+        # only on labels of the system, so b wins over c over d, and the keys
+        # stay in simple-root order.
+        type_map = dict.fromkeys(rs.simple_roots, TYPE_A)
+        for kind, marked in ((TYPE_D, moved), (TYPE_C, doubled), (TYPE_B, simple)):
+            type_map.update(dict.fromkeys(type_map.keys() & marked, kind))
+        _set(self, "type_map", type_map)
 
     def psi_index(self, sigma: LatticeVector) -> Optional[int]:
         """The index of the last spherical root equal to sigma, or None."""
@@ -235,11 +241,13 @@ def _check_base(
         if sigma.is_zero():
             out.append(Violation("BASE", "spherical root with empty support"))
             continue
-        for lab, coeff in sigma.items():
-            if coeff < 0:
-                out.append(
-                    Violation("BASE", f"negative coefficient of {lab} in {sigma}")
-                )
+        # The sorted coefficients are walked only when one is negative.
+        if min(sigma._coeffs.values()) < 0:
+            for lab, coeff in sigma.items():
+                if coeff < 0:
+                    out.append(
+                        Violation("BASE", f"negative coefficient of {lab} in {sigma}")
+                    )
         if coroots is None:
             unknown = [lab for lab in sigma._coeffs if lab not in rs]
             for lab in sorted(unknown, key=repr):
@@ -492,9 +500,14 @@ def validate_system(system: SphericalSystem) -> ValidationReport:
             )
         if not d.moved_by:
             out.append(Violation("P1", f"color {d.id} is moved by no simple root"))
-        unknown = [lab for lab in d.moved_by if lab not in system.rs]
-        for lab in sorted(unknown, key=repr):
-            out.append(Violation("P1", f"color {d.id} is moved by {lab!r}, not a simple root"))
+        # `type_map` is keyed by the simple roots: scan only a color moved by
+        # a label outside them.
+        if not system.type_map.keys() >= d.moved_by:
+            unknown = [lab for lab in d.moved_by if lab not in system.rs]
+            for lab in sorted(unknown, key=repr):
+                out.append(
+                    Violation("P1", f"color {d.id} is moved by {lab!r}, not a simple root")
+                )
     if coroots is None or not lengths_match:
         return ValidationReport(tuple(out))
     _check_p1(system, coroots, out)

@@ -141,5 +141,10 @@ class TestAgainstOracle:
         p = OrbitPoset(r)
         nodes, edges = oracle_poset(r)
         assert p.nodes == nodes and p.edges == edges
-        assert emit_graph(p) == oracle_dot(r)
+        first = emit_graph(p)
+        # Emitted again after every other rank, descending then ascending.
+        others = [k for k in (*range(12, -1, -1), *range(13)) if k != r]
+        for k in others:
+            emit_graph(OrbitPoset(k))
+        assert first == emit_graph(p) == oracle_dot(r)
 

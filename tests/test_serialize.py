@@ -348,6 +348,16 @@ class TestLoadsPrelude:
             loads(text)
         assert built == []
 
+    @pytest.mark.parametrize("data, offset", [(b'{"a": \xff}', 6), (b"\x80", 0)])
+    def test_undecodable_bytes_name_their_encoding(self, data, offset):
+        # A UnicodeDecodeError is a ValueError, but no int-digit limit.
+        assert json.detect_encoding(data) == "utf-8"
+        with pytest.raises(DocumentError) as info:
+            loads(data)
+        assert str(info.value) == (
+            f"invalid JSON: bytes not valid utf-8: invalid start byte at offset {offset}"
+        )
+
 
 def _a1_doc(**fields):
     doc = {

@@ -260,6 +260,7 @@ class TestViolationTexts:
         for system, texts in cases:
             assert [str(v) for v in validate_system(system).violations] == texts
             assert [str(v) for v in oracle_violations(system)] == texts
+            assert list(system.type_map) == list(system.rs.simple_roots)
 
     def test_functional_length_mismatch_stops_validation(self):
         # Without the stop, the type-b check would add functionals of
@@ -554,8 +555,12 @@ class TestSimpleRootIndex:
         systems = [entry.system for entry in catalog_entries()]
         systems += random_systems(5, 300, 8)
         systems += [mutated for _, mutated, _ in mutation_cases()]
+        for s in list(systems):
+            labels = frozenset(s.rs.simple_roots)
+            systems += [localize(s, labels - {lab}) for lab in s.rs.simple_roots]
         for s in systems:
             assert s.type_map == oracle_types(s), s
+            assert list(s.type_map) == list(s.rs.simple_roots), s
             assert s.simple_labels == tuple(map(s.rs.as_simple_label, s.psi)), s
 
     def test_psi_index_is_the_last_equal_root(self):
