@@ -5,8 +5,7 @@ spherical roots supported inside the subset, and restricts each surviving
 color's functional to the kept spherical roots.  When every spherical root
 is kept, a color moved only by labels of the subset is unchanged, and the
 localization holds the parent's own object.  Any other surviving color
-is derived from the parent's, which passed `Color`'s checks, and is built
-without running them again: it keeps the parent's `moved_by` frozenset
+is a new `Color` with the parent's id: it shares the parent's `moved_by`
 when every label moving it survives, and its `phi` when every spherical
 root is kept; otherwise `Functional.restrict` restricts it.  Color ids
 are preserved, so the color correspondence with the parent system is the
@@ -51,7 +50,7 @@ def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
             colors.append(d)
         else:
             phi = d.phi if every_root else d.phi.restrict(kept)
-            colors.append(Color._of(d.id, d.moved_by if whole else moved, phi))
+            colors.append(Color(d.id, d.moved_by if whole else moved, phi))
     return SphericalSystem(rs, psi, colors)
 
 

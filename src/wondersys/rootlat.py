@@ -465,12 +465,7 @@ class RootSystem(Record):
         `detect_subdiagram_type`, and each piece enters its half-norms and
         columns from `_COMPONENTS`, as `__init__` does.
         """
-        if isinstance(subset, str):
-            raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
-        subset = frozenset(subset)
-        unknown = subset - self._index.keys()
-        if unknown:
-            raise RootSystemError(f"unknown simple-root label {next(iter(unknown))!r}")
+        subset = _label_set(self, subset)
         by_label = dict(self._by_label)
         keyed = []
         for key, comp in zip(self._keys, self.components):
@@ -539,6 +534,18 @@ class RootSystem(Record):
         return f"RootSystem({inner})"
 
 
+def _label_set(rs: RootSystem, labels: Iterable[str]) -> frozenset:
+    """The labels as a set; a label outside the system, or a `str` (which
+    would be read as its characters), raises RootSystemError."""
+    if isinstance(labels, str):
+        raise RootSystemError(f"subset is a str, not a set of labels: {labels!r}")
+    labels = frozenset(labels)
+    unknown = labels - rs._index.keys()
+    if unknown:
+        raise RootSystemError(f"unknown simple-root label {next(iter(unknown))!r}")
+    return labels
+
+
 def build_root_system(spec: Sequence[Tuple[str, int]]) -> RootSystem:
     """Build a root system from (series, rank) pairs with labels a1, a2, ....
 
@@ -571,9 +578,7 @@ def detect_subdiagram_type(rs: RootSystem, sigma: Iterable[str]) -> list:
     whatever order a column lists them.  A label outside the system, or a
     `str` (which would be read as its characters), raises RootSystemError.
     """
-    if isinstance(sigma, str):
-        raise RootSystemError(f"subset is a str, not a set of labels: {sigma!r}")
-    labels = sorted(set(sigma), key=_label_key)
+    labels = sorted(_label_set(rs, sigma), key=_label_key)
     # Nodes are positions in `labels`; `at` maps a label of the set to one.
     at = {lab: p for p, lab in enumerate(labels)}
     nbrs = []

@@ -16,13 +16,12 @@ MAX_RANK, a color id used twice, a label listed twice in one `moved_by`
 and a key given twice in one JSON object (`json` would keep the last one)
 are parsing errors too.
 
-`loads` reads every document with one module-level `json.JSONDecoder`
-holding the duplicate-key hook, built once at import, since `json.loads`
-given a hook builds a new decoder on every call.  It keeps `json.loads`'s
-prelude: `bytes` are decoded in the encoding `json.detect_encoding` finds,
-and a `str` starting with U+FEFF is refused, as invalid JSON at line 1;
-`bytes` that are not valid in that encoding are invalid JSON too, and the
-message names the encoding.
+`loads` reads a `str` with one module-level `json.JSONDecoder` holding the
+duplicate-key hook, built once at import, since `json.loads` given a hook
+builds a new decoder on every call.  Any other input, and a `str` starting
+with U+FEFF, goes to `json.loads`, which decodes `bytes` and `bytearray` or
+refuses the input; `bytes` not valid in their encoding are invalid JSON
+too, and the message names the encoding.
 
 `dumps` is the one writer.  It writes the document text in one pass over
 the system, laid out as `json.dumps(doc, indent=2, sort_keys=True)` would
@@ -259,20 +258,11 @@ def loads(text: str | bytes) -> SphericalSystem:
     """The system a document's text describes; anything wrong with the
     text, as JSON or as a document, raises DocumentError."""
     try:
-        # `json.loads`'s own prelude, in front of the shared decoder.
-        if isinstance(text, str):
-            if text.startswith("\ufeff"):
-                raise json.JSONDecodeError(
-                    "Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0
-                )
-        elif isinstance(text, (bytes, bytearray)):
-            text = text.decode(json.detect_encoding(text), "surrogatepass")
+        if isinstance(text, str) and not text.startswith("\ufeff"):
+            doc = _DECODER.decode(text)
         else:
-            raise TypeError(
-                "the JSON object must be str, bytes or bytearray, "
-                f"not {text.__class__.__name__}"
-            )
-        doc = _DECODER.decode(text)
+            # `json.loads` decodes bytes, and refuses a BOM or another type.
+            doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"invalid JSON at line {exc.lineno}: {exc.msg}") from None
     except RecursionError:

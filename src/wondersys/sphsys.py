@@ -25,9 +25,11 @@ witness, nothing is thrown.
 Luna's axioms Sigma2 and S (Luna, Varietes spheriques de type A, Publ.
 IHES 94 (2001), section 2; Bravi-Luna, arXiv:0812.2340, section 1) are
 not checked yet.  Sigma2 asks orthogonal simple roots summing to a
-spherical root for coroots that agree on the spherical roots: Sigma =
-{a1+b2, b1+b3} on A1 x A3 breaks it and validates.  S puts every
-spherical root on Luna's list: Sigma = {3*a1} on A1 validates.
+spherical root for coroots that agree on the spherical roots.  On A1 (a1)
+x A3 (a2, a3, a4), Sigma = (a1+a3, a2+a4) with colors Da moved by a1,
+phi = (2, 0), Db moved by a3, phi = (2, -2), and D24 moved by a2 and a4,
+phi = (-1, 2), breaks it and validates.  S puts every spherical root on
+Luna's list: Sigma = {3*a1} on A1 validates.
 
 Each system indexes its colors by the simple roots moving them, and its
 spherical roots that are a simple root, once on construction, and types its
@@ -91,16 +93,6 @@ class Color(Record):
         _set(self, "id", id)
         _set(self, "moved_by", moved_by)
         _set(self, "phi", phi)
-
-    @classmethod
-    def _of(cls, id: str, moved_by: frozenset, phi: Functional) -> "Color":
-        """The color with these fields, taken as they are: for a color derived
-        from one that passed the checks of `__init__`."""
-        d = object.__new__(cls)
-        _set(d, "id", id)
-        _set(d, "moved_by", moved_by)
-        _set(d, "phi", phi)
-        return d
 
 
 class Violation(Record):

@@ -121,6 +121,11 @@ class TestBuildRootSystem:
         ):
             with pytest.raises(RootSystemError, match="^unknown simple-root label 'b1'$"):
                 call()
+        # A label of another type is refused by the same check, not by a
+        # TypeError or AttributeError from sorting or from a column lookup.
+        for labels, shown in ((["a1", 5], "5"), ([None], "None"), ([("a1",)], r"\('a1',\)")):
+            with pytest.raises(RootSystemError, match=f"^unknown simple-root label {shown}$"):
+                detect_subdiagram_type(rs, labels)
         # With one-letter labels, "xy" would silently read as {x, y}.
         xyz = RootSystem([Component("A", 3, ("x", "y", "z"))])
         with pytest.raises(RootSystemError, match="^subset is a str, not a set of labels: 'xy'$"):

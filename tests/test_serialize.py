@@ -324,7 +324,16 @@ class TestLoadsPrelude:
         for entry in catalog_entries():
             text = dumps(entry.system)
             for encoding in ("utf-8", "utf-16"):
-                assert loads(text.encode(encoding)) == loads(text) == entry.system
+                data = text.encode(encoding)
+                assert loads(data) == loads(bytearray(data)) == loads(text) == entry.system
+
+    @pytest.mark.parametrize("value", [None, 5, ["{}"]])
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError) as info:
+            loads(value)
+        assert str(info.value) == (
+            f"the JSON object must be str, bytes or bytearray, not {type(value).__name__}"
+        )
 
     def test_a_leading_byte_order_mark_is_refused(self):
         text = "\ufeff" + dumps(catalog_entry("p1").system)

@@ -166,6 +166,19 @@ class TestValidateSystem:
         report = validate_system(s)
         assert "P3" in report.axiom_ids()
 
+    @pytest.mark.xfail(strict=True, reason="Luna's axiom Σ2 is not checked")
+    def test_sigma2_orthogonal_sum_with_unequal_coroots(self):
+        # a1 ⊥ a3 and a1+a3 is a spherical root, but the coroots differ on
+        # the spherical roots: a1^∨ gives (2, 0) and a3^∨ gives (2, -2).
+        rs = build_root_system([("A", 1), ("A", 3)])
+        colors = [
+            Color("Da", frozenset({"a1"}), Functional([2, 0])),
+            Color("Db", frozenset({"a3"}), Functional([2, -2])),
+            Color("D24", frozenset({"a2", "a4"}), Functional([-1, 2])),
+        ]
+        s = SphericalSystem(rs, [lv(a1=1, a3=1), lv(a2=1, a4=1)], colors)
+        assert not validate_system(s).ok
+
     def test_duplicate_color_id(self):
         rs = build_root_system([("A", 1)])
         colors = [
