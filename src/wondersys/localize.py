@@ -21,22 +21,18 @@ from __future__ import annotations
 
 from typing import Iterable
 
-from .rootlat import RootSystemError
 from .sphsys import Color, SphericalSystem, TYPE_A
 
 
 def localize(system: SphericalSystem, subset: Iterable[str]) -> SphericalSystem:
-    """Localize at a subset of simple roots; raises on labels outside the
-    system, and on a `str`, which would be read as its characters.  At the
-    full set it gives back the system itself, components in the same
-    order, since `RootSystem` lists them by smallest label."""
-    if isinstance(subset, str):
-        raise RootSystemError(f"subset is a str, not a set of labels: {subset!r}")
-    sub = frozenset(subset)
-    unknown = sub.difference(system.rs.simple_roots)
-    if unknown:
-        raise RootSystemError(f"label {next(iter(unknown))!r} is not a simple root of the system")
-    rs = system.rs.induced(sub)
+    """Localize at a subset of simple roots, which `RootSystem.induced`
+    checks: a label outside the system, or a `str`, which would be read as
+    its characters, raises RootSystemError.  `subset` is read once, so any
+    iterable will do.  At the full set it gives back the system itself,
+    components in the same order, since `RootSystem` lists them by
+    smallest label."""
+    rs = system.rs.induced(subset)
+    sub = frozenset(rs.simple_roots)
     kept = [i for i, sigma in enumerate(system.psi) if sigma._coeffs.keys() <= sub]
     psi = [system.psi[i] for i in kept]
     every_root = len(kept) == len(system.psi)

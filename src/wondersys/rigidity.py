@@ -13,7 +13,10 @@ Conditions 2 and 3 are read off the Cartan entries on a root's support: a
 Both criticality functions run one loop over the spherical roots and differ
 only in the subsets they try and in what they ask there.  A subset is
 localized at most once per call and its localization kept for every root
-that tries it; there only the root trying it is checked.  A localization
+that tries it; there only the root trying it is checked, found among the
+kept roots by `psi.index`.  A repeated root is found at its first copy,
+which gives the same verdict, since every condition reads the root's
+vector and the localization, never the root's position.  A localization
 that keeps a root's support keeps the root, the induced diagram on its
 support and the type map there, so conditions 2 and 3 read there as they
 read in the system itself; `critical_roots` asks only condition 1 at each
@@ -163,24 +166,22 @@ def _criticality(system: SphericalSystem, subsets, witness) -> CriticalityReport
     labels = tuple(system.rs.simple_roots)
     full = frozenset(labels)
     type_a = type_a_roots(system)
-    supports = [sigma.support for sigma in system.psi]
     localized = {}  # subset -> the localization there
 
-    def distinguished_at(subset: frozenset, j: int) -> bool:
+    def distinguished_at(subset: frozenset, sigma: LatticeVector) -> bool:
         if subset not in localized:
             localized[subset] = localize(system, subset)
-        # psi[j] is kept, after every kept root before it.
-        k = sum(1 for supp in supports[:j] if supp <= subset)
-        return witness(localized[subset], k) is not None
+        local = localized[subset]
+        return witness(local, local.psi.index(sigma)) is not None
 
     entries = []
     for j, sigma in enumerate(system.psi):
         if _distinguished_witness(system, j) is not None:
             entries.append(CriticalityEntry(sigma, distinguished=True, critical=False))
             continue
-        base = type_a | supports[j]
+        base = type_a | sigma.support
         failing = next(
-            (sub for sub in subsets(labels, full, base) if not distinguished_at(sub, j)),
+            (sub for sub in subsets(labels, full, base) if not distinguished_at(sub, sigma)),
             None,
         )
         entries.append(

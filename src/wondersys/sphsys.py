@@ -6,7 +6,7 @@ system in their span) and a list of colors, each carrying the set of
 simple roots moving it and a functional on the spherical roots with values
 in (1/2)Z.  `Functional` enforces that rule on construction and stores the
 values doubled, so the checks compare ints (2 stands for the value 1).
-Validation checks four axioms; every violation is collected with a
+Validation checks five axioms; every violation is collected with a
 witness, nothing is thrown.
 
 - BASE: the spherical roots are distinct, nonzero and nonnegative, at
@@ -21,15 +21,16 @@ witness, nothing is thrown.
 - P3: two simple roots share a color only if both are type b (sharing
   one) or both are type d, orthogonal, with equal restricted coroots and
   a spherical root as their sum; two such type-d roots share their color.
+- SIGMA2, Luna's axiom Sigma2 (Luna, Varietes spheriques de type A,
+  Publ. IHES 94 (2001), section 2; Bravi-Luna, arXiv:0812.2340,
+  section 1): orthogonal simple roots summing to a spherical root have
+  restricted coroots that agree on the spherical roots.  On A1 (a1) x A3
+  (a2, a3, a4), Sigma = (a1+a3, a2+a4) with colors Da moved by a1,
+  phi = (2, 0), Db moved by a3, phi = (2, -2), and D24 moved by a2 and
+  a4, phi = (-1, 2), breaks it and is refused.
 
-Luna's axioms Sigma2 and S (Luna, Varietes spheriques de type A, Publ.
-IHES 94 (2001), section 2; Bravi-Luna, arXiv:0812.2340, section 1) are
-not checked yet.  Sigma2 asks orthogonal simple roots summing to a
-spherical root for coroots that agree on the spherical roots.  On A1 (a1)
-x A3 (a2, a3, a4), Sigma = (a1+a3, a2+a4) with colors Da moved by a1,
-phi = (2, 0), Db moved by a3, phi = (2, -2), and D24 moved by a2 and a4,
-phi = (-1, 2), breaks it and validates.  S puts every spherical root on
-Luna's list: Sigma = {3*a1} on A1 validates.
+Luna's axiom S, which puts every spherical root on Luna's list, is not
+checked yet: Sigma = {3*a1} on A1 validates.
 
 Each system indexes its colors by the simple roots moving them, and its
 spherical roots that are a simple root, once on construction, and types its
@@ -48,7 +49,8 @@ sigma_a * d_a * <alpha_a^vee, tau>; more spherical roots than the rank
 break BASE by themselves, which is reported once instead of pairwise, so
 the BASE check stays linear in the number of spherical roots.  P3 visits
 only the pairs of simple roots that can break it: those moved by colors
-with one id, and type-d roots whose sum is a spherical root.  Localization
+with one id, and type-d roots whose sum is a spherical root; SIGMA2 visits
+the pairs whose sum is a spherical root.  Localization
 builds systems that are never validated, so only validation pays for the
 coroot table.  No other index of the spherical roots is kept: `psi_index`
 scans them.
@@ -99,7 +101,7 @@ class Violation(Record):
     __slots__ = ("axiom", "message")
 
     def __init__(self, axiom: str, message: str):
-        _set(self, "axiom", axiom)  # BASE, P1, P2 or P3
+        _set(self, "axiom", axiom)  # BASE, P1, P2, P3 or SIGMA2
         _set(self, "message", message)
 
     def __str__(self) -> str:
@@ -412,63 +414,58 @@ def _check_p3(
         da, ta = ids[la], types[la]
         db, tb = ids[lb], types[lb]
         shared = da & db
-        both_d = ta == TYPE_D and tb == TYPE_D
-        if shared:
-            if ta == TYPE_B and tb == TYPE_B:
-                if len(shared) != 1:
-                    out.append(
-                        Violation(
-                            "P3",
-                            f"type-b roots {la}, {lb} share {len(shared)} colors, "
-                            "expected exactly 1",
-                        )
-                    )
-            elif both_d:
-                if rs.cartan_entry(la, lb) != 0:
-                    out.append(
-                        Violation("P3", f"shared-color roots {la}, {lb} not orthogonal")
-                    )
-                if coroots[la] != coroots[lb]:
-                    out.append(
-                        Violation(
-                            "P3",
-                            f"shared-color roots {la}, {lb} have different "
-                            "restricted coroots",
-                        )
-                    )
-                if (i, j) not in sums:
-                    out.append(
-                        Violation(
-                            "P3",
-                            f"{la}+{lb} is neither a spherical root nor twice one",
-                        )
-                    )
-            else:
+        if ta == TYPE_D and tb == TYPE_D:
+            # The conditions for two type-d roots to share a color, read once:
+            # the texts of those they fail.
+            unmet = []
+            if rs.cartan_entry(la, lb) != 0:
+                unmet.append(f"shared-color roots {la}, {lb} not orthogonal")
+            if coroots[la] != coroots[lb]:
+                unmet.append(f"shared-color roots {la}, {lb} have different restricted coroots")
+            if (i, j) not in sums:
+                unmet.append(f"{la}+{lb} is neither a spherical root nor twice one")
+            if shared:
+                out.extend(Violation("P3", text) for text in unmet)
+            if da != db and not unmet:
                 out.append(
                     Violation(
                         "P3",
-                        f"roots {la} (type {ta}) and {lb} (type {tb}) share a color",
+                        f"type-d roots {la}, {lb} satisfy the sharing conditions "
+                        "but have different color sets",
                     )
                 )
-        if (
-            both_d
-            and da != db
-            and rs.cartan_entry(la, lb) == 0
-            and coroots[la] == coroots[lb]
-            and (i, j) in sums
-        ):
+        # Any other pair is in `pairs` for the color ids it shares.
+        elif ta == TYPE_B and tb == TYPE_B:
+            if len(shared) != 1:
+                out.append(
+                    Violation(
+                        "P3",
+                        f"type-b roots {la}, {lb} share {len(shared)} colors, "
+                        "expected exactly 1",
+                    )
+                )
+        else:
+            out.append(
+                Violation("P3", f"roots {la} (type {ta}) and {lb} (type {tb}) share a color")
+            )
+    # Sigma2: orthogonal simple roots summing to a spherical root have equal
+    # restricted coroots.
+    for i, j in sorted(sums):
+        la, lb = labels[i], labels[j]
+        if rs.cartan_entry(la, lb) == 0 and coroots[la] != coroots[lb]:
+            k = next(k for k, (x, y) in enumerate(zip(coroots[la], coroots[lb])) if x != y)
             out.append(
                 Violation(
-                    "P3",
-                    f"type-d roots {la}, {lb} satisfy the sharing conditions "
-                    "but have different color sets",
+                    "SIGMA2",
+                    f"orthogonal roots {la}, {lb} sum to a spherical root, but their "
+                    f"restricted coroots differ on {system.psi[k]}",
                 )
             )
 
 
 def validate_system(system: SphericalSystem) -> ValidationReport:
-    """Check BASE, P1, P2 and P3 (see the module docstring), exhaustively;
-    Luna's axioms Sigma2 and S are not checked."""
+    """Check BASE, P1, P2, P3 and SIGMA2 (see the module docstring),
+    exhaustively; Luna's axiom S is not checked."""
     out: List[Violation] = []
     try:
         coroots = coroot_table(system)

@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 from wondersys import (
     DocumentError,
     RootSystem,
+    RootSystemError,
     SphericalSystem,
+    detect_subdiagram_type,
     dumps,
     loads,
     localize,
@@ -50,6 +52,34 @@ def _run(fmt, argv, capsys):
 
 
 VERBS = ["validate", "localize", "rigidity", "critical", "orbits", "catalog"]
+
+
+class TestUnknownLabelText:
+    """Every entry point that takes simple-root labels names one outside the
+    system with the same text."""
+
+    @pytest.mark.parametrize("entry", [
+        "localize", "induced", "detect_subdiagram_type", "index", "column", "half_norm",
+        "cli-text", "cli-json",
+    ])
+    def test_one_text(self, entry, p1_path, capsys):
+        rs = catalog_entry("p1").system.rs
+        calls = {
+            "localize": lambda: localize(catalog_entry("p1").system, {"a1", "b7"}),
+            "induced": lambda: rs.induced({"a1", "b7"}),
+            "detect_subdiagram_type": lambda: detect_subdiagram_type(rs, ["a1", "b7"]),
+            "index": lambda: rs.index("b7"),
+            "column": lambda: rs.column("b7"),
+            "half_norm": lambda: rs.half_norm("b7"),
+        }
+        if entry in calls:
+            with pytest.raises(RootSystemError) as raised:
+                calls[entry]()
+            text = str(raised.value)
+        else:
+            code, text = _run(entry[4:], ["localize", p1_path, "--subset", "b7"], capsys)
+            assert code == 2
+        assert text == "unknown simple-root label 'b7'"
 
 
 class TestArgparseSurface:

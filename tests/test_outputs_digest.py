@@ -11,7 +11,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PINNED = (
     "34534 results sha256 "
-    "485c23de5f9d4da3f048cb66ec48ae7042df3952cdf12a076f8b5b55fbc6aa28"
+    "fbf68aa42edc7b2b3a3557e0a1dc1e01fedafa27c0a399d0607bfaed96cf3410"
 )
 
 

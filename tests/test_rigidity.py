@@ -404,8 +404,8 @@ def _b2_a1_sharing_a_color() -> SphericalSystem:
 
 
 class TestRootIndexInALocalization:
-    """A root is asked about in a localization at the index it has among the
-    kept roots; a root before it is kept when its support lies in the
+    """A root is asked about in a localization at the index of its first
+    copy among the kept roots; a root is kept when its support lies in the
     subset, the whole subset included."""
 
     def test_a_support_equal_to_the_subset_counts(self):
@@ -423,6 +423,25 @@ class TestRootIndexInALocalization:
         assert critical_roots(s) == expected
         assert critical_roots_oracle(s) == expected
         assert closed_form_critical_roots(s) == expected
+
+
+    def test_a_repeated_root_is_found_at_its_first_copy(self):
+        # group-a1a1 with a1 listed again last, every functional extended by
+        # its value on a1: the localization at {a1} keeps both copies, so the
+        # third root is asked about at index 0 there, not at its own index.
+        rs = build_root_system([("A", 1), ("A", 1)])
+        a1, a2 = LatticeVector({"a1": 1}), LatticeVector({"a2": 1})
+        s = SphericalSystem(rs, [a1, a2, a1], [
+            Color("Dp", {"a1", "a2"}, Functional([1, 1, 1])),
+            Color("D1m", {"a1"}, Functional([1, -1, 1])),
+            Color("D2m", {"a2"}, Functional([-1, 1, -1])),
+        ])
+        expected = CriticalityReport(tuple(
+            CriticalityEntry(sigma, distinguished=False, critical=True, vacuous=False)
+            for sigma in (a1, a2, a1)
+        ))
+        assert critical_roots(s) == expected
+        assert critical_roots_oracle(s) == expected
 
 
 def test_proper_supersets_each_once_largest_first():

@@ -166,7 +166,6 @@ class TestValidateSystem:
         report = validate_system(s)
         assert "P3" in report.axiom_ids()
 
-    @pytest.mark.xfail(strict=True, reason="Luna's axiom Σ2 is not checked")
     def test_sigma2_orthogonal_sum_with_unequal_coroots(self):
         # a1 ⊥ a3 and a1+a3 is a spherical root, but the coroots differ on
         # the spherical roots: a1^∨ gives (2, 0) and a3^∨ gives (2, -2).
@@ -177,7 +176,16 @@ class TestValidateSystem:
             Color("D24", frozenset({"a2", "a4"}), Functional([-1, 2])),
         ]
         s = SphericalSystem(rs, [lv(a1=1, a3=1), lv(a2=1, a4=1)], colors)
-        assert not validate_system(s).ok
+        assert [str(v) for v in validate_system(s).violations] == [
+            "SIGMA2: orthogonal roots a1, a3 sum to a spherical root, but their "
+            "restricted coroots differ on a2+a4"
+        ]
+
+    def test_sigma2_holds_where_the_coroots_agree(self):
+        # a1 ⊥ a2 and a1+a2 is the spherical root, on which both coroots are 2.
+        s = catalog_entry("diag-a1a1").system
+        assert s.psi == (lv(a1=1, a2=1),)
+        assert validate_system(s).ok
 
     def test_duplicate_color_id(self):
         rs = build_root_system([("A", 1)])

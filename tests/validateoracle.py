@@ -1,4 +1,4 @@
-"""All-pairs BASE and P3 checks used as an oracle for `validate_system`.
+"""All-pairs BASE, P3 and Sigma2 checks used as an oracle for `validate_system`.
 
 Every pairing and form here comes from the standard Cartan blocks of the
 components, read once per system by `rootoracle.block_cartan` and
@@ -10,9 +10,10 @@ for every pair of spherical roots and print through `Fraction`, and P3
 visits every pair of simple roots, reading their orthogonality off the
 blocks and asking `_sum_in_psi` whether their sum is
 in the spherical roots or twice one (Luna's axiom, read literally), against
-one set of the spherical roots built per call.  A label of a spherical root
+one set of the spherical roots built per call; Sigma2 walks every pair
+again, with the same coroots and orthogonality.  A label of a spherical root
 outside the root system is a BASE violation, and then no Cartan number,
-P1, P2 or P3 check is made.  `oracle_types` types each
+P1, P2, P3 or Sigma2 check is made.  `oracle_types` types each
 simple root by looking its vector and twice it up among the spherical roots.
 `oracle_check_p2` finds, for each color in turn, the first type-b root of
 `oracle_types` in its `moved_by`, and compares its `Fraction` values with
@@ -273,6 +274,30 @@ def oracle_check_p3(
                 )
 
 
+def oracle_check_sigma2(
+    system: SphericalSystem, cartan: dict, coroots: Dict[str, Tuple[int, ...]],
+    out: List[Violation],
+) -> None:
+    """Luna's Sigma2 over every pair of simple roots: orthogonal ones whose
+    sum is a spherical root have equal restricted coroots."""
+    labels = system.rs.simple_roots
+    psi_set = set(system.psi)
+    for i, la in enumerate(labels):
+        for lb in labels[i + 1 :]:
+            if (la, lb) in cartan or LatticeVector({la: 1, lb: 1}) not in psi_set:
+                continue
+            for sigma, x, y in zip(system.psi, coroots[la], coroots[lb]):
+                if x != y:
+                    out.append(
+                        Violation(
+                            "SIGMA2",
+                            f"orthogonal roots {la}, {lb} sum to a spherical root, but "
+                            f"their restricted coroots differ on {sigma}",
+                        )
+                    )
+                    break
+
+
 def oracle_violations(system: SphericalSystem) -> List[Violation]:
     """The violations `validate_system` must report, in its order."""
     cartan = block_cartan(system.rs)
@@ -302,4 +327,5 @@ def oracle_violations(system: SphericalSystem) -> List[Violation]:
     _check_p1(system, coroots, out)
     oracle_check_p2(system, out)
     oracle_check_p3(system, cartan, coroots, out)
+    oracle_check_sigma2(system, cartan, coroots, out)
     return out
